@@ -4531,7 +4531,7 @@ static void __pyx_f_6isolab_5_core_search(struct __pyx_t_6isolab_5_core_CS *__py
  * 
  * 
  * def canon_form(adj, int n):             # <<<<<<<<<<<<<<
- *     """Canonical labeling; see the fallback's docstring for the contract."""
+ *     """Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last."""
  *     if n == 0:
 */
 
@@ -4543,7 +4543,7 @@ PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
 PyObject *__pyx_args, PyObject *__pyx_kwds
 #endif
 ); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6isolab_5_core_canon_form, "Canonical labeling; see the fallback's docstring for the contract.");
+PyDoc_STRVAR(__pyx_doc_6isolab_5_core_canon_form, "Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last.");
 static PyMethodDef __pyx_mdef_6isolab_5_core_1canon_form = {"canon_form", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6isolab_5_core_1canon_form, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6isolab_5_core_canon_form};
 static PyObject *__pyx_pw_6isolab_5_core_1canon_form(PyObject *__pyx_self, 
 #if CYTHON_METH_FASTCALL
@@ -4664,7 +4664,7 @@ static PyObject *__pyx_pf_6isolab_5_core_canon_form(CYTHON_UNUSED PyObject *__py
 
   /* "isolab/_core.pyx":247
  * def canon_form(adj, int n):
- *     """Canonical labeling; see the fallback's docstring for the contract."""
+ *     """Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last."""
  *     if n == 0:             # <<<<<<<<<<<<<<
  *         return [], b"", []
  *     cdef CS s
@@ -4673,7 +4673,7 @@ static PyObject *__pyx_pf_6isolab_5_core_canon_form(CYTHON_UNUSED PyObject *__py
   if (__pyx_t_1) {
 
     /* "isolab/_core.pyx":248
- *     """Canonical labeling; see the fallback's docstring for the contract."""
+ *     """Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last."""
  *     if n == 0:
  *         return [], b"", []             # <<<<<<<<<<<<<<
  *     cdef CS s
@@ -4701,7 +4701,7 @@ static PyObject *__pyx_pf_6isolab_5_core_canon_form(CYTHON_UNUSED PyObject *__py
 
     /* "isolab/_core.pyx":247
  * def canon_form(adj, int n):
- *     """Canonical labeling; see the fallback's docstring for the contract."""
+ *     """Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last."""
  *     if n == 0:             # <<<<<<<<<<<<<<
  *         return [], b"", []
  *     cdef CS s
@@ -5240,7 +5240,7 @@ static PyObject *__pyx_pf_6isolab_5_core_canon_form(CYTHON_UNUSED PyObject *__py
  * 
  * 
  * def canon_form(adj, int n):             # <<<<<<<<<<<<<<
- *     """Canonical labeling; see the fallback's docstring for the contract."""
+ *     """Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last."""
  *     if n == 0:
 */
 
@@ -6658,7 +6658,7 @@ __Pyx_RefNannySetupContext("PyInit__core", 0);
  * 
  * 
  * def canon_form(adj, int n):             # <<<<<<<<<<<<<<
- *     """Canonical labeling; see the fallback's docstring for the contract."""
+ *     """Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last."""
  *     if n == 0:
 */
   __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6isolab_5_core_1canon_form, 0, __pyx_mstate_global->__pyx_n_u_canon_form, NULL, __pyx_mstate_global->__pyx_n_u_isolab__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 245, __pyx_L1_error)

@@ -243,7 +243,7 @@ cdef void search(CS* s, int* vx, int* cstart, int ncells) nogil:
 
 
 def canon_form(adj, int n):
-    """Canonical labeling; see the fallback's docstring for the contract."""
+    """Canonical labeling, contract as in the fallback: a maximum-degree vertex is labeled last."""
     if n == 0:
         return [], b"", []
     cdef CS s

@@ -80,6 +80,11 @@ def canon_form(adj, n):
     ``orbits[v]`` is the least vertex in ``v``'s orbit under the
     automorphisms discovered during the search (a refinement of the true
     orbit partition, never coarser).
+
+    Positions are in nondecreasing degree, so ``labels`` puts a vertex of
+    maximum degree last: the search starts from cells in ascending degree
+    and never reorders cells. Canonical augmentation in ``isolab.lab``
+    prunes on this.
     """
     if n == 0:
         return [], b"", []
@@ -101,6 +106,7 @@ def canon_form(adj, n):
         return root
 
     def union(a, b):
+        # The smaller root wins, so every root is the least vertex of its set.
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -157,14 +163,7 @@ def canon_form(adj, n):
 
     search(cells0, ())
 
-    reps = {}
-    orbits = [0] * n
-    for v in range(n):
-        r = find(v)
-        if r not in reps:
-            reps[r] = min(u for u in range(n) if find(u) == r)
-        orbits[v] = reps[r]
-    return best["pos"], best["body"], orbits
+    return best["pos"], best["body"], [find(v) for v in range(n)]
 
 
 def has_isolating_set(adj, n, k):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -287,6 +288,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    args.threads = max(1, min(args.threads, os.cpu_count() or 1))
     if hasattr(args, "order") and args.command == "enum":
         if not 1 <= args.order <= lab.MAX_ENUM_ORDER:
             parser.error(f"--order must be in 1..{lab.MAX_ENUM_ORDER}")

@@ -7,6 +7,17 @@ parent's isomorphism class. Each class on k+1 vertices therefore has
 exactly one producing parent class, children of one parent are deduped by
 canonical code, and the union over parents is isomorph-free with no global
 bookkeeping, which also makes the search embarrassingly parallel.
+
+Most augmentations are rejected before the child is built. Both kernel
+backends list canonical positions in nondecreasing degree, so the
+canonically-last vertex has maximum degree. When the new vertex has lower
+degree than that, deleting the canonically-last vertex removes more edges
+than deleting the new one, so the result cannot be the parent's class and
+the canonical parent test would fail anyway. Acceptance depends only on the
+child's isomorphism class, so skipping such a child before the per-parent
+dedupe leaves the output unchanged. For connected final levels, a child is
+connected exactly when the new vertex's neighborhood meets every component
+of the parent.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from isolab.graphs import (
     _g6_header,
     bits_of,
     canonical_code,
+    components,
     is_connected,
     iter_bits,
     parse_graph6,
@@ -65,19 +77,6 @@ def _delete_vertex(adj: tuple[int, ...], u: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _adj_connected(adj: tuple[int, ...], n: int) -> bool:
-    comp = 1
-    frontier = 1
-    full = (1 << n) - 1
-    while frontier:
-        grow = 0
-        for v in iter_bits(frontier):
-            grow |= adj[v]
-        frontier = grow & full & ~comp
-        comp |= frontier
-    return comp == full
-
-
 def _children_of(
     parent: tuple[tuple[int, ...], bytes],
     connected_final: bool,
@@ -86,24 +85,22 @@ def _children_of(
     """Accepted augmentations of one parent, deduped within the parent."""
     padj, pcode = parent
     k = len(padj)
-    isolated = 0
-    for v, row in enumerate(padj):
-        if not row:
-            isolated |= 1 << v
+    top = max(row.bit_count() for row in padj)
+    topmask = bits_of(v for v, row in enumerate(padj) if row.bit_count() == top)
+    comps = components(Graph(k, padj)) if connected_final else []
     out = []
     seen: set[bytes] = set()
     subsets = range((1 << k) - 1, -1, -1) if descending else range(1 << k)
     for subset in subsets:
-        if connected_final:
-            # The last vertex joins everything up: a final-level child with
-            # an isolated vertex can never be connected.
-            if subset & isolated != isolated or (k > 0 and subset == 0):
-                continue
+        # The new vertex must reach the child's maximum degree (module
+        # docstring), and must touch every parent component to connect it.
+        if subset.bit_count() < top + (1 if subset & topmask else 0):
+            continue
+        if connected_final and not all(subset & comp for comp in comps):
+            continue
         child = tuple(
             row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)
         ) + (subset,)
-        if connected_final and not _adj_connected(child, k + 1):
-            continue
         labels, body, orbits = _backend.canon_form(child, k + 1)
         code = _g6_header(k + 1) + body
         if code in seen:
@@ -174,17 +171,18 @@ def enumerate_connected(
     n: int, threads: int = 1, descending: bool = False
 ) -> list[str]:
     """Connected graphs on n vertices, one canonical graph6 line per class,
-    sorted by canonical code. Guarded at order 10."""
+    sorted by canonical code. Guarded at order 10. Returns a fresh list, so
+    callers may mutate it without touching the memo."""
     if n < 1 or n > MAX_ENUM_ORDER:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
     if not descending and n in _CONNECTED:
-        return _CONNECTED[n]
+        return list(_CONNECTED[n])
     cache_file = _cache_path(f"connected_n{n}.g6") if not descending else None
     if cache_file and os.path.exists(cache_file):
         with open(cache_file) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
         _CONNECTED[n] = lines
-        return lines
+        return list(lines)
     if n == 1:
         lines = ["@"]
     else:
@@ -199,6 +197,7 @@ def enumerate_connected(
         if cache_file:
             with open(cache_file, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
+        return list(lines)
     return lines
 
 
@@ -439,17 +438,20 @@ class StarReduction:
 
 
 def _verify_star(g: Graph, star: StarReduction) -> None:
-    assert star.leaves.bit_count() >= 2
-    assert not (star.leaves >> star.center) & 1
-    for leaf in iter_bits(star.leaves):
-        assert (g.adj[star.center] >> leaf) & 1, "center must touch every leaf"
+    if star.leaves.bit_count() < 2:
+        raise ValueError("star must have at least two leaves")
+    if (star.leaves >> star.center) & 1:
+        raise ValueError("center must not be a leaf")
+    if star.leaves & ~g.adj[star.center]:
+        raise ValueError("center must touch every leaf")
     from isolab.graphs import masked_components
 
     rest = g.full_mask & ~star.mask
     nontrivial = sum(
         1 for comp in masked_components(g, rest) if comp.bit_count() >= 2
     )
-    assert nontrivial <= 1, "removal must leave at most one nontrivial component"
+    if nontrivial > 1:
+        raise ValueError("removal must leave at most one nontrivial component")
 
 
 def find_reducing_star(g: Graph) -> StarReduction:

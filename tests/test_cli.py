@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from isolab import graphs as G
+from isolab import lab
 from isolab.cli import main
 
 
@@ -128,6 +130,24 @@ class TestCatalogs:
     def test_enum_all(self, capsys):
         code, out, _ = run_cli(capsys, ["enum", "--order", "4"])
         assert len(out.strip().split("\n")) == 11
+
+    @pytest.mark.parametrize("asked, cores, want", [
+        ("100000", 4, 4), ("0", 4, 1), ("-3", 4, 1), ("3", 4, 3), ("5", None, 1),
+    ])
+    def test_threads_clamped(self, capsys, monkeypatch, asked, cores, want):
+        seen = []
+
+        def fake_enumerate(order, threads=1, descending=False):
+            seen.append(threads)
+            return ["@"]
+
+        monkeypatch.setattr(lab, "enumerate_connected", fake_enumerate)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, out, _ = run_cli(
+            capsys, ["enum", "--order", "1", "--connected", "--threads", asked]
+        )
+        assert code == 0 and out == "@\n"
+        assert seen == [want]
 
     def test_enum_out_of_range(self, capsys):
         with pytest.raises(SystemExit) as exc:

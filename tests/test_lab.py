@@ -1,8 +1,13 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_connected_graph
+from isolab import _pykernels
 from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
@@ -12,8 +17,11 @@ from isolab import solvers as S
 class TestEnumeration:
     # Published class counts double as an external oracle here; pairwise
     # non-isomorphism inside the catalogs is checked in test_graphs.
-    ALL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-    CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+    ALL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+    CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+    CONNECTED8_SHA256 = (
+        "f1f12b70357f2c5b85b272b6bb18ce5293e48948fbcc4e2ab8b97839cdf7c80d"
+    )
 
     def test_all_graph_counts(self):
         for n, want in self.ALL.items():
@@ -22,6 +30,17 @@ class TestEnumeration:
     def test_connected_counts(self):
         for n, want in self.CONNECTED.items():
             assert len(lab.enumerate_connected(n)) == want
+
+    def test_order8_connected_bytes(self):
+        text = "\n".join(lab.enumerate_connected(8)) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CONNECTED8_SHA256
+
+    def test_result_is_not_the_memo(self):
+        first = lab.enumerate_connected(5)
+        want = list(first)
+        first.append("junk")
+        first.sort(reverse=True)
+        assert lab.enumerate_connected(5) == want
 
     def test_sorted_canonical_output(self):
         lines = lab.enumerate_connected(6)
@@ -51,6 +70,83 @@ class TestEnumeration:
         lab._CONNECTED.pop(6, None)
         assert lab.enumerate_connected(6) == first
         lab._CONNECTED.pop(6, None)
+
+
+def _kernel_params():
+    params = [pytest.param(_pykernels, id="python")]
+    try:
+        from isolab import _core
+    except ImportError:
+        params.append(
+            pytest.param(
+                None, id="c", marks=pytest.mark.skip(reason="_core not built")
+            )
+        )
+    else:
+        params.append(pytest.param(_core, id="c"))
+    return params
+
+
+@pytest.mark.parametrize("kernels", _kernel_params())
+def test_canon_labels_a_max_degree_vertex_last(kernels):
+    # The degree prune in lab._children_of is exact only while this holds.
+    rng = random.Random(8)
+    for n in range(1, 8):
+        for line in lab.enumerate_all(n):
+            g = G.parse_graph6(line)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            adj = G.relabel(g, perm).adj
+            labels = kernels.canon_form(adj, n)[0]
+            last = labels.index(n - 1)
+            assert adj[last].bit_count() == max(row.bit_count() for row in adj)
+
+
+def _reference_accepts(parent, connected_final):
+    """Per subset, unpruned: the child, its code and the canonical-parent
+    verdict, or None for a disconnected connected-final child."""
+    padj, pcode = parent
+    k = len(padj)
+    out = []
+    for subset in range(1 << k):
+        child = tuple(
+            row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)
+        ) + (subset,)
+        g = G.Graph(k + 1, child)
+        if connected_final and not G.is_connected(g):
+            out.append(None)
+            continue
+        last = G.canonical_labels(g).index(k)
+        rest, _ = G.induced_subgraph(g, g.full_mask ^ (1 << last))
+        out.append((child, G.canonical_code(g), G.canonical_code(rest) == pcode))
+    return out
+
+
+def _reference_children(verdicts, descending):
+    order = reversed(verdicts) if descending else verdicts
+    out = []
+    seen = set()
+    for item in order:
+        if item is None:
+            continue
+        child, code, accepted = item
+        if code in seen:
+            continue
+        seen.add(code)
+        if accepted:
+            out.append((child, code))
+    return out
+
+
+@pytest.mark.parametrize("connected_final", [False, True])
+def test_pruned_augmentation_matches_unpruned(connected_final):
+    for k in range(1, 7):
+        for parent in lab._all_graphs_level(k):
+            verdicts = _reference_accepts(parent, connected_final)
+            for descending in (False, True):
+                assert lab._children_of(
+                    parent, connected_final, descending
+                ) == _reference_children(verdicts, descending)
 
 
 class TestExtremalSmall:
@@ -113,6 +209,35 @@ class TestExtendability:
 
 
 class TestReducingStar:
+    def test_bad_star_raises(self):
+        g = G.path_graph(7)
+        bad = [
+            lab.StarReduction(1, 1 << 0),  # one leaf
+            lab.StarReduction(1, (1 << 0) | (1 << 1)),  # center is a leaf
+            lab.StarReduction(1, (1 << 0) | (1 << 3)),  # 3 is not adjacent
+            lab.StarReduction(3, (1 << 2) | (1 << 4)),  # leaves 0-1 and 5-6
+        ]
+        for star in bad:
+            with pytest.raises(ValueError):
+                lab._verify_star(g, star)
+
+    def test_bad_star_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "from isolab import graphs, lab\n"
+            "try:\n"
+            "    lab._verify_star(graphs.path_graph(5), lab.StarReduction(1, 1))\n"
+            "except ValueError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised")
+
     def test_whole_star(self):
         star = lab.find_reducing_star(G.star_graph(5))
         assert star.center == 0
