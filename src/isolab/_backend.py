@@ -1,6 +1,6 @@
 """Kernel backend selection.
 
-The compiled core is used when it importable; setting ISOLAB_PURE_PYTHON=1
+The compiled core is used when it is importable; setting ISOLAB_PURE_PYTHON=1
 forces the pure-Python fallback (useful for debugging and benchmarks).
 """
 

@@ -21,6 +21,17 @@ from isolab.partition import NoValidPartition, partition3
 from isolab.solvers import domination_number, isolation_number
 
 
+class UsageError(Exception):
+    """A problem with the command line itself; reported on stderr, exit 2."""
+
+
+def _open(path: str, mode: str = "r"):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
@@ -37,7 +48,7 @@ def _input_lines(paths: list[str]) -> Iterable[str]:
                 if line.strip():
                     yield line.strip()
         else:
-            with open(path) as fh:
+            with _open(path) as fh:
                 for line in fh:
                     if line.strip():
                         yield line.strip()
@@ -128,10 +139,10 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_gen_g(args) -> int:
-    with open(args.spec) as fh:
-        data = json.load(fh)
+    with _open(args.spec, "rb") as fh:
+        raw = fh.read()
     try:
-        spec = family.spec_from_json(data)
+        spec = family.spec_from_json(json.loads(raw))
         problems = family.validate_spec(spec)
         if problems:
             _emit({"error": "invalid_spec", "problems": problems})
@@ -296,6 +307,9 @@ def main(argv=None) -> int:
             parser.error("full enumeration (without --connected) stops at order 9")
     try:
         return args.fn(args)
+    except UsageError as exc:
+        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+        return 2
     except BrokenPipeError:
         return 0
 

@@ -23,8 +23,9 @@ from isolab.graphs import (
     bit_list,
     from_edges,
     bits_of,
+    cycle_walk,
+    induced_subgraph,
     is_connected,
-    iter_bits,
     parse_graph6,
     write_graph6,
     _cycles_of_length,
@@ -189,13 +190,26 @@ def spec_to_json(spec: FamilySpec) -> dict:
     }
 
 
-def spec_from_json(data: dict) -> FamilySpec:
-    base = parse_graph6(data["base"])
-    pendants = tuple(
-        PendantAttachment(p["kind"], tuple(sorted(p["attach"])))
-        for p in data["pendants"]
-    )
-    return FamilySpec(base, pendants)
+def spec_from_json(data) -> FamilySpec:
+    """Parse the wire format; ValueError or KeyError when it is malformed.
+
+    Only the JSON shape is checked here; validate_spec judges the values.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("spec must be a JSON object")
+    if not isinstance(data["base"], str):
+        raise ValueError("base must be a graph6 string")
+    if not isinstance(data["pendants"], list):
+        raise ValueError("pendants must be a list")
+    pendants = []
+    for i, p in enumerate(data["pendants"]):
+        if not isinstance(p, dict) or not isinstance(p["kind"], str):
+            raise ValueError(f"pendant {i}: must be an object with a string kind")
+        attach = p["attach"]
+        if not isinstance(attach, list) or any(type(a) is not int for a in attach):
+            raise ValueError(f"pendant {i}: attach must be a list of integers")
+        pendants.append(PendantAttachment(p["kind"], tuple(sorted(attach))))
+    return FamilySpec(parse_graph6(data["base"]), tuple(pendants))
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +257,7 @@ def _candidate_blocks(g: Graph) -> list[_Block]:
         h = ext.bit_length() - 1
         # local labeling: start at the least cycle vertex, toward its
         # smaller cycle neighbor
-        start = min(cyc)
-        order = [start]
-        prev, cur = -1, start
-        for _ in range(4):
-            a, b = bit_list(g.adj[cur] & mask)
-            nxt = a if a != prev else b
-            order.append(nxt)
-            prev, cur = cur, nxt
+        order = cycle_walk(g, mask, min(cyc))
         attach = tuple(
             i for i, v in enumerate(order) if (g.adj[h] >> v) & 1
         )
@@ -284,13 +291,7 @@ def recognize_family(g: Graph) -> Optional[FamilySpec]:
     def bt(pend_mask: int, hook_mask: int, chosen: list[_Block]):
         resolved = pend_mask | hook_mask
         if resolved == full:
-            hooks = bit_list(hook_mask)
-            pos = {h: i for i, h in enumerate(hooks)}
-            base_adj = [0] * len(hooks)
-            for h in hooks:
-                for u in iter_bits(g.adj[h] & hook_mask):
-                    base_adj[pos[h]] |= 1 << pos[u]
-            base = Graph(len(hooks), tuple(base_adj))
+            base, hooks = induced_subgraph(g, hook_mask)
             if not is_connected(base):
                 return None
             by_hook = {c.hook: c for c in chosen}

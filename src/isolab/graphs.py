@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from isolab import _backend
+from isolab._pykernels import _pack_body
 
 MAX_ORDER = 64
 
@@ -248,21 +249,7 @@ def _col_of(bit_index: int) -> int:
 def write_graph6(g: Graph) -> str:
     """Encode a Graph as one graph6 line (inverse of parse_graph6)."""
     n = g.order
-    out = bytearray(_g6_header(n))
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        aj = g.adj[j]
-        for i in range(j):
-            group = (group << 1) | ((aj >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    return (_g6_header(n) + _pack_body(g.adj, n, range(n))).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +324,32 @@ def is_connected(g: Graph) -> bool:
     return _closure(g, 1, g.full_mask) == g.full_mask
 
 
+def bfs_tree(g: Graph, root: int, mask: int) -> tuple[list[int], list[int]]:
+    """Breadth-first tree from ``root`` inside the subgraph induced on ``mask``.
+
+    Returns ``(parent, depth)``. Each level is scanned in ascending vertex
+    order, so a vertex's parent is its least-index neighbor one level up.
+    The root and every vertex not reached have parent -1; vertices not
+    reached have depth -1.
+    """
+    parent = [-1] * g.order
+    depth = [-1] * g.order
+    depth[root] = 0
+    seen = 1 << root
+    frontier = [root]
+    while frontier:
+        reached = 0
+        for v in frontier:
+            new = g.adj[v] & mask & ~seen
+            seen |= new
+            reached |= new
+            for u in iter_bits(new):
+                parent[u] = v
+                depth[u] = depth[v] + 1
+        frontier = bit_list(reached)
+    return parent, depth
+
+
 def cut_vertices(g: Graph) -> int:
     """Vertices whose removal disconnects a connected graph."""
     n = g.order
@@ -377,6 +390,24 @@ def _cycles_of_length(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
         path.clear()
         path.append(r)
         yield from extend(r, 1 << r)
+
+
+def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:
+    """The cycle through ``start`` inside ``mask``, in walk order.
+
+    Every vertex of ``mask`` must have exactly two neighbors in ``mask``.
+    The walk leaves ``start`` toward its smaller neighbor and takes
+    ``|mask|`` vertices, so when ``mask`` holds several cycles the list
+    repeats vertices of the first one.
+    """
+    order = [start]
+    prev, cur = -1, start
+    for _ in range(mask.bit_count() - 1):
+        a, b = bit_list(g.adj[cur] & mask)
+        nxt = a if a != prev else b
+        order.append(nxt)
+        prev, cur = cur, nxt
+    return order
 
 
 def iter_simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:

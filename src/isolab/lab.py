@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-import numpy as np
-
 from isolab import _backend
 from isolab.family import (
     K2_ATTACHMENTS,
@@ -43,11 +41,13 @@ from isolab.family import (
 from isolab.graphs import (
     Graph,
     _g6_header,
+    bfs_tree,
     bits_of,
     canonical_code,
     components,
     is_connected,
     iter_bits,
+    masked_components,
     parse_graph6,
 )
 from isolab.solvers import is_isolating, isolating_sets_of_size
@@ -298,23 +298,27 @@ def _star_attachment_survivors(h: Graph, k: int) -> list[tuple[int, int]]:
 
     If some size-k isolating set of the host meets both attachment sets, it
     already isolates the extended graph, so the extension cannot be
-    extremal; only the surviving pairs need the full decision.
+    extremal; only the surviving pairs need the full decision. A pair
+    survives exactly when S2 misses the union of the size-k isolating sets
+    that meet S1. Pairs come with S1 ascending, then S2 ascending.
     """
-    n = h.order
-    iso = list(isolating_sets_of_size(h, k))
-    nsub = 1 << n
-    if not iso:
-        return [(s1, s2) for s1 in range(1, nsub) for s2 in range(s1, nsub)]
-    jarr = np.array(iso, dtype=np.uint64)
-    subs = np.arange(nsub, dtype=np.uint64)
-    hit = (subs[:, None] & jarr[None, :]) != 0
-    packed = np.packbits(hit, axis=1)
+    through = [0] * h.order  # union of the size-k isolating sets holding v
+    for x in isolating_sets_of_size(h, k):
+        for v in iter_bits(x):
+            through[v] |= x
+    hit = [0] * (1 << h.order)  # hit[S1]: union of the sets meeting S1
     out = []
-    for s1 in range(1, nsub):
-        conflict = np.bitwise_and(packed, packed[s1]).any(axis=1)
-        for s2 in np.nonzero(~conflict)[0]:
-            if s2 >= s1:
-                out.append((s1, int(s2)))
+    for s1 in range(1, 1 << h.order):
+        low = s1 & -s1
+        hit[s1] = hit[s1 ^ low] | through[low.bit_length() - 1]
+        free = h.full_mask & ~hit[s1]
+        # submasks of free, walked down from the top until they drop below S1
+        descending = []
+        s2 = free
+        while s2 >= s1:
+            descending.append((s1, s2))
+            s2 = (s2 - 1) & free
+        out.extend(reversed(descending))
     return out
 
 
@@ -444,8 +448,6 @@ def _verify_star(g: Graph, star: StarReduction) -> None:
         raise ValueError("center must not be a leaf")
     if star.leaves & ~g.adj[star.center]:
         raise ValueError("center must touch every leaf")
-    from isolab.graphs import masked_components
-
     rest = g.full_mask & ~star.mask
     nontrivial = sum(
         1 for comp in masked_components(g, rest) if comp.bit_count() >= 2
@@ -467,25 +469,7 @@ def find_reducing_star(g: Graph) -> StarReduction:
     if n < 3 or not is_connected(g):
         raise ValueError("connected graph of order >= 3 required")
 
-    # BFS spanning tree from the least vertex, neighbors in ascending order
-    def bfs_tree(root: int) -> tuple[list[int], list[int]]:
-        parent = [-2] * n
-        parent[root] = -1
-        depth = [0] * n
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in iter_bits(g.adj[v]):
-                    if parent[u] == -2:
-                        parent[u] = v
-                        depth[u] = depth[v] + 1
-                        nxt.append(u)
-            nxt.sort()
-            frontier = nxt
-        return parent, depth
-
-    parent0, _ = bfs_tree(0)
+    parent0, _ = bfs_tree(g, 0, g.full_mask)
     tree_adj = [0] * n
     for v in range(n):
         if parent0[v] >= 0:
@@ -497,26 +481,9 @@ def find_reducing_star(g: Graph) -> StarReduction:
         if tree.adj[v].bit_count() == n - 1:
             return StarReduction(v, g.full_mask ^ (1 << v))
 
-    def tree_bfs(root: int) -> tuple[list[int], list[int]]:
-        parent = [-2] * n
-        parent[root] = -1
-        depth = [0] * n
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in iter_bits(tree.adj[v]):
-                    if parent[u] == -2:
-                        parent[u] = v
-                        depth[u] = depth[v] + 1
-                        nxt.append(u)
-            nxt.sort()
-            frontier = nxt
-        return parent, depth
-
-    _, d0 = tree_bfs(0)
+    _, d0 = bfs_tree(tree, 0, tree.full_mask)
     a = min(v for v in range(n) if d0[v] == max(d0))
-    parent, depth = tree_bfs(a)
+    parent, depth = bfs_tree(tree, a, tree.full_mask)
     z = min(v for v in range(n) if depth[v] == max(depth))
     y = parent[z]
     x = parent[y]

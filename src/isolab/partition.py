@@ -24,16 +24,19 @@ from typing import Optional
 
 from isolab.graphs import (
     Graph,
+    bfs_tree,
     bit_list,
     bits_of,
     closed_neighborhood,
     cut_vertices,
+    cycle_walk,
     find_cycle_len_mod3,
     induced_subgraph,
     is_connected,
     iter_bits,
     iter_simple_cycles,
     masked_components,
+    write_graph6,
 )
 
 log = logging.getLogger("isolab.partition")
@@ -142,26 +145,9 @@ def _cycle_order(g: Graph) -> Optional[list[int]]:
     n = g.order
     if n < 3 or any(row.bit_count() != 2 for row in g.adj):
         return None
-    order = [0]
-    prev, cur = -1, 0
-    for _ in range(n - 1):
-        a, b = bit_list(g.adj[cur])
-        nxt = a if a != prev else b
-        order.append(nxt)
-        prev, cur = cur, nxt
+    order = cycle_walk(g, g.full_mask, 0)
     if len(set(order)) != n:
         return None
-    return order
-
-
-def _cycle_order_within(g: Graph, mask: int, start: int) -> list[int]:
-    order = [start]
-    prev, cur = -1, start
-    for _ in range(mask.bit_count() - 1):
-        a, b = bit_list(g.adj[cur] & mask)
-        nxt = a if a != prev else b
-        order.append(nxt)
-        prev, cur = cur, nxt
     return order
 
 
@@ -174,25 +160,11 @@ def is_c5(g: Graph) -> bool:
 
 
 def _bfs_shortest_path(g: Graph, src: int, dst: int, mask: int) -> Optional[list[int]]:
-    # Deterministic BFS inside mask: frontier scanned ascending, so parents
-    # are the least-index discoverers.
-    parent = {src: -1}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in iter_bits(g.adj[v] & mask):
-                if u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        if dst in parent:
-            break
-        nxt.sort()
-        frontier = nxt
-    if dst not in parent:
+    parent, depth = bfs_tree(g, src, mask)
+    if depth[dst] < 0:
         return None
     path = [dst]
-    while parent[path[-1]] != -1:
+    while path[-1] != src:
         path.append(parent[path[-1]])
     path.reverse()
     return path
@@ -210,10 +182,10 @@ def separating_path_reduce(
     The path is colored 1,2,3 repeating; the neighbor x of the first vertex
     is forced to color 3 and the neighbor y of the last vertex to the color
     missing at the path's end, which keeps every path vertex out of the
-    leftover set.
+    leftover set. A path of fewer than two vertices raises ValueError.
     """
-    k = len(path)
-    assert k >= 2, "path must be nontrivial"
+    if len(path) < 2:
+        raise ValueError("separating path needs at least two vertices")
     colors = {v: (i % 3) + 1 for i, v in enumerate(path)}
     missing_end = 6 - colors[path[-1]] - colors[path[-2]]
     return colors, {x: 3, y: missing_end}
@@ -276,7 +248,7 @@ def _color_components(
             third = f if f is not None else rest[1]
             assert third != vcol
             second = (set(COLORS) - {vcol, third}).pop()
-            x1, x2, x3, x4, x5 = _cycle_order_within(g, comp, w)
+            x1, x2, x3, x4, x5 = cycle_walk(g, comp, w)
             assign = {x3: vcol, x2: second, x5: second, x1: third, x4: third}
             colors.update(assign)
             parent_step.colors.update(assign)
@@ -488,8 +460,9 @@ def _exhaust(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
     # Reachable only through a gap between the reduction engine and the
     # theory; loud by design.
     log.warning(
-        "reduction dead-end on %d-vertex graph; running exhaustive fallback",
+        "reduction dead-end on %d-vertex graph %s; running exhaustive fallback",
         g.order,
+        write_graph6(g),
     )
     tp = exhaustive_partition3(g)
     if tp is None:
@@ -508,8 +481,9 @@ def _exhaust(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
 def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
     """Verified tri-partition with independent leftover, plus its trace.
 
-    Raises ValueError for graphs of order below 3 or disconnected input
-    and NoValidPartition for the 5-cycle.
+    Raises ValueError for graphs of order below 3 or disconnected input,
+    NoValidPartition for the 5-cycle, and RuntimeError if even the
+    exhaustive fallback's result fails verification.
     """
     if g.order < 3:
         raise ValueError("partition requires order at least 3")
@@ -525,8 +499,10 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
         colors, steps = _exhaust(g)
         tp = _colors_to_partition(g, colors)
         ok, _, _ = verify_partition(g, tp)
-        assert ok
-    assert all(tp.classes), "top-level partition must use all three classes"
+        if not ok:
+            raise RuntimeError("exhaustive fallback result failed verification")
+    if not all(tp.classes):
+        raise RuntimeError("top-level partition must use all three classes")
     return tp, steps
 
 
@@ -541,11 +517,16 @@ def disjoint_isolating_sets(g: Graph) -> tuple[int, int, int]:
 
 
 def replay_trace(g: Graph, steps: list[TraceStep]) -> TriPartition:
-    """Re-apply a recorded trace; reproduces the engine's partition."""
+    """Re-apply a recorded trace; reproduces the engine's partition.
+
+    Raises ValueError when the trace colors a vertex twice or misses one.
+    """
     colors: dict[int, int] = {}
     for step in steps:
         for v, c in step.colors.items():
-            assert v not in colors, "trace colors a vertex twice"
+            if v in colors:
+                raise ValueError("trace colors a vertex twice")
             colors[v] = c
-    assert len(colors) == g.order, "trace does not color every vertex"
+    if len(colors) != g.order:
+        raise ValueError("trace does not color every vertex")
     return _colors_to_partition(g, colors)

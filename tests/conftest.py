@@ -1,4 +1,9 @@
+import importlib.util
+import os
 import random
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 
@@ -13,6 +18,37 @@ def small_connected():
         n: [G.parse_graph6(line) for line in lab.enumerate_connected(n)]
         for n in range(1, 8)
     }
+
+
+@pytest.fixture(scope="session")
+def core(tmp_path_factory):
+    """The compiled kernels: the installed ``isolab._core`` if there is one,
+    else the tracked ``_core.c`` built with the local C compiler. Skips when
+    neither a compiler nor the Python headers are available."""
+    try:
+        from isolab import _core
+
+        return _core
+    except ImportError:
+        pass
+    cc = shutil.which("cc") or shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if cc is None:
+        pytest.skip("_core not built and no C compiler found")
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("_core not built and Python.h not found")
+    source = os.path.join(os.path.dirname(lab.__file__), "_core.c")
+    target = tmp_path_factory.mktemp("core") / (
+        "_core" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    subprocess.run(
+        [cc, "-shared", "-fPIC", "-O2", f"-I{include}", source, "-o", str(target)],
+        check=True, capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("isolab._core", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> G.Graph:

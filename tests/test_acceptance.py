@@ -169,6 +169,8 @@ def test_criterion_09_corona():
 def test_criterion_10_order15_schema(exceptional):
     report = lab.check_order15_extensions(threads=THREADS)
     assert report["hosts"] == len(lab.enumerate_family_members(12)) + len(exceptional[12])
+    assert report["candidates_checked"] == 3720
+    assert report["extremal_extensions"] == 344
     assert report["outside_family"] == []
     assert report["ok"]
     ok(10, f"{report['extremal_extensions']} extremal order-15 extensions, all family members "

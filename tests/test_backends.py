@@ -2,28 +2,24 @@
 
 import random
 
-import pytest
-
 from isolab import _pykernels
 from isolab import graphs as G
 from isolab import lab
 
-core = pytest.importorskip("isolab._core")
 
-
-def test_backend_names():
+def test_backend_names(core):
     assert _pykernels.BACKEND_NAME == "python"
     assert core.BACKEND_NAME == "c"
 
 
-def test_canon_identical_on_all_graphs_up_to_6():
+def test_canon_identical_on_all_graphs_up_to_6(core):
     for n in range(1, 7):
         for line in lab.enumerate_all(n):
             g = G.parse_graph6(line)
             assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
 
 
-def test_decisions_identical_on_all_graphs_up_to_6():
+def test_decisions_identical_on_all_graphs_up_to_6(core):
     for n in range(1, 7):
         for line in lab.enumerate_all(n):
             g = G.parse_graph6(line)
@@ -32,7 +28,7 @@ def test_decisions_identical_on_all_graphs_up_to_6():
                 assert _pykernels.has_dominating_set(g.adj, n, k) == core.has_dominating_set(g.adj, n, k)
 
 
-def test_canon_identical_on_random_graphs():
+def test_canon_identical_on_random_graphs(core):
     rng = random.Random(1234)
     from conftest import random_graph
 
@@ -42,7 +38,7 @@ def test_canon_identical_on_random_graphs():
         assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
 
 
-def test_highly_symmetric_graphs():
+def test_highly_symmetric_graphs(core):
     for g in (
         G.complete_graph(9),
         G.empty_graph(9),

@@ -86,6 +86,40 @@ class TestQueries:
         assert data["member"] is True and data["spec"]["pendants"]
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "command", ["iso", "dom", "partition3", "recognize-g", "star"]
+    )
+    def test_missing_input_path_exits_2(self, capsys, tmp_path, command):
+        missing = tmp_path / "missing.g6"
+        code, out, err = run_cli(capsys, [command, str(missing)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(missing) in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_spec_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "spec.json"
+        if kind == "directory":
+            path.mkdir()
+        code, out, err = run_cli(capsys, ["gen-g", "--spec", str(path)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("text", [
+        '{"base": "@", "pendants": [',
+        "[1]",
+        '{"base": "@", "pendants": [{"kind": "K2", "attach": 1}]}',
+    ], ids=["malformed", "not-an-object", "attach-not-a-list"])
+    def test_bad_spec_is_invalid_spec(self, capsys, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, ["gen-g", "--spec", str(path)])
+        assert code == 1
+        data = json.loads(out)
+        assert set(data) == {"error", "detail"}
+        assert data["error"] == "invalid_spec"
+
+
 class TestGenerators:
     def test_gen_g(self, capsys, tmp_path):
         spec = {"base": "@", "pendants": [{"kind": "C5", "attach": [0, 2]}]}

@@ -181,8 +181,24 @@ class TestConnectivity:
         g = G.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         assert G.cut_vertices(g) == 0b00100
 
+    def test_bfs_tree_least_parent(self):
+        # Vertex 3 is reached from 2 and from 4 on the same level; 2 wins.
+        parent, depth = G.bfs_tree(G.cycle_graph(6), 0, 0b111111)
+        assert parent == [-1, 0, 1, 2, 5, 0]
+        assert depth == [0, 1, 2, 3, 2, 1]
+
+    def test_bfs_tree_inside_mask(self):
+        parent, depth = G.bfs_tree(G.cycle_graph(6), 0, 0b111011)
+        assert parent == [-1, 0, -1, 4, 5, 0]
+        assert depth == [0, 1, -1, 3, 2, 1]
+
 
 class TestCycles:
+    def test_cycle_walk(self):
+        assert G.cycle_walk(G.cycle_graph(6), 0b111111, 3) == [3, 2, 1, 0, 5, 4]
+        two_triangles = G.disjoint_union(G.complete_graph(3), G.complete_graph(3))
+        assert G.cycle_walk(two_triangles, 0b111000, 4) == [4, 3, 5]
+
     def test_c6_found(self):
         cp = G.find_cycle_len_mod3(G.cycle_graph(6))
         assert cp is not None and cp.closed and len(cp.vertices) == 6

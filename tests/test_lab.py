@@ -72,24 +72,10 @@ class TestEnumeration:
         lab._CONNECTED.pop(6, None)
 
 
-def _kernel_params():
-    params = [pytest.param(_pykernels, id="python")]
-    try:
-        from isolab import _core
-    except ImportError:
-        params.append(
-            pytest.param(
-                None, id="c", marks=pytest.mark.skip(reason="_core not built")
-            )
-        )
-    else:
-        params.append(pytest.param(_core, id="c"))
-    return params
-
-
-@pytest.mark.parametrize("kernels", _kernel_params())
-def test_canon_labels_a_max_degree_vertex_last(kernels):
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_canon_labels_a_max_degree_vertex_last(request, backend):
     # The degree prune in lab._children_of is exact only while this holds.
+    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
     rng = random.Random(8)
     for n in range(1, 8):
         for line in lab.enumerate_all(n):
@@ -147,6 +133,28 @@ def test_pruned_augmentation_matches_unpruned(connected_final):
                 assert lab._children_of(
                     parent, connected_final, descending
                 ) == _reference_children(verdicts, descending)
+
+
+def _reference_survivors(h, k):
+    iso = list(S.isolating_sets_of_size(h, k))
+    nsub = 1 << h.order
+    return [
+        (s1, s2)
+        for s1 in range(1, nsub)
+        for s2 in range(s1, nsub)
+        if not any(s1 & x and s2 & x for x in iso)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_star_attachment_survivors_match_reference(small_connected, k):
+    without_sets = 0
+    for n in range(1, 7):
+        for h in small_connected[n]:
+            want = _reference_survivors(h, k)
+            assert lab._star_attachment_survivors(h, k) == want
+            without_sets += not any(S.isolating_sets_of_size(h, k))
+    assert without_sets > 0
 
 
 class TestExtremalSmall:

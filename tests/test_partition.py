@@ -1,4 +1,8 @@
+import logging
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -6,8 +10,10 @@ import pytest
 import oracles
 from conftest import random_connected_graph
 from isolab import graphs as G
+from isolab import partition as P
 from isolab import solvers as S
 from isolab.partition import (
+    TraceStep,
     NoValidPartition,
     TriPartition,
     disjoint_isolating_sets,
@@ -85,6 +91,10 @@ class TestBaseCases:
 
 
 class TestSeparatingPath:
+    def test_rejects_single_vertex_path(self):
+        with pytest.raises(ValueError):
+            separating_path_reduce(G.path_graph(3), [1], 0, 2)
+
     def test_single_edge_forces_both_to_three(self):
         g = G.path_graph(4)
         colors, forced = separating_path_reduce(g, [1, 2], 0, 3)
@@ -178,6 +188,31 @@ class TestTrace:
                 seen.add(s.kind)
         assert {"base-star", "base-cycle", "cycle-mod-3", "separating-path"} <= seen
 
+    def test_replay_rejects_bad_traces(self):
+        g = G.path_graph(3)
+        twice = [TraceStep("x", (0,), {0: 1, 1: 2}), TraceStep("y", (1,), {1: 3, 2: 1})]
+        with pytest.raises(ValueError, match="twice"):
+            replay_trace(g, twice)
+        with pytest.raises(ValueError, match="every vertex"):
+            replay_trace(g, [TraceStep("x", (0,), {0: 1, 1: 2})])
+
+    def test_replay_rejects_bad_trace_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "from isolab import graphs, partition\n"
+            "try:\n"
+            "    partition.replay_trace(graphs.path_graph(3), [])\n"
+            "except ValueError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised")
+
 
 class TestRarePaths:
     def test_separating_cycle_reduction_directly(self):
@@ -204,6 +239,23 @@ class TestRarePaths:
         assert steps[0].kind == "exhaustive-fallback"
         ok, _, _ = verify_partition(g, _colors_to_partition(g, colors))
         assert ok
+
+    def test_exhaustive_fallback_warning_names_the_graph(self, caplog):
+        g = G.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        with caplog.at_level(logging.WARNING, logger="isolab.partition"):
+            P._exhaust(g)
+        assert any(G.write_graph6(g) in r.getMessage() for r in caplog.records)
+
+    def test_failed_fallback_raises(self, monkeypatch):
+        # Both the engine and the fallback return a monochrome coloring,
+        # which never verifies; the result must not be returned.
+        def mono(g):
+            return {v: 1 for v in range(g.order)}, []
+
+        monkeypatch.setattr(P, "_solve", mono)
+        monkeypatch.setattr(P, "_exhaust", mono)
+        with pytest.raises(RuntimeError):
+            partition3(G.cycle_graph(6))
 
     def test_exhaustive_fallback_raises_on_c5(self):
         from isolab.partition import _exhaust
