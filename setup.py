@@ -1,23 +1,5 @@
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if not os.environ.get("ISOLAB_SKIP_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/isolab/_core.pyx"],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    except ImportError:
-        # No Cython: install the pure-Python fallback only.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional=True: without a working C compiler the build warns and the package
+# runs on the pure-Python kernels in isolab._pykernels.
+setup(ext_modules=[Extension("isolab._core", ["src/isolab/_core.c"], optional=True)])

@@ -172,8 +172,10 @@ def has_isolating_set(adj, n, k):
     Branches on the least edge not yet touched by chosen closed
     neighborhoods; candidates are the closed neighborhoods of the edge's
     endpoints. Earlier siblings are forbidden below a branch, so no vertex
-    set is explored twice.
+    set is explored twice. False for k < 0.
     """
+    if k < 0:
+        return False
     full = (1 << n) - 1
 
     def rec(covered, forbidden, budget):
@@ -208,7 +210,10 @@ def has_isolating_set(adj, n, k):
 
 
 def has_dominating_set(adj, n, k):
-    """Decide whether some vertex set of size <= k dominates every vertex."""
+    """Decide whether some vertex set of size <= k dominates every vertex
+    (False for k < 0)."""
+    if k < 0:
+        return False
     full = (1 << n) - 1
 
     def rec(covered, forbidden, budget):

@@ -10,13 +10,14 @@ error on some input, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from typing import Iterable
 
 from isolab import family, lab
-from isolab.graphs import Graph6Error, bit_list, parse_graph6, write_graph6
+from isolab.graphs import MAX_ORDER, Graph6Error, bit_list, parse_graph6, write_graph6
 from isolab.partition import NoValidPartition, partition3
 from isolab.solvers import domination_number, isolation_number
 
@@ -25,9 +26,9 @@ class UsageError(Exception):
     """A problem with the command line itself; reported on stderr, exit 2."""
 
 
-def _open(path: str, mode: str = "r"):
+def _open(path: str, mode: str = "r", **kwargs):
     try:
-        return open(path, mode)
+        return open(path, mode, **kwargs)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
@@ -42,16 +43,19 @@ def _note(args, message: str) -> None:
 
 
 def _input_lines(paths: list[str]) -> Iterable[str]:
+    # Bytes that are not UTF-8 decode to lone surrogates, so they reach
+    # parse_graph6 and come back as a per-line graph6 error.
     for path in paths or ["-"]:
         if path == "-":
-            for line in sys.stdin:
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(errors="surrogateescape")
+            source = contextlib.nullcontext(sys.stdin)
+        else:
+            source = _open(path, encoding="utf-8", errors="surrogateescape")
+        with source as fh:
+            for line in fh:
                 if line.strip():
                     yield line.strip()
-        else:
-            with _open(path) as fh:
-                for line in fh:
-                    if line.strip():
-                        yield line.strip()
 
 
 def _for_each_graph(args, handler) -> int:
@@ -163,7 +167,7 @@ def _cmd_gen_g(args) -> int:
 
 
 def _cmd_rand_g(args) -> int:
-    if args.order % 3 != 0 or args.order < 3:
+    if args.order % 3 != 0 or not 3 <= args.order <= MAX_ORDER:
         _emit({"error": "infeasible_order", "order": args.order})
         return 1
     for i in range(args.count):

@@ -187,15 +187,17 @@ def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a Graph.
 
     Accepts the one-byte header for n <= 62 and the four-byte ``~`` header;
-    rejects orders beyond 64, bytes outside 63..126, missing or surplus
-    body bytes, and nonzero padding bits, each with its byte offset.
+    rejects orders beyond 64, characters outside 63..126 (every non-ASCII
+    one included), missing or surplus body bytes, and nonzero padding bits,
+    each with its byte offset.
     """
-    data = text.rstrip("\n").encode("ascii", errors="replace")
-    if not data:
+    line = text.rstrip("\n")
+    if not line:
         raise Graph6Error("empty graph6 string", 0)
-    for i, c in enumerate(data):
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"character {c!r} out of graph6 range", i)
+    for i, ch in enumerate(line):
+        if not "?" <= ch <= "~":
+            raise Graph6Error(f"character {ch!r} out of graph6 range", i)
+    data = line.encode("ascii")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("eight-byte order header exceeds supported range", 1)

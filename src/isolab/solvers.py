@@ -47,14 +47,10 @@ def is_distance2_dominating(g: Graph, x: int) -> bool:
 
 def has_isolating_set(g: Graph, k: int) -> bool:
     """Decide whether an isolating set of size at most k exists."""
-    if k < 0:
-        return False
     return _backend.has_isolating_set(g.adj, g.order, k)
 
 
 def has_dominating_set(g: Graph, k: int) -> bool:
-    if k < 0:
-        return False
     return _backend.has_dominating_set(g.adj, g.order, k)
 
 

@@ -23,8 +23,9 @@ def small_connected():
 @pytest.fixture(scope="session")
 def core(tmp_path_factory):
     """The compiled kernels: the installed ``isolab._core`` if there is one,
-    else the tracked ``_core.c`` built with the local C compiler. Skips when
-    neither a compiler nor the Python headers are available."""
+    else ``_core.c`` built with the local C compiler, where any warning fails
+    the build (the C file is hand-maintained source). Skips when neither a
+    compiler nor the Python headers are available."""
     try:
         from isolab import _core
 
@@ -41,10 +42,13 @@ def core(tmp_path_factory):
     target = tmp_path_factory.mktemp("core") / (
         "_core" + sysconfig.get_config_var("EXT_SUFFIX")
     )
-    subprocess.run(
-        [cc, "-shared", "-fPIC", "-O2", f"-I{include}", source, "-o", str(target)],
-        check=True, capture_output=True,
+    build = subprocess.run(
+        [cc, "-shared", "-fPIC", "-O2", "-Wall", "-Wextra", "-Werror",
+         "-isystem", include, source, "-o", str(target)],
+        capture_output=True, text=True,
     )
+    if build.returncode:
+        pytest.fail(f"compiling _core.c failed:\n{build.stderr}")
     spec = importlib.util.spec_from_file_location("isolab._core", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

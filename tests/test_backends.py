@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from isolab import _pykernels
 from isolab import graphs as G
 from isolab import lab
@@ -19,13 +21,23 @@ def test_canon_identical_on_all_graphs_up_to_6(core):
             assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
 
 
+def assert_decisions_agree(core, g):
+    for k in range(-1, 4):
+        assert _pykernels.has_isolating_set(g.adj, g.order, k) == core.has_isolating_set(g.adj, g.order, k)
+        assert _pykernels.has_dominating_set(g.adj, g.order, k) == core.has_dominating_set(g.adj, g.order, k)
+
+
 def test_decisions_identical_on_all_graphs_up_to_6(core):
     for n in range(1, 7):
         for line in lab.enumerate_all(n):
-            g = G.parse_graph6(line)
-            for k in range(4):
-                assert _pykernels.has_isolating_set(g.adj, n, k) == core.has_isolating_set(g.adj, n, k)
-                assert _pykernels.has_dominating_set(g.adj, n, k) == core.has_dominating_set(g.adj, n, k)
+            assert_decisions_agree(core, G.parse_graph6(line))
+
+
+def test_decisions_identical_on_all_graphs_of_order_7(core):
+    lines = lab.enumerate_all(7)
+    assert len(lines) == 1044
+    for line in lines:
+        assert_decisions_agree(core, G.parse_graph6(line))
 
 
 def test_canon_identical_on_random_graphs(core):
@@ -47,3 +59,28 @@ def test_highly_symmetric_graphs(core):
         G.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),  # K44
     ):
         assert _pykernels.canon_form(g.adj, g.order) == core.canon_form(g.adj, g.order)
+
+
+def test_identical_on_random_graphs_up_to_64(core):
+    # n = 64 puts vertex 63 in the top bit of a 64-bit word.
+    rng = random.Random(64)
+    from conftest import random_graph
+
+    top_bit_used = False
+    for n in [64, 64, 63] + [rng.randrange(12, 65) for _ in range(33)]:
+        g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.3, 0.6]))
+        top_bit_used |= n == 64 and g.adj[63] != 0
+        assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
+        assert_decisions_agree(core, g)
+    assert top_bit_used
+
+
+def test_core_rejects_inputs_it_cannot_hold(core):
+    for fn, extra in ((core.canon_form, ()), (core.has_isolating_set, (1,)),
+                      (core.has_dominating_set, (1,))):
+        with pytest.raises(ValueError):
+            fn((0,) * 65, 65, *extra)
+        with pytest.raises(IndexError):
+            fn((0, 0), 3, *extra)
+        with pytest.raises(ValueError):
+            fn((1 << 5, 1), 2, *extra)  # names vertex 5 of a 2-vertex graph

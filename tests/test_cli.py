@@ -120,6 +120,24 @@ class TestHostileInput:
         assert data["error"] == "invalid_spec"
 
 
+    def test_non_ascii_input_is_graph6_error(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["iso", "-"], "\u00e9\nD\u00e9c\n", monkeypatch)
+        assert code == 1
+        rows = [json.loads(line) for line in out.strip().split("\n")]
+        assert [r["error"] for r in rows] == ["graph6", "graph6"]
+        assert "byte offset 0" in rows[0]["detail"]
+        assert "byte offset 1" in rows[1]["detail"]
+
+    def test_undecodable_file_is_graph6_error(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_bytes(b"\xff\xfe\n" + C5.encode() + b"\n")
+        code, out, _ = run_cli(capsys, ["iso", str(path)])
+        assert code == 1
+        bad, good = (json.loads(line) for line in out.strip().split("\n"))
+        assert bad["error"] == "graph6" and "byte offset 0" in bad["detail"]
+        assert good["iota"] == 2
+
+
 class TestGenerators:
     def test_gen_g(self, capsys, tmp_path):
         spec = {"base": "@", "pendants": [{"kind": "C5", "attach": [0, 2]}]}
@@ -150,6 +168,12 @@ class TestGenerators:
     def test_rand_g_infeasible(self, capsys):
         code, out, _ = run_cli(capsys, ["rand-g", "--order", "7", "--seed", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("order", [66, 300])
+    def test_rand_g_above_order_64_is_infeasible(self, capsys, order):
+        code, out, _ = run_cli(capsys, ["rand-g", "--order", str(order), "--seed", "1"])
+        assert code == 1
+        assert json.loads(out) == {"error": "infeasible_order", "order": order}
 
 
 class TestCatalogs:
@@ -219,6 +243,17 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["iota"] == 2
+
+    def test_undecodable_stdin_is_graph6_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "isolab.cli", "iso", "-"],
+            input=b"\xff\xfe\n" + C5.encode() + b"\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert proc.returncode == 1 and proc.stderr == b""
+        bad, good = (json.loads(line) for line in proc.stdout.decode().splitlines())
+        assert bad["error"] == "graph6" and good["iota"] == 2
 
     def test_unknown_command_exits_2(self):
         proc = subprocess.run(

@@ -79,6 +79,17 @@ class TestGraph6:
             G.parse_graph6("D" + chr(30) + "{")
         assert exc.value.offset == 1
 
+    @pytest.mark.parametrize("line, offset", [
+        ("\u00e9", 0),
+        ("D\u00e9c", 1),
+        ("\udcff\udcfe", 0),
+    ], ids=["non-ascii", "non-ascii-in-body", "undecodable-byte"])
+    def test_error_non_ascii_rejected_not_replaced(self, line, offset):
+        # Bytes that are not UTF-8 arrive from the CLI as lone surrogates.
+        with pytest.raises(G.Graph6Error) as exc:
+            G.parse_graph6(line)
+        assert exc.value.offset == offset
+
     def test_error_trailing_bytes(self):
         with pytest.raises(G.Graph6Error) as exc:
             G.parse_graph6("A_x")
