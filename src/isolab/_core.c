@@ -216,19 +216,14 @@ static void search(CS *s, int *vx, int *cstart, int ncells) {
     }
 }
 
-/* Parse (adj, n[, k]) into a[0..n-1]. n must lie in 0..64, adj must hold at
- * least n entries, and every entry must be a mask over vertices 0..n-1. */
-static int parse_graph(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t want,
-                       const char *fname, u64 *a, int *n_out, u64 *full_out) {
+/* Parse args[0] (adj) and args[1] (n) into a[0..n-1]. n must lie in 0..64,
+ * adj must hold at least n entries, and every entry must be a mask over
+ * vertices 0..n-1. The caller checks the argument count. */
+static int parse_graph(PyObject *const *args, u64 *a, int *n_out, u64 *full_out) {
     PyObject *seq;
     long n;
     int i;
     u64 full;
-    if (nargs != want) {
-        PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
-                     fname, want, nargs);
-        return -1;
-    }
     n = PyLong_AsLong(args[1]);
     if (n == -1 && PyErr_Occurred())
         return -1;
@@ -270,7 +265,11 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
     u64 full;
     PyObject *labels, *body, *orbits;
     (void)self;
-    if (parse_graph(args, nargs, 2, "canon_form", s.adj, &n, &full) < 0)
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "canon_form() takes exactly 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (parse_graph(args, s.adj, &n, &full) < 0)
         return NULL;
     s.n = n;
     s.body_len = (n * (n - 1) / 2 + 5) / 6;
@@ -370,17 +369,29 @@ static int dom_rec(const u64 *adj, u64 full, u64 covered, u64 forbidden, long bu
 
 typedef int (*decide_fn)(const u64 *, u64, u64, u64, long);
 
+/* (adj, n, k[, covered, forbidden]): the search starts from the given state.
+ * Only the low 64 bits of a mask are read, and bits at or above n never
+ * matter, as in the Python fallback. */
 static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fname,
                         decide_fn rec) {
-    u64 a[MAXN], full;
-    int n;
+    u64 a[MAXN], full, state[2] = {0, 0};
+    int n, i;
     long k;
-    if (parse_graph(args, nargs, 3, fname, a, &n, &full) < 0)
+    if (nargs != 3 && nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 3 or 5 arguments (%zd given)", fname, nargs);
+        return NULL;
+    }
+    if (parse_graph(args, a, &n, &full) < 0)
         return NULL;
     k = PyLong_AsLong(args[2]);
     if (k == -1 && PyErr_Occurred())
         return NULL;
-    return PyBool_FromLong(k >= 0 && rec(a, full, 0, 0, k));
+    for (i = 3; i < nargs; i++) {
+        state[i - 3] = PyLong_AsUnsignedLongLongMask(args[i]);
+        if (state[i - 3] == (u64)-1 && PyErr_Occurred())
+            return NULL;
+    }
+    return PyBool_FromLong(k >= 0 && rec(a, full, state[0], state[1], k));
 }
 
 static PyObject *has_isolating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
@@ -398,9 +409,13 @@ static PyMethodDef core_methods[] = {
      "canon_form(adj, n) -> (labels, body, orbits), as in isolab._pykernels;\n"
      "a maximum-degree vertex is labeled last."},
     {"has_isolating_set", (PyCFunction)(void (*)(void))has_isolating_set, METH_FASTCALL,
-     "has_isolating_set(adj, n, k) -> whether a set of <= k vertices isolates the graph."},
+     "has_isolating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
+     "isolates the graph; the search starts with covered vertices removed and never\n"
+     "chooses a forbidden one (both default 0; bits at or above n are ignored)."},
     {"has_dominating_set", (PyCFunction)(void (*)(void))has_dominating_set, METH_FASTCALL,
-     "has_dominating_set(adj, n, k) -> whether a set of <= k vertices dominates the graph."},
+     "has_dominating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
+     "dominates the graph; the search starts with covered vertices dominated and never\n"
+     "chooses a forbidden one (both default 0; bits at or above n are ignored)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -166,13 +166,18 @@ def canon_form(adj, n):
     return best["pos"], best["body"], [find(v) for v in range(n)]
 
 
-def has_isolating_set(adj, n, k):
+def has_isolating_set(adj, n, k, covered=0, forbidden=0):
     """Decide whether some vertex set of size <= k isolates the graph.
 
     Branches on the least edge not yet touched by chosen closed
     neighborhoods; candidates are the closed neighborhoods of the edge's
     endpoints. Earlier siblings are forbidden below a branch, so no vertex
     set is explored twice. False for k < 0.
+
+    The search may start from a state: ``covered`` vertices count as
+    already removed (the closed neighborhood of a set chosen so far) and
+    ``forbidden`` vertices may not be chosen. Mask bits at or above n are
+    ignored.
     """
     if k < 0:
         return False
@@ -206,12 +211,13 @@ def has_isolating_set(adj, n, k):
             tried |= x
         return False
 
-    return rec(0, 0, k)
+    return rec(covered, forbidden, k)
 
 
-def has_dominating_set(adj, n, k):
+def has_dominating_set(adj, n, k, covered=0, forbidden=0):
     """Decide whether some vertex set of size <= k dominates every vertex
-    (False for k < 0)."""
+    (False for k < 0), starting from ``covered`` vertices already dominated
+    and with ``forbidden`` vertices never chosen, as in has_isolating_set."""
     if k < 0:
         return False
     full = (1 << n) - 1
@@ -235,4 +241,4 @@ def has_dominating_set(adj, n, k):
             tried |= y
         return False
 
-    return rec(0, 0, k)
+    return rec(covered, forbidden, k)

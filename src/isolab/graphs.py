@@ -10,7 +10,7 @@ branch-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from isolab import _backend
 from isolab._pykernels import _pack_body
@@ -446,5 +446,11 @@ def canonical_code(g: Graph) -> bytes:
     The code is exactly the graph6 line of the canonically relabeled
     graph, so catalogs sorted by code are sorted graph6 files.
     """
-    _, body, _ = _backend.canon_form(g.adj, g.order)
-    return _g6_header(g.order) + body
+    return canonical_code_of(g.adj, g.order)
+
+
+def canonical_code_of(adj: Sequence[int], n: int) -> bytes:
+    """``canonical_code`` of the graph with these adjacency masks, for
+    callers that hold raw rows and no ``Graph``."""
+    _, body, _ = _backend.canon_form(adj, n)
+    return _g6_header(n) + body

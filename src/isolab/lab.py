@@ -23,6 +23,7 @@ of the parent.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
@@ -44,15 +45,18 @@ from isolab.graphs import (
     bfs_tree,
     bits_of,
     canonical_code,
+    canonical_code_of,
     components,
     is_connected,
     iter_bits,
     masked_components,
     parse_graph6,
 )
-from isolab.solvers import is_isolating, isolating_sets_of_size
+from isolab.solvers import isolating_sets_of_size, lex_extensions
 
 MAX_ENUM_ORDER = 10
+# Connected classes on n = 1..MAX_ENUM_ORDER vertices (OEIS A001349).
+CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
 _ALL_LEVELS: dict[int, list[tuple[tuple[int, ...], bytes]]] = {}
 _CONNECTED: dict[int, list[str]] = {}
@@ -60,11 +64,6 @@ _CONNECTED: dict[int, list[str]] = {}
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def _canon_code_of(adj: tuple[int, ...], n: int) -> bytes:
-    _, body, _ = _backend.canon_form(adj, n)
-    return _g6_header(n) + body
 
 
 def _delete_vertex(adj: tuple[int, ...], u: int) -> tuple[int, ...]:
@@ -108,7 +107,7 @@ def _children_of(
         seen.add(code)
         u_last = labels.index(k)
         if u_last != k and orbits[u_last] != orbits[k]:
-            if _canon_code_of(_delete_vertex(child, u_last), k) != pcode:
+            if canonical_code_of(_delete_vertex(child, u_last), k) != pcode:
                 continue
         out.append((child, code))
     return out
@@ -121,7 +120,7 @@ def _all_graphs_level(n: int) -> list[tuple[tuple[int, ...], bytes]]:
     if n in _ALL_LEVELS:
         return _ALL_LEVELS[n]
     if n == 1:
-        level = [((0,), _canon_code_of((0,), 1))]
+        level = [((0,), canonical_code_of((0,), 1))]
     else:
         level = []
         for parent in _all_graphs_level(n - 1):
@@ -137,6 +136,32 @@ def _cache_path(name: str) -> Optional[str]:
         return None
     os.makedirs(root, exist_ok=True)
     return os.path.join(root, name)
+
+
+def _read_cache(path: str, n: int) -> Optional[list[str]]:
+    """The cached catalog, or None when the file is missing or holds other
+    than the known number of classes (cut short, say)."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (FileNotFoundError, UnicodeDecodeError):
+        return None
+    return lines if len(lines) == CONNECTED_COUNTS[n - 1] else None
+
+
+def _write_cache(path: str, lines: list[str]) -> None:
+    """Write a temp file beside ``path`` and rename it over ``path``, so the
+    cache never holds a half-written catalog."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _final_level_chunk(args) -> list[str]:
@@ -178,11 +203,10 @@ def enumerate_connected(
     if not descending and n in _CONNECTED:
         return list(_CONNECTED[n])
     cache_file = _cache_path(f"connected_n{n}.g6") if not descending else None
-    if cache_file and os.path.exists(cache_file):
-        with open(cache_file) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        _CONNECTED[n] = lines
-        return list(lines)
+    cached = _read_cache(cache_file, n) if cache_file else None
+    if cached is not None:
+        _CONNECTED[n] = cached
+        return list(cached)
     if n == 1:
         lines = ["@"]
     else:
@@ -195,8 +219,7 @@ def enumerate_connected(
     if not descending:
         _CONNECTED[n] = lines
         if cache_file:
-            with open(cache_file, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write_cache(cache_file, lines)
         return list(lines)
     return lines
 
@@ -344,7 +367,7 @@ def _derive12_for_host(line: str) -> list[str]:
             adj = _extend_by_star(h, s1, s2, edge)
             if _backend.has_isolating_set(adj, 12, 3):
                 continue
-            code = _canon_code_of(adj, 12)
+            code = canonical_code_of(adj, 12)
             out[code] = code.decode("ascii")
     return sorted(out.values())
 
@@ -412,18 +435,16 @@ def enumerate_family_members(order: int) -> list[tuple[str, FamilySpec]]:
 
 
 def extend_pair_check(h: Graph, k: int) -> dict[tuple[int, int], Optional[int]]:
-    """For each vertex pair, one size-k isolating superset or None."""
+    """For each vertex pair, one size-k isolating superset or None: the pair
+    plus the first k-2 other vertices, in combinations order, that complete it."""
     out: dict[tuple[int, int], Optional[int]] = {}
     for z1, z2 in combinations(range(h.order), 2):
         base = (1 << z1) | (1 << z2)
         witness = None
         if k >= 2:
-            others = [v for v in range(h.order) if v != z1 and v != z2]
-            for extra in combinations(others, k - 2):
-                x = base | bits_of(extra)
-                if is_isolating(h, x):
-                    witness = x
-                    break
+            for extra in lex_extensions(h, _backend.has_isolating_set, k - 2, base):
+                witness = base | extra
+                break
         out[(z1, z2)] = witness
     return out
 
@@ -589,7 +610,7 @@ def _order15_for_host(line: str) -> dict:
             checked += 1
             if _backend.has_isolating_set(adj, 15, 4):
                 continue
-            extremal_lines.append(_canon_code_of(adj, 15).decode("ascii"))
+            extremal_lines.append(canonical_code_of(adj, 15).decode("ascii"))
     return {
         "host": line,
         "survivor_pairs": len(survivors),

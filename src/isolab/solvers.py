@@ -1,17 +1,19 @@
 """Exact decision procedures and minimizers for isolation and domination.
 
-Exact minimization is meant for desk scale (order <= 16 or so); the
-predicates scale to the full 64-vertex range.
+Minimization decides the value with the kernel, then builds the lex-least
+witness one position at a time from further decisions that start from the
+chosen prefix: at most n * k decisions for value k at order n, never a scan
+of the C(n, k) candidate sets. Everything here runs on the full 64-vertex
+range; the cost of one decision is what grows with the value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from isolab import _backend
-from isolab.graphs import Graph, bits_of, closed_neighborhood, is_connected, iter_bits
+from isolab.graphs import Graph, closed_neighborhood, is_connected, iter_bits
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,48 @@ def has_dominating_set(g: Graph, k: int) -> bool:
     return _backend.has_dominating_set(g.adj, g.order, k)
 
 
-def _minimize(g: Graph, decide, predicate) -> SolveResult:
+def lex_extensions(g: Graph, decide, size: int, chosen: int = 0) -> Iterator[int]:
+    """Every set X of exactly ``size`` vertices outside ``chosen`` such that
+    ``chosen | X`` has the property ``decide`` tests, in ascending
+    lexicographic order of their sorted vertex tuples.
+
+    ``decide`` is a kernel decision, ``decide(adj, n, k, covered, forbidden)``,
+    of a property kept by supersets (isolating, dominating). A vertex v is
+    taken at the next position only when a completion exists with every
+    vertex up to v forbidden, and at least ``size - 1`` allowed vertices lie
+    above v to pad it to exact size, so the search never enters a dead branch
+    and the first set costs at most ``n * size`` decisions.
+    """
+    return _walk(g, decide, size, closed_neighborhood(g, chosen), chosen)
+
+
+def _walk(g: Graph, decide, size: int, covered: int, forbidden: int) -> Iterator[int]:
+    if size == 0:
+        if decide(g.adj, g.order, 0, covered, forbidden):
+            yield 0
+        return
+    allowed = g.full_mask & ~forbidden
+    for v in iter_bits(allowed):
+        if (allowed >> (v + 1)).bit_count() < size - 1:
+            return
+        bit = 1 << v
+        state = (covered | g.adj[v] | bit, forbidden | ((bit << 1) - 1))
+        if not decide(g.adj, g.order, size - 1, *state):
+            continue
+        if size == 1:
+            yield bit
+        else:
+            for rest in _walk(g, decide, size - 1, *state):
+                yield bit | rest
+
+
+def _lex_least(g: Graph, decide) -> SolveResult:
     value = 0
-    while not decide(g, value):
+    while not decide(g.adj, g.order, value):
         value += 1
-    for combo in combinations(range(g.order), value):
-        x = bits_of(combo)
-        if predicate(g, x):
-            return SolveResult(value, x)
-    raise AssertionError("decision procedure and witness scan disagree")
+    for x in lex_extensions(g, decide, value):
+        return SolveResult(value, x)
+    raise RuntimeError("decision procedure and witness walk disagree")
 
 
 def isolation_number(g: Graph) -> SolveResult:
@@ -70,14 +105,14 @@ def isolation_number(g: Graph) -> SolveResult:
 
     Disconnected and empty graphs are fine; edgeless graphs solve to 0.
     """
-    return _minimize(g, has_isolating_set, is_isolating)
+    return _lex_least(g, _backend.has_isolating_set)
 
 
 def domination_number(g: Graph) -> SolveResult:
     """Minimum size of a dominating set, with the lex-least witness."""
     if g.order == 0:
         return SolveResult(0, 0)
-    return _minimize(g, has_dominating_set, is_dominating)
+    return _lex_least(g, _backend.has_dominating_set)
 
 
 def is_extremal(g: Graph) -> bool:
@@ -94,7 +129,4 @@ def is_extremal(g: Graph) -> bool:
 
 def isolating_sets_of_size(g: Graph, k: int) -> Iterator[int]:
     """All isolating sets of exactly size k, ascending lexicographically."""
-    for combo in combinations(range(g.order), k):
-        x = bits_of(combo)
-        if is_isolating(g, x):
-            yield x
+    return lex_extensions(g, _backend.has_isolating_set, k)

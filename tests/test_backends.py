@@ -21,10 +21,16 @@ def test_canon_identical_on_all_graphs_up_to_6(core):
             assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
 
 
-def assert_decisions_agree(core, g):
+def assert_decisions_agree(core, g, *state):
     for k in range(-1, 4):
-        assert _pykernels.has_isolating_set(g.adj, g.order, k) == core.has_isolating_set(g.adj, g.order, k)
-        assert _pykernels.has_dominating_set(g.adj, g.order, k) == core.has_dominating_set(g.adj, g.order, k)
+        assert _pykernels.has_isolating_set(g.adj, g.order, k, *state) == core.has_isolating_set(g.adj, g.order, k, *state)
+        assert _pykernels.has_dominating_set(g.adj, g.order, k, *state) == core.has_dominating_set(g.adj, g.order, k, *state)
+
+
+def random_state(rng, n):
+    # (covered, forbidden), each with a few bits at or above n, which both
+    # backends ignore.
+    return rng.getrandbits(n + 8), rng.getrandbits(n + 8) & rng.getrandbits(n + 8)
 
 
 def test_decisions_identical_on_all_graphs_up_to_6(core):
@@ -84,3 +90,33 @@ def test_core_rejects_inputs_it_cannot_hold(core):
             fn((0, 0), 3, *extra)
         with pytest.raises(ValueError):
             fn((1 << 5, 1), 2, *extra)  # names vertex 5 of a 2-vertex graph
+
+
+def test_start_state_identical_on_all_graphs_up_to_6(core):
+    rng = random.Random(36)
+    for n in range(1, 7):
+        for line in lab.enumerate_all(n):
+            g = G.parse_graph6(line)
+            assert_decisions_agree(core, g, 0, 0)
+            for _ in range(4):
+                assert_decisions_agree(core, g, *random_state(rng, n))
+
+
+def test_start_state_identical_on_random_graphs_up_to_64(core):
+    rng = random.Random(65)
+    from conftest import random_graph
+
+    for n in [64, 64] + [rng.randrange(7, 65) for _ in range(30)]:
+        g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.3]))
+        for _ in range(3):
+            assert_decisions_agree(core, g, *random_state(rng, n))
+
+
+def test_start_state_takes_both_masks_or_neither(core):
+    g = G.path_graph(4)
+    for fn in (core.has_isolating_set, core.has_dominating_set):
+        assert fn(g.adj, 4, 1) == fn(g.adj, 4, 1, 0, 0)
+        with pytest.raises(TypeError):
+            fn(g.adj, 4, 1, 0)
+        with pytest.raises(TypeError):
+            fn(g.adj, 4, 1, 0, 0, 0)

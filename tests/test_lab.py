@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -71,6 +72,26 @@ class TestEnumeration:
         assert lab.enumerate_connected(6) == first
         lab._CONNECTED.pop(6, None)
 
+    def test_truncated_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
+        want = lab.enumerate_connected(6)
+        cache = tmp_path / "connected_n6.g6"
+        cache.write_text("\n".join(want[:50]) + "\n" + want[50][:3])
+        monkeypatch.setenv("ISOLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.delitem(lab._CONNECTED, 6)
+        assert lab.enumerate_connected(6) == want
+        assert cache.read_text() == "\n".join(want) + "\n"
+
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setenv("ISOLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.delitem(lab._CONNECTED, 6, raising=False)
+        monkeypatch.setattr(lab.os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            lab.enumerate_connected(6)
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_canon_labels_a_max_degree_vertex_last(request, backend):
@@ -135,8 +156,16 @@ def test_pruned_augmentation_matches_unpruned(connected_final):
                 ) == _reference_children(verdicts, descending)
 
 
+def _brute_isolating_sets(h, k):
+    return [
+        G.bits_of(c)
+        for c in combinations(range(h.order), k)
+        if S.is_isolating(h, G.bits_of(c))
+    ]
+
+
 def _reference_survivors(h, k):
-    iso = list(S.isolating_sets_of_size(h, k))
+    iso = _brute_isolating_sets(h, k)
     nsub = 1 << h.order
     return [
         (s1, s2)
@@ -153,7 +182,7 @@ def test_star_attachment_survivors_match_reference(small_connected, k):
         for h in small_connected[n]:
             want = _reference_survivors(h, k)
             assert lab._star_attachment_survivors(h, k) == want
-            without_sets += not any(S.isolating_sets_of_size(h, k))
+            without_sets += not _brute_isolating_sets(h, k)
     assert without_sets > 0
 
 
@@ -205,6 +234,20 @@ class TestExtendability:
         # size-1 targets can never contain two vertices
         res = lab.extend_pair_check(G.complete_graph(3), 1)
         assert all(w is None for w in res.values())
+
+    def test_matches_combinations_scan(self, small_connected):
+        def scan(h, k):
+            out = {}
+            for z1, z2 in combinations(range(h.order), 2):
+                base = (1 << z1) | (1 << z2)
+                others = [v for v in range(h.order) if v not in (z1, z2)]
+                sets = (base | G.bits_of(c) for c in combinations(others, k - 2))
+                out[(z1, z2)] = next((x for x in sets if S.is_isolating(h, x)), None)
+            return out
+
+        for h in [G.cycle_graph(9)] + small_connected[6]:
+            for k in range(2, 6):
+                assert lab.extend_pair_check(h, k) == scan(h, k)
 
     def test_witnesses_isolate(self):
         h = G.cycle_graph(9)

@@ -1,8 +1,14 @@
 import random
+import time
+from itertools import combinations
+
+import pytest
 
 import oracles
 from conftest import random_graph
+from isolab import _backend, _pykernels
 from isolab import graphs as G
+from isolab import lab
 from isolab import solvers as S
 
 
@@ -102,3 +108,94 @@ class TestExtremal:
         for g in small_connected[6]:
             direct = S.isolation_number(g).value == 2
             assert S.is_extremal(g) == direct
+
+
+def scan_witness(g, value, predicate):
+    """The lex-least witness by scanning combinations, as the solvers once did."""
+    for combo in combinations(range(g.order), value):
+        x = G.bits_of(combo)
+        if predicate(g, x):
+            return x
+    return None
+
+
+def assert_witnesses_match_scan(g):
+    for solve, predicate in (
+        (S.isolation_number, S.is_isolating),
+        (S.domination_number, S.is_dominating),
+    ):
+        r = solve(g)
+        assert r.witness == scan_witness(g, r.value, predicate)
+
+
+def sparse_connected_graph(n, seed):
+    # A random tree plus n // 4 further edges.
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 4:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return G.from_edges(n, sorted(edges))
+
+
+class TestWitnessWalk:
+    def test_matches_scan_on_all_graphs_up_to_7(self):
+        for n in range(1, 8):
+            for line in lab.enumerate_all(n):
+                assert_witnesses_match_scan(G.parse_graph6(line))
+
+    def test_matches_scan_on_connected_order_8(self):
+        for line in lab.enumerate_connected(8):
+            assert_witnesses_match_scan(G.parse_graph6(line))
+
+    def test_matches_scan_on_random_graphs_up_to_16(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            n = rng.randrange(1, 17)
+            assert_witnesses_match_scan(
+                random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
+            )
+
+    def test_isolating_sets_of_size_match_brute_force(self, small_connected):
+        above_iota = 0
+        for n in range(1, 7):
+            for g in small_connected[n]:
+                iota = S.isolation_number(g).value
+                for k in range(4):
+                    want = [
+                        G.bits_of(c)
+                        for c in combinations(range(n), k)
+                        if S.is_isolating(g, G.bits_of(c))
+                    ]
+                    assert list(S.isolating_sets_of_size(g, k)) == want
+                    above_iota += k > iota and bool(want)
+        assert above_iota > 0
+
+    def test_walk_that_finds_nothing_raises(self):
+        def decide(adj, n, k, covered=None, forbidden=None):
+            # claims a set of size 1 exists, then refutes every completion
+            return covered is None and k >= 1
+
+        with pytest.raises(RuntimeError):
+            S._lex_least(G.path_graph(3), decide)
+
+    def test_45_vertices_on_python_kernels(self, monkeypatch):
+        monkeypatch.setattr(_backend, "has_isolating_set", _pykernels.has_isolating_set)
+        monkeypatch.setattr(_backend, "has_dominating_set", _pykernels.has_dominating_set)
+        g = sparse_connected_graph(45, 45)
+        start = time.perf_counter()
+        r = S.isolation_number(g)
+        d = S.domination_number(g)
+        assert time.perf_counter() - start < 30
+        assert S.is_isolating(g, r.witness) and not S.has_isolating_set(g, r.value - 1)
+        assert S.is_dominating(g, d.witness) and not S.has_dominating_set(g, d.value - 1)
+        assert r.witness.bit_count() == r.value and d.witness.bit_count() == d.value
+
+    def test_64_vertices_on_core(self, monkeypatch, core):
+        monkeypatch.setattr(_backend, "has_isolating_set", core.has_isolating_set)
+        g = sparse_connected_graph(64, 64)
+        start = time.perf_counter()
+        r = S.isolation_number(g)
+        assert time.perf_counter() - start < 30
+        assert S.is_isolating(g, r.witness) and not S.has_isolating_set(g, r.value - 1)
+        assert r.witness.bit_count() == r.value
