@@ -4,7 +4,7 @@ Query commands (iso, dom, partition3, recognize-g, star) read graph6 lines
 from files or stdin and print one JSON object per input line. Catalog
 commands (enum, derive-e) print graph6 lines sorted by canonical code;
 extremal and verify print JSON reports. Exit codes: 0 success, 1 domain
-error on some input, 2 usage error.
+error or engine gap on some input, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable
 
 from isolab import family, lab
 from isolab.graphs import MAX_ORDER, Graph6Error, bit_list, parse_graph6, write_graph6
-from isolab.partition import NoValidPartition, partition3
+from isolab.partition import EngineGap, NoValidPartition, partition3
 from isolab.solvers import domination_number, isolation_number
 
 
@@ -71,6 +71,9 @@ def _for_each_graph(args, handler) -> int:
             _emit(handler(line, g))
         except NoValidPartition:
             _emit({"graph6": line, "error": "no_valid_partition"})
+            status = 1
+        except EngineGap:
+            _emit({"graph6": line, "error": "engine_gap"})
             status = 1
         except ValueError as exc:
             _emit({"graph6": line, "error": "domain", "detail": str(exc)})

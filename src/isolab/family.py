@@ -24,11 +24,11 @@ from isolab.graphs import (
     from_edges,
     bits_of,
     cycle_walk,
+    cycles_of_length,
     induced_subgraph,
     is_connected,
     parse_graph6,
     write_graph6,
-    _cycles_of_length,
 )
 
 PENDANT_SIZES = {"K2": 2, "C5": 5}
@@ -226,6 +226,14 @@ class _Block:
 
 
 def _candidate_blocks(g: Graph) -> list[_Block]:
+    """Every pendant-shaped piece of ``g`` with its hook, sorted by least
+    vertex, kind, vertices and hook.
+
+    A C5 block is chordless and its only outside neighbor is its hook, so
+    each of its vertices has two cycle neighbors and at most one more:
+    degree at most 3. The 5-cycles are therefore searched only among those
+    vertices, which yields every block a search of the whole graph would.
+    """
     cands = []
     n = g.order
     for p in range(n):
@@ -240,8 +248,9 @@ def _candidate_blocks(g: Graph) -> list[_Block]:
                 i for i, v in enumerate((p, q)) if (g.adj[h] >> v) & 1
             )
             cands.append(_Block("K2", (p, q), h, attach, (1 << p) | (1 << q)))
+    low = bits_of(v for v in range(n) if g.adj[v].bit_count() <= 3)
     seen = set()
-    for cyc in _cycles_of_length(g, 5):
+    for cyc in cycles_of_length(g, 5, low):
         mask = bits_of(cyc)
         if mask in seen:
             continue

@@ -9,6 +9,7 @@ branch-free.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -183,6 +184,11 @@ def _g6_header(n: int) -> bytes:
     return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
 
 
+# Each graph6 character, as the six body bits it carries, high bit first.
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_G6_LINE = re.compile("[?-~]*")
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a Graph.
 
@@ -194,9 +200,10 @@ def parse_graph6(text: str) -> Graph:
     line = text.rstrip("\n")
     if not line:
         raise Graph6Error("empty graph6 string", 0)
-    for i, ch in enumerate(line):
-        if not "?" <= ch <= "~":
-            raise Graph6Error(f"character {ch!r} out of graph6 range", i)
+    if not _G6_LINE.fullmatch(line):
+        for i, ch in enumerate(line):
+            if not "?" <= ch <= "~":
+                raise Graph6Error(f"character {ch!r} out of graph6 range", i)
     data = line.encode("ascii")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -206,46 +213,38 @@ def parse_graph6(text: str) -> Graph:
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         if n <= 62:
             raise Graph6Error("long-form header used for order <= 62", 0)
-        body = data[4:]
         body_off = 4
     else:
         n = data[0] - 63
-        body = data[1:]
         body_off = 1
     if n > MAX_ORDER:
         raise Graph6Error(f"order {n} exceeds supported maximum {MAX_ORDER}", 0)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) < need:
-        raise Graph6Error("graph6 body truncated", body_off + len(body))
-    if len(body) > need:
+    have = len(data) - body_off
+    if have < need:
+        raise Graph6Error("graph6 body truncated", body_off + have)
+    if have > need:
         raise Graph6Error("unexpected trailing bytes", body_off + need)
+    # The body is the upper triangle column by column: column j holds the
+    # bits of edges (0, j), ..., (j - 1, j), so reversed it is the binary
+    # numeral of j's lower neighborhood.
+    bits = line[body_off:].translate(_G6_BITS)
+    pad = bits.find("1", nbits)
+    if pad >= 0:
+        raise Graph6Error("nonzero padding bits", body_off + pad // 6)
     adj = [0] * n
-    bit_index = 0
-    for bi, c in enumerate(body):
-        val = c - 63
-        for k in range(5, -1, -1):
-            bit = (val >> k) & 1
-            if bit_index < nbits:
-                if bit:
-                    j = _col_of(bit_index)
-                    i = bit_index - j * (j - 1) // 2
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("nonzero padding bits", body_off + bi)
-            bit_index += 1
+    start = 0
+    for j in range(1, n):
+        lower = int(bits[start : start + j][::-1], 2)
+        start += j
+        adj[j] = lower
+        bj = 1 << j
+        while lower:
+            x = lower & -lower
+            adj[x.bit_length() - 1] |= bj
+            lower ^= x
     return Graph(n, tuple(adj))
-
-
-def _col_of(bit_index: int) -> int:
-    # Bit b belongs to column j where j(j-1)/2 <= b < j(j+1)/2.
-    j = int(((8 * bit_index + 1) ** 0.5 - 1) / 2) + 1
-    while j * (j - 1) // 2 > bit_index:
-        j -= 1
-    while (j + 1) * j // 2 <= bit_index:
-        j += 1
-    return j
 
 
 def write_graph6(g: Graph) -> str:
@@ -353,15 +352,64 @@ def bfs_tree(g: Graph, root: int, mask: int) -> tuple[list[int], list[int]]:
 
 
 def cut_vertices(g: Graph) -> int:
-    """Vertices whose removal disconnects a connected graph."""
+    """Vertices whose removal disconnects the graph, in linear time.
+
+    One iterative lowpoint depth-first search from vertex 0 (Tarjan 1972):
+    a non-root vertex is a cut vertex when the subtree of some DFS child has
+    no edge reaching above it, the root when it has two or more DFS
+    children. Graphs of
+    order at most 2 have none. On disconnected input every vertex counts,
+    except an isolated vertex whose removal leaves exactly one component.
+    """
     n = g.order
     if n <= 2:
         return 0
+    adj = g.adj
+    disc = [0] * n  # discovery number
+    low = [0] * n  # least discovery number reachable from the subtree
+    up = [0] * n  # neighbors discovered earlier: the parent and back edges
+    stack = [0]
+    seen = 1
+    clock = 1
+    root_children = 0
     out = 0
-    for v in range(n):
-        mask = g.full_mask ^ (1 << v)
-        if _closure(g, mask & -mask, mask) != mask:
-            out |= 1 << v
+    while stack:
+        v = stack[-1]
+        fresh = adj[v] & ~seen
+        if fresh:
+            w = (fresh & -fresh).bit_length() - 1
+            up[w] = adj[w] & seen
+            seen |= 1 << w
+            disc[w] = low[w] = clock
+            clock += 1
+            stack.append(w)
+            continue
+        stack.pop()
+        # Neighbors discovered later are descendants and cannot lower it.
+        lo = low[v]
+        for u in iter_bits(up[v]):
+            if disc[u] < lo:
+                lo = disc[u]
+        low[v] = lo
+        if not stack:
+            break
+        p = stack[-1]
+        if p == 0:
+            root_children += 1
+        else:
+            if lo >= disc[p]:
+                out |= 1 << p
+            if lo < low[p]:
+                low[p] = lo
+    if seen != g.full_mask:
+        comps = components(g)
+        if len(comps) == 2:
+            for comp in comps:
+                if comp.bit_count() == 1:
+                    return g.full_mask ^ comp
+        return g.full_mask
+    if root_children >= 2:
+        out |= 1
     return out
 
 
@@ -369,11 +417,16 @@ def cut_vertices(g: Graph) -> int:
 # cycles
 
 
-def _cycles_of_length(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
-    # Simple cycles of exactly this length, rooted at their least vertex,
-    # one orientation each (second vertex below last), lexicographic order.
-    n = g.order
+def cycles_of_length(
+    g: Graph, length: int, mask: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
+    """Simple cycles of exactly this length inside ``mask`` (default: all
+    vertices), rooted at their least vertex, one orientation each (second
+    vertex below last), in lexicographic order."""
     adj = g.adj
+    if mask is None:
+        mask = g.full_mask
+    outside = g.full_mask & ~mask
     path = []
 
     def extend(v: int, used: int) -> Iterator[tuple[int, ...]]:
@@ -382,16 +435,15 @@ def _cycles_of_length(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
                 yield tuple(path)
             return
         for w in iter_bits(adj[v] & ~used):
-            if w < path[0]:
-                continue
             path.append(w)
             yield from extend(w, used | (1 << w))
             path.pop()
 
-    for r in range(n):
+    for r in iter_bits(mask):
         path.clear()
         path.append(r)
-        yield from extend(r, 1 << r)
+        # Vertices below the root and outside the mask are never entered.
+        yield from extend(r, outside | ((2 << r) - 1))
 
 
 def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:
@@ -415,13 +467,13 @@ def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:
 def iter_simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
     """All simple cycles, shortest first, deterministic order."""
     for length in range(3, g.order + 1):
-        yield from _cycles_of_length(g, length)
+        yield from cycles_of_length(g, length)
 
 
 def find_cycle_len_mod3(g: Graph) -> Optional[CyclePath]:
     """Shortest simple cycle whose length is a multiple of 3, if any."""
     for length in range(3, g.order + 1, 3):
-        for cyc in _cycles_of_length(g, length):
+        for cyc in cycles_of_length(g, length):
             return CyclePath(cyc, closed=True)
     return None
 

@@ -42,10 +42,17 @@ from isolab.graphs import (
 log = logging.getLogger("isolab.partition")
 
 COLORS = (1, 2, 3)
+EXHAUSTIVE_MAX_ORDER = 20
 
 
 class NoValidPartition(Exception):
     """The graph admits no three-way partition with independent leftover."""
+
+
+class EngineGap(Exception):
+    """The engine needed its exhaustive fallback on a graph above the
+    fallback's order guard: a gap in the engine, not a property of the
+    graph."""
 
 
 @dataclass
@@ -117,8 +124,8 @@ def exhaustive_partition3(g: Graph) -> Optional[TriPartition]:
     the engine's diagnostic fallback.
     """
     n = g.order
-    if n > 20:
-        raise ValueError("exhaustive search guarded at order 20")
+    if n > EXHAUSTIVE_MAX_ORDER:
+        raise ValueError(f"exhaustive search guarded at order {EXHAUSTIVE_MAX_ORDER}")
     for assignment in product(COLORS, repeat=n):
         tp = _colors_to_partition(g, dict(enumerate(assignment)))
         if _independence_violation(g, tp.residual) is None:
@@ -208,7 +215,8 @@ def _color_components(
     colored_mask = bits_of(colors)
     for comp in masked_components(g, g.full_mask & ~colored_mask):
         forced = [(v, av, fc) for v, (av, fc) in anchors.items() if (comp >> v) & 1]
-        assert len(forced) <= 1, "at most one forced vertex per component"
+        if len(forced) > 1:
+            raise RuntimeError("at most one forced vertex per component")
         verts = bit_list(comp)
         size = len(verts)
         if size == 1:
@@ -221,7 +229,8 @@ def _color_components(
             colors[v] = c
             parent_step.colors[v] = c
         elif size == 2:
-            assert g.has_edge(verts[0], verts[1])
+            if not g.has_edge(verts[0], verts[1]):
+                raise RuntimeError("two-vertex component must be an edge")
             if forced:
                 w, anchor, f = forced[0]
             else:
@@ -231,7 +240,8 @@ def _color_components(
             vcol = colors[anchor]
             if f is None:
                 f = min(set(COLORS) - {vcol})
-            assert f != vcol
+            if f == vcol:
+                raise RuntimeError("forced color clashes with the anchor's color")
             other = verts[1] if w == verts[0] else verts[0]
             assign = {w: f, other: 6 - f - vcol}
             colors.update(assign)
@@ -246,7 +256,8 @@ def _color_components(
             vcol = colors[anchor]
             rest = sorted(set(COLORS) - {vcol})
             third = f if f is not None else rest[1]
-            assert third != vcol
+            if third == vcol:
+                raise RuntimeError("forced color clashes with the anchor's color")
             second = (set(COLORS) - {vcol, third}).pop()
             x1, x2, x3, x4, x5 = cycle_walk(g, comp, w)
             assign = {x3: vcol, x2: second, x5: second, x1: third, x4: third}
@@ -323,6 +334,8 @@ def _cycle_base_coloring(order: list[int]) -> dict[int, int]:
 def _reduce_cut_vertex(g: Graph, cvs: int) -> tuple[dict[int, int], list[TraceStep]]:
     v = (cvs & -cvs).bit_length() - 1
     comps_v = masked_components(g, g.full_mask & ~(1 << v))
+    if len(comps_v) < 2:
+        raise RuntimeError("cut-vertex reduction needs a cut vertex")
     nontrivial = 0
     for comp in comps_v:
         if comp.bit_count() >= 2:
@@ -344,7 +357,8 @@ def _reduce_degree_two(g: Graph, deg2: list[int]) -> tuple[dict[int, int], list[
     for v in deg2:
         a, b = bit_list(g.adj[v])
         sp = _bfs_shortest_path(g, a, b, g.full_mask & ~(1 << v))
-        assert sp is not None, "degree-2 reduction requires 2-connectivity"
+        if sp is None:
+            raise RuntimeError("degree-2 reduction requires 2-connectivity")
         cyc = [v] + sp
         if best is None or len(cyc) < len(best):
             best = cyc
@@ -359,7 +373,8 @@ def _reduce_degree_two(g: Graph, deg2: list[int]) -> tuple[dict[int, int], list[
         for w in (cyc[(i - 1) % length], cyc[(i + 1) % length]):
             if g.adj[w] & ~cyc_mask:
                 pairs.append((u, w))
-    assert pairs, "a graph that is not a cycle has such a pair on this cycle"
+    if not pairs:
+        raise RuntimeError("a graph that is not a cycle has such a pair on this cycle")
     u, w = min(pairs)
     i = cyc.index(u)
     rot = cyc[i + 1 :] + cyc[:i]
@@ -408,7 +423,8 @@ def _reduce_separating_cycle(g: Graph) -> Optional[tuple[dict[int, int], list[Tr
             for w in (cyc[(i - 1) % length], cyc[(i + 1) % length]):
                 if g.adj[w] & rest:
                     cands.append((v, w))
-        assert cands, "separating cycle must have an attachment boundary"
+        if not cands:
+            raise RuntimeError("separating cycle must have an attachment boundary")
         v, w = min(cands)
         i = cyc.index(v)
         rot = cyc[i + 1 :] + cyc[:i]
@@ -421,7 +437,8 @@ def _reduce_separating_cycle(g: Graph) -> Optional[tuple[dict[int, int], list[Tr
 
 def _solve(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
     n = g.order
-    assert n >= 3 and not is_c5(g)
+    if n < 3 or is_c5(g):
+        raise RuntimeError("reduction needs order at least 3 and no 5-cycle")
 
     center = _star_center(g)
     if center is not None:
@@ -452,7 +469,8 @@ def _solve(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
                 if reduced is None:
                     return _exhaust(g)
                 colors, steps = reduced
-    assert len(colors) == n
+    if len(colors) != n:
+        raise RuntimeError("reduction left a vertex uncolored")
     return colors, steps
 
 
@@ -464,6 +482,11 @@ def _exhaust(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
         g.order,
         write_graph6(g),
     )
+    if g.order > EXHAUSTIVE_MAX_ORDER:
+        raise EngineGap(
+            f"exhaustive fallback needed at order {g.order}, "
+            f"above its guard at order {EXHAUSTIVE_MAX_ORDER}"
+        )
     tp = exhaustive_partition3(g)
     if tp is None:
         raise NoValidPartition("exhaustive fallback found no valid partition")
@@ -482,8 +505,9 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
     """Verified tri-partition with independent leftover, plus its trace.
 
     Raises ValueError for graphs of order below 3 or disconnected input,
-    NoValidPartition for the 5-cycle, and RuntimeError if even the
-    exhaustive fallback's result fails verification.
+    NoValidPartition for the 5-cycle, EngineGap when the reductions need the
+    exhaustive fallback above its order guard, and RuntimeError when an
+    engine invariant breaks or even the fallback's result fails verification.
     """
     if g.order < 3:
         raise ValueError("partition requires order at least 3")

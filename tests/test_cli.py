@@ -59,6 +59,17 @@ class TestQueries:
             colors.update({int(v): c for v, c in step["colors"].items()})
         assert len(colors) == 6
 
+    def test_partition3_engine_gap(self, capsys, monkeypatch):
+        # A reduction dead-end above the exhaustive fallback's order guard
+        # is the engine's gap, not a domain error in the input.
+        from isolab import partition
+
+        monkeypatch.setattr(partition, "_solve", partition._exhaust)
+        p21 = G.write_graph6(G.path_graph(21))
+        code, out, _ = run_cli(capsys, ["partition3", "-"], p21 + "\n", monkeypatch)
+        assert code == 1
+        assert json.loads(out) == {"graph6": p21, "error": "engine_gap"}
+
     def test_bad_graph6_reports_offset(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["iso", "-"], "A_x\n", monkeypatch)
         assert code == 1

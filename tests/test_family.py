@@ -1,11 +1,51 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
 
 from isolab import family as F
 from isolab import graphs as G
+from isolab import lab
 from isolab import solvers as S
+
+
+def full_scan_candidate_blocks(g):
+    """The previous candidate search, kept as the reference: K2 blocks as
+    in the library, C5 blocks from every 5-cycle of the whole graph."""
+    cands = []
+    for p in range(g.order):
+        for q in G.bit_list(g.adj[p]):
+            if q <= p:
+                continue
+            ext = (g.adj[p] | g.adj[q]) & ~((1 << p) | (1 << q))
+            if ext.bit_count() != 1:
+                continue
+            h = ext.bit_length() - 1
+            attach = tuple(i for i, v in enumerate((p, q)) if (g.adj[h] >> v) & 1)
+            cands.append(F._Block("K2", (p, q), h, attach, (1 << p) | (1 << q)))
+    seen = set()
+    for cyc in G.cycles_of_length(g, 5):
+        mask = G.bits_of(cyc)
+        if mask in seen:
+            continue
+        seen.add(mask)
+        if any((g.adj[v] & mask).bit_count() != 2 for v in cyc):
+            continue
+        ext = 0
+        for v in cyc:
+            ext |= g.adj[v]
+        ext &= ~mask
+        if ext.bit_count() != 1:
+            continue
+        h = ext.bit_length() - 1
+        order = G.cycle_walk(g, mask, min(cyc))
+        attach = tuple(i for i, v in enumerate(order) if (g.adj[h] >> v) & 1)
+        if F.is_c5_vertex_cover(attach):
+            continue
+        cands.append(F._Block("C5", tuple(order), h, attach, mask))
+    cands.sort(key=lambda c: (min(c.verts), c.kind, c.verts, c.hook))
+    return cands
 
 
 def k1():
@@ -137,6 +177,26 @@ class TestRecognition:
             assert rec is not None, seed
             assert F.validate_spec(rec) == []
             assert G.canonical_code(F.build_family_graph(rec)) == G.canonical_code(g)
+
+    def test_candidates_match_full_scan_on_all_connected_graphs_up_to_8(self):
+        for n in range(1, 9):
+            for line in lab.enumerate_connected(n):
+                g = G.parse_graph6(line)
+                assert F._candidate_blocks(g) == full_scan_candidate_blocks(g), line
+
+    def test_candidates_match_full_scan_on_relabeled_members(self):
+        rng = random.Random(10)
+        for seed in range(300):
+            spec = F.random_family_spec(rng.choice(range(9, 31, 3)), seed)
+            g = F.build_family_graph(spec)
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            g = G.relabel(g, perm)
+            cands = F._candidate_blocks(g)
+            assert cands == full_scan_candidate_blocks(g), seed
+            assert sum(c.kind == "C5" for c in cands) >= sum(
+                p.kind == "C5" for p in spec.pendants
+            )
 
     def test_non_members_rejected(self):
         for g in (

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import random_connected_graph, random_graph
 from isolab import graphs as G
+from isolab import lab
 
 
 def all_labeled_graphs(n):
@@ -14,6 +16,92 @@ def all_labeled_graphs(n):
     for k in range(len(pairs) + 1):
         for es in combinations(pairs, k):
             yield G.from_edges(n, es)
+
+
+def bitwise_parse_graph6(text):
+    """The previous decoder, kept as the reference: the same checks, then
+    one body bit at a time, each set bit placed by a square-root column
+    search."""
+    line = text.rstrip("\n")
+    if not line:
+        raise G.Graph6Error("empty graph6 string", 0)
+    for i, ch in enumerate(line):
+        if not "?" <= ch <= "~":
+            raise G.Graph6Error(f"character {ch!r} out of graph6 range", i)
+    data = line.encode("ascii")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise G.Graph6Error("eight-byte order header exceeds supported range", 1)
+        if len(data) < 4:
+            raise G.Graph6Error("truncated long-form order header", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if n <= 62:
+            raise G.Graph6Error("long-form header used for order <= 62", 0)
+        body, body_off = data[4:], 4
+    else:
+        n = data[0] - 63
+        body, body_off = data[1:], 1
+    if n > G.MAX_ORDER:
+        raise G.Graph6Error(f"order {n} exceeds supported maximum {G.MAX_ORDER}", 0)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) < need:
+        raise G.Graph6Error("graph6 body truncated", body_off + len(body))
+    if len(body) > need:
+        raise G.Graph6Error("unexpected trailing bytes", body_off + need)
+    adj = [0] * n
+    bit_index = 0
+    for bi, c in enumerate(body):
+        for k in range(5, -1, -1):
+            bit = ((c - 63) >> k) & 1
+            if bit_index < nbits:
+                if bit:
+                    j = int(((8 * bit_index + 1) ** 0.5 - 1) / 2) + 1
+                    while j * (j - 1) // 2 > bit_index:
+                        j -= 1
+                    while (j + 1) * j // 2 <= bit_index:
+                        j += 1
+                    i = bit_index - j * (j - 1) // 2
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            elif bit:
+                raise G.Graph6Error("nonzero padding bits", body_off + bi)
+            bit_index += 1
+    return G.Graph(n, tuple(adj))
+
+
+def closure_cut_vertices(g):
+    """The previous cut-vertex search, kept as the reference: one
+    connectivity closure per vertex."""
+    if g.order <= 2:
+        return 0
+    out = 0
+    for v in range(g.order):
+        mask = g.full_mask ^ (1 << v)
+        if G._closure(g, mask & -mask, mask) != mask:
+            out |= 1 << v
+    return out
+
+
+def rooted_cycles_of_length(g, length):
+    """The previous unmasked cycle enumerator, kept as the reference."""
+    path = []
+
+    def extend(v, used):
+        if len(path) == length:
+            if (g.adj[v] >> path[0]) & 1 and path[1] < path[-1]:
+                yield tuple(path)
+            return
+        for w in G.iter_bits(g.adj[v] & ~used):
+            if w < path[0]:
+                continue
+            path.append(w)
+            yield from extend(w, used | (1 << w))
+            path.pop()
+
+    for r in range(g.order):
+        path[:] = [r]
+        yield from extend(r, 1 << r)
 
 
 class TestGraphType:
@@ -114,6 +202,43 @@ class TestGraph6:
         with pytest.raises(G.Graph6Error):
             G.parse_graph6("~~????")
 
+    def test_matches_bitwise_decoder_at_every_order(self):
+        rng = random.Random(6)
+        for n in range(G.MAX_ORDER + 1):
+            for p in (0.1, 0.5, 0.9):
+                line = G.write_graph6(random_graph(rng, n, p))
+                assert G.parse_graph6(line) == bitwise_parse_graph6(line)
+
+    @pytest.mark.parametrize("line, offset", [
+        ("", 0),
+        ("A" + chr(63 + 0b000001), 1),  # order 2: one edge bit, five padding
+        ("B" + chr(63 + 0b000100), 1),  # order 3: three edge bits, three padding
+        ("~??~" + "?" * 325 + chr(63 + 1), 329),  # order 63: three padding bits
+        ("G" + "??" + chr(30) + "??", 3),  # bad character mid-body
+        ("G??\u00e9??", 3),
+        ("G????", 5),  # body truncated
+        ("G?????x", 6),  # body overlong
+        ("~" + "?" * 336, 0),  # long-form header for order 0
+        ("~?", 2),  # long-form header truncated
+        ("~~????", 1),
+        ("~?@@", 0),  # order 65
+    ])
+    def test_errors_match_bitwise_decoder(self, line, offset):
+        with pytest.raises(G.Graph6Error) as old:
+            bitwise_parse_graph6(line)
+        with pytest.raises(G.Graph6Error) as new:
+            G.parse_graph6(line)
+        assert str(new.value) == str(old.value)
+        assert new.value.offset == old.value.offset == offset
+
+    def test_order_64_has_no_padding(self):
+        # 64 * 63 / 2 bits fill 336 bytes exactly, so every bit of the last
+        # byte is an edge of vertex 63.
+        line = "~?@?" + "?" * 335 + "~"
+        g = G.parse_graph6(line)
+        assert g == bitwise_parse_graph6(line)
+        assert G.bit_list(g.adj[63]) == list(range(57, 63))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10), st.randoms(use_true_random=False))
     def test_roundtrip_random(self, n, rnd):
@@ -192,6 +317,33 @@ class TestConnectivity:
         g = G.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         assert G.cut_vertices(g) == 0b00100
 
+    def test_cut_vertices_disconnected(self):
+        # Every vertex counts, except an isolated one whose removal leaves
+        # one component.
+        assert G.cut_vertices(G.empty_graph(3)) == 0b111
+        g = G.disjoint_union(G.cycle_graph(4), G.empty_graph(1))
+        assert G.cut_vertices(g) == 0b01111
+        g = G.disjoint_union(G.path_graph(2), G.path_graph(2))
+        assert G.cut_vertices(g) == 0b1111
+
+    def test_cut_vertices_match_closures_on_all_graphs_up_to_7(self):
+        # Every isomorphism class, connected or not, in its catalog labeling
+        # and in one shuffled labeling.
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for line in lab.enumerate_all(n):
+                g = G.parse_graph6(line)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, G.relabel(g, perm)):
+                    assert G.cut_vertices(h) == closure_cut_vertices(h), line
+
+    def test_cut_vertices_match_closures_on_random_connected_graphs(self):
+        rng = random.Random(8)
+        for _ in range(2000):
+            g = random_connected_graph(rng, rng.randrange(3, G.MAX_ORDER + 1))
+            assert G.cut_vertices(g) == closure_cut_vertices(g)
+
     def test_bfs_tree_least_parent(self):
         # Vertex 3 is reached from 2 and from 4 on the same level; 2 wins.
         parent, depth = G.bfs_tree(G.cycle_graph(6), 0, 0b111111)
@@ -209,6 +361,17 @@ class TestCycles:
         assert G.cycle_walk(G.cycle_graph(6), 0b111111, 3) == [3, 2, 1, 0, 5, 4]
         two_triangles = G.disjoint_union(G.complete_graph(3), G.complete_graph(3))
         assert G.cycle_walk(two_triangles, 0b111000, 4) == [4, 3, 5]
+
+    def test_cycles_match_previous_enumerator(self, small_connected):
+        rng = random.Random(9)
+        for n in range(3, 8):
+            for g in small_connected[n]:
+                mask = rng.randrange(1 << n)
+                for length in range(3, n + 1):
+                    cycles = list(rooted_cycles_of_length(g, length))
+                    assert list(G.cycles_of_length(g, length)) == cycles
+                    inside = [c for c in cycles if G.bits_of(c) & ~mask == 0]
+                    assert list(G.cycles_of_length(g, length, mask)) == inside
 
     def test_c6_found(self):
         cp = G.find_cycle_len_mod3(G.cycle_graph(6))

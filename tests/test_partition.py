@@ -13,6 +13,7 @@ from isolab import graphs as G
 from isolab import partition as P
 from isolab import solvers as S
 from isolab.partition import (
+    EngineGap,
     TraceStep,
     NoValidPartition,
     TriPartition,
@@ -213,6 +214,40 @@ class TestTrace:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised")
 
+    def test_broken_invariants_raise_under_python_O(self):
+        # Each probe breaks one invariant of the reduction engine on a
+        # 2-connected theta graph: a "cut vertex" that is none, a
+        # shortest-path search that finds nothing, and a 5-cycle handed to
+        # the solver. The engine must say so rather than run on.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "from isolab import graphs, partition\n"
+            "theta = graphs.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 2)])\n"
+            "def probe(call):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except RuntimeError as exc:\n"
+            "        print('raised', exc)\n"
+            "cut_vertices = partition.cut_vertices\n"
+            "partition.cut_vertices = lambda g: 1\n"
+            "probe(lambda: partition.partition3(theta))\n"
+            "partition.cut_vertices = cut_vertices\n"
+            "partition._bfs_shortest_path = lambda *args: None\n"
+            "probe(lambda: partition.partition3(theta))\n"
+            "probe(lambda: partition._solve(graphs.cycle_graph(5)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised cut-vertex reduction needs a cut vertex",
+            "raised degree-2 reduction requires 2-connectivity",
+            "raised reduction needs order at least 3 and no 5-cycle",
+        ]
+
 
 class TestRarePaths:
     def test_separating_cycle_reduction_directly(self):
@@ -262,6 +297,11 @@ class TestRarePaths:
 
         with pytest.raises(NoValidPartition):
             _exhaust(G.cycle_graph(5))
+
+    def test_dead_end_above_fallback_guard_is_engine_gap(self, monkeypatch):
+        monkeypatch.setattr(P, "_solve", P._exhaust)
+        with pytest.raises(EngineGap):
+            partition3(G.path_graph(P.EXHAUSTIVE_MAX_ORDER + 1))
 
     def test_exhaustive_oracle_guard(self):
         with pytest.raises(ValueError):
