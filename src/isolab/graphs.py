@@ -186,7 +186,7 @@ def _g6_header(n: int) -> bytes:
 
 # Each graph6 character, as the six body bits it carries, high bit first.
 _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
-_G6_LINE = re.compile("[?-~]*")
+_G6_BAD = re.compile("[^?-~]")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -200,10 +200,9 @@ def parse_graph6(text: str) -> Graph:
     line = text.rstrip("\n")
     if not line:
         raise Graph6Error("empty graph6 string", 0)
-    if not _G6_LINE.fullmatch(line):
-        for i, ch in enumerate(line):
-            if not "?" <= ch <= "~":
-                raise Graph6Error(f"character {ch!r} out of graph6 range", i)
+    bad = _G6_BAD.search(line)
+    if bad:
+        raise Graph6Error(f"character {bad.group()!r} out of graph6 range", bad.start())
     data = line.encode("ascii")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:

@@ -477,16 +477,16 @@ def _solve(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
 def _exhaust(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
     # Reachable only through a gap between the reduction engine and the
     # theory; loud by design.
+    if g.order > EXHAUSTIVE_MAX_ORDER:
+        raise EngineGap(
+            f"reduction dead-end on {g.order}-vertex graph {write_graph6(g)}; "
+            f"exhaustive fallback is guarded at order {EXHAUSTIVE_MAX_ORDER}"
+        )
     log.warning(
         "reduction dead-end on %d-vertex graph %s; running exhaustive fallback",
         g.order,
         write_graph6(g),
     )
-    if g.order > EXHAUSTIVE_MAX_ORDER:
-        raise EngineGap(
-            f"exhaustive fallback needed at order {g.order}, "
-            f"above its guard at order {EXHAUSTIVE_MAX_ORDER}"
-        )
     tp = exhaustive_partition3(g)
     if tp is None:
         raise NoValidPartition("exhaustive fallback found no valid partition")

@@ -1,6 +1,7 @@
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -298,10 +299,14 @@ class TestRarePaths:
         with pytest.raises(NoValidPartition):
             _exhaust(G.cycle_graph(5))
 
-    def test_dead_end_above_fallback_guard_is_engine_gap(self, monkeypatch):
+    def test_dead_end_above_fallback_guard_is_engine_gap(self, monkeypatch, caplog):
+        g = G.path_graph(P.EXHAUSTIVE_MAX_ORDER + 1)
         monkeypatch.setattr(P, "_solve", P._exhaust)
-        with pytest.raises(EngineGap):
-            partition3(G.path_graph(P.EXHAUSTIVE_MAX_ORDER + 1))
+        with caplog.at_level(logging.WARNING, logger="isolab.partition"):
+            with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g))):
+                partition3(g)
+        # No fallback runs, so none is announced.
+        assert not any("running exhaustive fallback" in r.getMessage() for r in caplog.records)
 
     def test_exhaustive_oracle_guard(self):
         with pytest.raises(ValueError):
