@@ -30,7 +30,13 @@ def _open(path: str, mode: str = "r", **kwargs):
     try:
         return open(path, mode, **kwargs)
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+        verb = "write" if "w" in mode else "read"
+        raise UsageError(f"cannot {verb} {path}: {exc.strerror}") from None
+
+
+def _open_out(path):
+    # Opened before any work, so that an unwritable path fails at once.
+    return _open(path, "w") if path else contextlib.nullcontext()
 
 
 def _emit(obj: dict) -> None:
@@ -199,12 +205,11 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    if args.order == 9:
-        _note(args, "classifying all connected graphs of order 9")
-    report = lab.extremal_graphs(args.order, threads=args.threads)
-    data = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        if args.order == 9:
+            _note(args, "classifying all connected graphs of order 9")
+        data = lab.extremal_graphs(args.order, threads=args.threads).to_json()
+        if fh:
             json.dump(data, fh, indent=1)
             fh.write("\n")
     _emit(
@@ -220,11 +225,11 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_derive_e(args) -> int:
-    if args.order >= 9:
-        _note(args, f"deriving the exceptional catalog at order {args.order}")
-    lines = lab.derive_exceptional(args.order, threads=args.threads)
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        if args.order >= 9:
+            _note(args, f"deriving the exceptional catalog at order {args.order}")
+        lines = lab.derive_exceptional(args.order, threads=args.threads)
+        if fh:
             fh.write("\n".join(lines) + "\n")
     for line in lines:
         sys.stdout.write(line + "\n")
@@ -307,7 +312,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     args.threads = max(1, min(args.threads, os.cpu_count() or 1))
-    if hasattr(args, "order") and args.command == "enum":
+    if args.command == "enum":
         if not 1 <= args.order <= lab.MAX_ENUM_ORDER:
             parser.error(f"--order must be in 1..{lab.MAX_ENUM_ORDER}")
         if not args.connected and args.order > lab.MAX_ENUM_ORDER - 1:

@@ -281,11 +281,6 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(keep), tuple(adj)), keep
 
 
-def delete_closed_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
-    """The graph left after removing N[x], with the old-index map."""
-    return induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, x))
-
-
 # ---------------------------------------------------------------------------
 # connectivity
 
@@ -350,25 +345,30 @@ def bfs_tree(g: Graph, root: int, mask: int) -> tuple[list[int], list[int]]:
     return parent, depth
 
 
-def cut_vertices(g: Graph) -> int:
-    """Vertices whose removal disconnects the graph, in linear time.
+def cut_vertices(g: Graph, mask: Optional[int] = None) -> int:
+    """Cut vertices of the subgraph induced on ``mask`` (default: all
+    vertices), in linear time.
 
-    One iterative lowpoint depth-first search from vertex 0 (Tarjan 1972):
-    a non-root vertex is a cut vertex when the subtree of some DFS child has
-    no edge reaching above it, the root when it has two or more DFS
-    children. Graphs of
-    order at most 2 have none. On disconnected input every vertex counts,
-    except an isolated vertex whose removal leaves exactly one component.
+    One iterative lowpoint depth-first search from the least vertex of the
+    mask (Tarjan 1972): a non-root vertex is a cut vertex when the subtree
+    of some DFS child has no edge reaching above it, the root when it has
+    two or more DFS children. Vertices outside the mask count as already
+    seen, so the search never enters them. Masks of at most 2 vertices
+    have none. On disconnected input every vertex counts, except an
+    isolated vertex whose removal leaves exactly one component.
     """
-    n = g.order
-    if n <= 2:
+    if mask is None:
+        mask = g.full_mask
+    if mask.bit_count() <= 2:
         return 0
     adj = g.adj
+    n = g.order
     disc = [0] * n  # discovery number
     low = [0] * n  # least discovery number reachable from the subtree
     up = [0] * n  # neighbors discovered earlier: the parent and back edges
-    stack = [0]
-    seen = 1
+    root = (mask & -mask).bit_length() - 1
+    stack = [root]
+    seen = (g.full_mask & ~mask) | (1 << root)
     clock = 1
     root_children = 0
     out = 0
@@ -377,7 +377,7 @@ def cut_vertices(g: Graph) -> int:
         fresh = adj[v] & ~seen
         if fresh:
             w = (fresh & -fresh).bit_length() - 1
-            up[w] = adj[w] & seen
+            up[w] = adj[w] & seen & mask
             seen |= 1 << w
             disc[w] = low[w] = clock
             clock += 1
@@ -393,7 +393,7 @@ def cut_vertices(g: Graph) -> int:
         if not stack:
             break
         p = stack[-1]
-        if p == 0:
+        if p == root:
             root_children += 1
         else:
             if lo >= disc[p]:
@@ -401,14 +401,14 @@ def cut_vertices(g: Graph) -> int:
             if lo < low[p]:
                 low[p] = lo
     if seen != g.full_mask:
-        comps = components(g)
+        comps = masked_components(g, mask)
         if len(comps) == 2:
             for comp in comps:
                 if comp.bit_count() == 1:
-                    return g.full_mask ^ comp
-        return g.full_mask
+                    return mask ^ comp
+        return mask
     if root_children >= 2:
-        out |= 1
+        out |= 1 << root
     return out
 
 
@@ -463,16 +463,22 @@ def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:
     return order
 
 
-def iter_simple_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
-    """All simple cycles, shortest first, deterministic order."""
-    for length in range(3, g.order + 1):
-        yield from cycles_of_length(g, length)
+def iter_simple_cycles(g: Graph, mask: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """All simple cycles inside ``mask`` (default: all vertices), shortest
+    first, in the order of ``cycles_of_length``."""
+    if mask is None:
+        mask = g.full_mask
+    for length in range(3, mask.bit_count() + 1):
+        yield from cycles_of_length(g, length, mask)
 
 
-def find_cycle_len_mod3(g: Graph) -> Optional[CyclePath]:
-    """Shortest simple cycle whose length is a multiple of 3, if any."""
-    for length in range(3, g.order + 1, 3):
-        for cyc in cycles_of_length(g, length):
+def find_cycle_len_mod3(g: Graph, mask: Optional[int] = None) -> Optional[CyclePath]:
+    """Shortest simple cycle inside ``mask`` (default: all vertices) whose
+    length is a multiple of 3, if any."""
+    if mask is None:
+        mask = g.full_mask
+    for length in range(3, mask.bit_count() + 1, 3):
+        for cyc in cycles_of_length(g, length, mask):
             return CyclePath(cyc, closed=True)
     return None
 
@@ -485,10 +491,6 @@ def canonical_labels(g: Graph) -> list[int]:
     """Canonical position of each vertex (refinement plus backtracking)."""
     labels, _, _ = _backend.canon_form(g.adj, g.order)
     return labels
-
-
-def canonical_form(g: Graph) -> Graph:
-    return relabel(g, canonical_labels(g))
 
 
 def canonical_code(g: Graph) -> bytes:

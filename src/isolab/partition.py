@@ -9,7 +9,10 @@ doubles as both the oracle for tests and the last-resort fallback.
 
 Reductions, in the order tried: star base case, cycle base case,
 cut-vertex, degree-2 vertex, cycle of length divisible by 3, separating
-cycle. The cycle-length-mod-3 step runs before the separating-cycle scan
+cycle. Each subproblem is the subgraph induced on a vertex mask, solved in
+place in the input graph's numbering, so every vertex in a trace is an
+input vertex; only the exhaustive fallback builds a relabelled copy. The
+cycle-length-mod-3 step runs before the separating-cycle scan
 (dense graphs nearly always contain a triangle, while graphs with no cycle
 length divisible by 3 are necessarily sparse); the steps are sound in any
 order, so this only affects which valid partition is produced.
@@ -137,32 +140,30 @@ def exhaustive_partition3(g: Graph) -> Optional[TriPartition]:
 # structure probes
 
 
-def _star_center(g: Graph) -> Optional[int]:
-    n = g.order
-    if n < 3:
-        return None
-    for v in range(n):
-        if g.adj[v] == g.full_mask ^ (1 << v):
-            if all(g.adj[u].bit_count() == 1 for u in range(n) if u != v):
+def _star_center(g: Graph, mask: int) -> Optional[int]:
+    for v in iter_bits(mask):
+        if g.adj[v] & mask == mask ^ (1 << v):
+            if all((g.adj[u] & mask).bit_count() == 1 for u in iter_bits(mask) if u != v):
                 return v
     return None
 
 
-def _cycle_order(g: Graph) -> Optional[list[int]]:
-    n = g.order
-    if n < 3 or any(row.bit_count() != 2 for row in g.adj):
+def _cycle_order(g: Graph, mask: int) -> Optional[list[int]]:
+    if any((g.adj[v] & mask).bit_count() != 2 for v in iter_bits(mask)):
         return None
-    order = cycle_walk(g, g.full_mask, 0)
-    if len(set(order)) != n:
+    order = cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
+    if len(set(order)) != mask.bit_count():
         return None
     return order
 
 
-def is_c5(g: Graph) -> bool:
-    return (
-        g.order == 5
-        and all(row.bit_count() == 2 for row in g.adj)
-        and is_connected(g)
+def is_c5(g: Graph, mask: Optional[int] = None) -> bool:
+    """Whether the subgraph induced on ``mask`` (default: all vertices) is
+    the 5-cycle: on five vertices, all of degree 2 already means one cycle."""
+    if mask is None:
+        mask = g.full_mask
+    return mask.bit_count() == 5 and all(
+        (g.adj[v] & mask).bit_count() == 2 for v in iter_bits(mask)
     )
 
 
@@ -200,12 +201,13 @@ def separating_path_reduce(
 
 def _color_components(
     g: Graph,
+    mask: int,
     colors: dict[int, int],
     anchors: dict[int, tuple[int, int]],
     parent_step: TraceStep,
     steps: list[TraceStep],
 ) -> None:
-    """Color every component left after a path/cycle step.
+    """Color every component of ``mask`` left after a path/cycle step.
 
     ``anchors`` maps a forced vertex to (its colored neighbor, its forced
     color). Small components get the fixed two-vertex and five-cycle
@@ -213,7 +215,7 @@ def _color_components(
     the forced color.
     """
     colored_mask = bits_of(colors)
-    for comp in masked_components(g, g.full_mask & ~colored_mask):
+    for comp in masked_components(g, mask & ~colored_mask):
         forced = [(v, av, fc) for v, (av, fc) in anchors.items() if (comp >> v) & 1]
         if len(forced) > 1:
             raise RuntimeError("at most one forced vertex per component")
@@ -228,73 +230,47 @@ def _color_components(
                 c = min((nb.count(col), col) for col in COLORS)[1]
             colors[v] = c
             parent_step.colors[v] = c
-        elif size == 2:
-            if not g.has_edge(verts[0], verts[1]):
+        elif size == 2 or is_c5(g, comp):
+            if size == 2 and not g.has_edge(verts[0], verts[1]):
                 raise RuntimeError("two-vertex component must be an edge")
+            # Both patterns start at the forced vertex, else at the first
+            # vertex with a colored neighbor, and read that neighbor's color.
             if forced:
                 w, anchor, f = forced[0]
             else:
                 w = next(v for v in verts if g.adj[v] & colored_mask)
-                anchor = min(iter_bits(g.adj[w] & colored_mask))
-                f = None
+                anchor, f = min(iter_bits(g.adj[w] & colored_mask)), None
             vcol = colors[anchor]
             if f is None:
-                f = min(set(COLORS) - {vcol})
+                f = [c for c in COLORS if c != vcol][0 if size == 2 else 1]
             if f == vcol:
                 raise RuntimeError("forced color clashes with the anchor's color")
-            other = verts[1] if w == verts[0] else verts[0]
-            assign = {w: f, other: 6 - f - vcol}
-            colors.update(assign)
-            parent_step.colors.update(assign)
-        elif size == 5 and all((g.adj[v] & comp).bit_count() == 2 for v in verts):
-            if forced:
-                w, anchor, f = forced[0]
+            second = 6 - f - vcol
+            if size == 2:
+                u = verts[1] if w == verts[0] else verts[0]
+                assign = {w: f, u: second}
             else:
-                w = next(v for v in verts if g.adj[v] & colored_mask)
-                anchor = min(iter_bits(g.adj[w] & colored_mask))
-                f = None
-            vcol = colors[anchor]
-            rest = sorted(set(COLORS) - {vcol})
-            third = f if f is not None else rest[1]
-            if third == vcol:
-                raise RuntimeError("forced color clashes with the anchor's color")
-            second = (set(COLORS) - {vcol, third}).pop()
-            x1, x2, x3, x4, x5 = cycle_walk(g, comp, w)
-            assign = {x3: vcol, x2: second, x5: second, x1: third, x4: third}
+                x1, x2, x3, x4, x5 = cycle_walk(g, comp, w)
+                assign = {x3: vcol, x2: second, x5: second, x1: f, x4: f}
             colors.update(assign)
             parent_step.colors.update(assign)
         else:
-            sub, keep = induced_subgraph(g, comp)
-            sub_colors, sub_steps = _solve(sub)
-            mapped = {keep[v]: c for v, c in sub_colors.items()}
-            mapped_steps = [
-                TraceStep(
-                    s.kind,
-                    tuple(keep[v] for v in s.vertices),
-                    {keep[v]: c for v, c in s.colors.items()},
-                )
-                for s in sub_steps
-            ]
+            sub_colors, sub_steps = _solve(g, comp)
             if forced:
                 w, _, f = forced[0]
-                cur = mapped[w]
+                cur = sub_colors[w]
                 if cur != f:
                     swap = {cur: f, f: cur}
-                    mapped = {v: swap.get(c, c) for v, c in mapped.items()}
-                    mapped_steps = [
-                        TraceStep(
-                            s.kind,
-                            s.vertices,
-                            {v: swap.get(c, c) for v, c in s.colors.items()},
-                        )
-                        for s in mapped_steps
-                    ]
-            colors.update(mapped)
-            steps.extend(mapped_steps)
+                    for d in [sub_colors] + [s.colors for s in sub_steps]:
+                        for v, c in d.items():
+                            d[v] = swap.get(c, c)
+            colors.update(sub_colors)
+            steps.extend(sub_steps)
 
 
 def _path_reduce(
     g: Graph,
+    mask: int,
     path: list[int],
     x: int,
     y: int,
@@ -305,17 +281,17 @@ def _path_reduce(
     colors = dict(path_colors)
     steps = pre_steps + [step]
     anchors = {x: (path[0], forced[x]), y: (path[-1], forced[y])}
-    _color_components(g, colors, anchors, step, steps)
+    _color_components(g, mask, colors, anchors, step, steps)
     return colors, steps
 
 
 def _cycle_reduce(
-    g: Graph, cyc: list[int], kind: str
+    g: Graph, mask: int, cyc: list[int], kind: str
 ) -> tuple[dict[int, int], list[TraceStep]]:
     colors = {v: (i % 3) + 1 for i, v in enumerate(cyc)}
     step = TraceStep(kind, tuple(cyc), dict(colors))
     steps = [step]
-    _color_components(g, colors, {}, step, steps)
+    _color_components(g, mask, colors, {}, step, steps)
     return colors, steps
 
 
@@ -331,9 +307,11 @@ def _cycle_base_coloring(order: list[int]) -> dict[int, int]:
     return {v: pat[i] for i, v in enumerate(order)}
 
 
-def _reduce_cut_vertex(g: Graph, cvs: int) -> tuple[dict[int, int], list[TraceStep]]:
+def _reduce_cut_vertex(
+    g: Graph, mask: int, cvs: int
+) -> tuple[dict[int, int], list[TraceStep]]:
     v = (cvs & -cvs).bit_length() - 1
-    comps_v = masked_components(g, g.full_mask & ~(1 << v))
+    comps_v = masked_components(g, mask & ~(1 << v))
     if len(comps_v) < 2:
         raise RuntimeError("cut-vertex reduction needs a cut vertex")
     nontrivial = 0
@@ -341,37 +319,37 @@ def _reduce_cut_vertex(g: Graph, cvs: int) -> tuple[dict[int, int], list[TraceSt
         if comp.bit_count() >= 2:
             nontrivial |= comp
     z = min(iter_bits(g.adj[v] & nontrivial))
-    y = min(iter_bits(g.adj[z] & ~(1 << v)))
+    y = min(iter_bits(g.adj[z] & mask & ~(1 << v)))
     path = [v, z]
     path_mask = bits_of(path)
-    comp_y = next(
-        c for c in masked_components(g, g.full_mask & ~path_mask) if (c >> y) & 1
-    )
-    x = min(iter_bits(g.adj[v] & ~(1 << z) & ~comp_y))
+    comp_y = next(c for c in masked_components(g, mask & ~path_mask) if (c >> y) & 1)
+    x = min(iter_bits(g.adj[v] & mask & ~(1 << z) & ~comp_y))
     pre = TraceStep("cut-vertex", (v, z))
-    return _path_reduce(g, path, x, y, [pre])
+    return _path_reduce(g, mask, path, x, y, [pre])
 
 
-def _reduce_degree_two(g: Graph, deg2: list[int]) -> tuple[dict[int, int], list[TraceStep]]:
+def _reduce_degree_two(
+    g: Graph, mask: int, deg2: list[int]
+) -> tuple[dict[int, int], list[TraceStep]]:
     best = None
     for v in deg2:
-        a, b = bit_list(g.adj[v])
-        sp = _bfs_shortest_path(g, a, b, g.full_mask & ~(1 << v))
+        a, b = bit_list(g.adj[v] & mask)
+        sp = _bfs_shortest_path(g, a, b, mask & ~(1 << v))
         if sp is None:
             raise RuntimeError("degree-2 reduction requires 2-connectivity")
         cyc = [v] + sp
         if best is None or len(cyc) < len(best):
             best = cyc
     cyc = best
-    cyc_mask = bits_of(cyc)
+    rest = mask & ~bits_of(cyc)
     length = len(cyc)
     pairs = []
     for i in range(length):
         u = cyc[i]
-        if g.degree(u) != 2:
+        if (g.adj[u] & mask).bit_count() != 2:
             continue
         for w in (cyc[(i - 1) % length], cyc[(i + 1) % length]):
-            if g.adj[w] & ~cyc_mask:
+            if g.adj[w] & rest:
                 pairs.append((u, w))
     if not pairs:
         raise RuntimeError("a graph that is not a cycle has such a pair on this cycle")
@@ -379,16 +357,17 @@ def _reduce_degree_two(g: Graph, deg2: list[int]) -> tuple[dict[int, int], list[
     i = cyc.index(u)
     rot = cyc[i + 1 :] + cyc[:i]
     path = rot if rot[-1] == w else list(reversed(rot))
-    y = min(iter_bits(g.adj[w] & ~cyc_mask))
+    y = min(iter_bits(g.adj[w] & rest))
     pre = TraceStep("degree-2", (u, w))
-    return _path_reduce(g, path, x=u, y=y, pre_steps=[pre])
+    return _path_reduce(g, mask, path, x=u, y=y, pre_steps=[pre])
 
 
-def _reduce_separating_cycle(g: Graph) -> Optional[tuple[dict[int, int], list[TraceStep]]]:
-    for cyc in iter_simple_cycles(g):
+def _reduce_separating_cycle(
+    g: Graph, mask: int
+) -> Optional[tuple[dict[int, int], list[TraceStep]]]:
+    for cyc in iter_simple_cycles(g, mask):
         cyc = list(cyc)
-        cyc_mask = bits_of(cyc)
-        rest = g.full_mask & ~cyc_mask
+        rest = mask & ~bits_of(cyc)
         if not rest:
             continue
         comps = masked_components(g, rest)
@@ -412,7 +391,7 @@ def _reduce_separating_cycle(g: Graph) -> Optional[tuple[dict[int, int], list[Tr
                     if comp_of(xc) != comp_of(yc):
                         path = [cyc[(i + 1 + t) % length] for t in range(length)]
                         pre = TraceStep("separating-cycle", tuple(cyc))
-                        return _path_reduce(g, path, x=xc, y=yc, pre_steps=[pre])
+                        return _path_reduce(g, mask, path, x=xc, y=yc, pre_steps=[pre])
         # Otherwise some cycle vertex has no outside neighbor; drop one such
         # vertex whose cycle neighbor does reach outside.
         cands = []
@@ -431,70 +410,73 @@ def _reduce_separating_cycle(g: Graph) -> Optional[tuple[dict[int, int], list[Tr
         path = rot if rot[-1] == w else list(reversed(rot))
         y = min(iter_bits(g.adj[w] & rest))
         pre = TraceStep("separating-cycle", tuple(cyc))
-        return _path_reduce(g, path, x=v, y=y, pre_steps=[pre])
+        return _path_reduce(g, mask, path, x=v, y=y, pre_steps=[pre])
     return None
 
 
-def _solve(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
-    n = g.order
-    if n < 3 or is_c5(g):
+def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
+    """Color the connected subgraph induced on ``mask``, in ``g``'s own
+    vertex numbering."""
+    n = mask.bit_count()
+    if n < 3 or is_c5(g, mask):
         raise RuntimeError("reduction needs order at least 3 and no 5-cycle")
 
-    center = _star_center(g)
+    center = _star_center(g, mask)
     if center is not None:
-        leaves = [v for v in range(n) if v != center]
+        leaves = [v for v in iter_bits(mask) if v != center]
         colors = {center: 1, leaves[0]: 2, leaves[1]: 3}
         for u in leaves[2:]:
             colors[u] = 1
         return colors, [TraceStep("base-star", (center,), dict(colors))]
 
-    cyc = _cycle_order(g)
+    cyc = _cycle_order(g, mask)
     if cyc is not None:
         colors = _cycle_base_coloring(cyc)
         return colors, [TraceStep("base-cycle", tuple(cyc), dict(colors))]
 
-    cvs = cut_vertices(g)
+    cvs = cut_vertices(g, mask)
     if cvs:
-        colors, steps = _reduce_cut_vertex(g, cvs)
+        colors, steps = _reduce_cut_vertex(g, mask, cvs)
     else:
-        deg2 = [v for v in range(n) if g.degree(v) == 2]
+        deg2 = [v for v in iter_bits(mask) if (g.adj[v] & mask).bit_count() == 2]
         if deg2:
-            colors, steps = _reduce_degree_two(g, deg2)
+            colors, steps = _reduce_degree_two(g, mask, deg2)
         else:
-            cp = find_cycle_len_mod3(g)
+            cp = find_cycle_len_mod3(g, mask)
             if cp is not None:
-                colors, steps = _cycle_reduce(g, list(cp.vertices), "cycle-mod-3")
+                colors, steps = _cycle_reduce(g, mask, list(cp.vertices), "cycle-mod-3")
             else:
-                reduced = _reduce_separating_cycle(g)
+                reduced = _reduce_separating_cycle(g, mask)
                 if reduced is None:
-                    return _exhaust(g)
+                    return _exhaust(g, mask)
                 colors, steps = reduced
     if len(colors) != n:
         raise RuntimeError("reduction left a vertex uncolored")
     return colors, steps
 
 
-def _exhaust(g: Graph) -> tuple[dict[int, int], list[TraceStep]]:
+def _exhaust(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
     # Reachable only through a gap between the reduction engine and the
-    # theory; loud by design.
-    if g.order > EXHAUSTIVE_MAX_ORDER:
+    # theory; loud by design, naming the subgraph that dead-ended.
+    sub, keep = induced_subgraph(g, mask)
+    if sub.order > EXHAUSTIVE_MAX_ORDER:
         raise EngineGap(
-            f"reduction dead-end on {g.order}-vertex graph {write_graph6(g)}; "
+            f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}; "
             f"exhaustive fallback is guarded at order {EXHAUSTIVE_MAX_ORDER}"
         )
     log.warning(
         "reduction dead-end on %d-vertex graph %s; running exhaustive fallback",
-        g.order,
-        write_graph6(g),
+        sub.order,
+        write_graph6(sub),
     )
-    tp = exhaustive_partition3(g)
+    tp = exhaustive_partition3(sub)
     if tp is None:
         raise NoValidPartition("exhaustive fallback found no valid partition")
     colors = {}
     for i, cls in enumerate(tp.classes):
         for v in iter_bits(cls):
-            colors[v] = i + 1
-    return colors, [TraceStep("exhaustive-fallback", tuple(range(g.order)), dict(colors))]
+            colors[keep[v]] = i + 1
+    return colors, [TraceStep("exhaustive-fallback", keep, dict(colors))]
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +497,12 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
         raise ValueError("partition requires a connected graph")
     if is_c5(g):
         raise NoValidPartition("the 5-cycle admits no valid partition")
-    colors, steps = _solve(g)
+    colors, steps = _solve(g, g.full_mask)
     tp = _colors_to_partition(g, colors)
     ok, _, bad = verify_partition(g, tp)
     if not ok:
         log.warning("self-verification failed (edge %s); falling back", bad)
-        colors, steps = _exhaust(g)
+        colors, steps = _exhaust(g, g.full_mask)
         tp = _colors_to_partition(g, colors)
         ok, _, _ = verify_partition(g, tp)
         if not ok:

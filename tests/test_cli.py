@@ -116,6 +116,21 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and str(path) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--order", "3"],
+        ["derive-e", "--order", "6"],
+    ], ids=["extremal", "derive-e"])
+    def test_unwritable_out_exits_2_before_computing(self, capsys, tmp_path, monkeypatch, argv):
+        def boom(*args, **kwargs):
+            raise AssertionError("computed before opening --out")
+
+        monkeypatch.setattr(lab, "extremal_graphs", boom)
+        monkeypatch.setattr(lab, "derive_exceptional", boom)
+        path = tmp_path / "missing" / "out"
+        code, out, err = run_cli(capsys, argv + ["--out", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"isolab: error: cannot write {path}: No such file or directory\n"
+
     @pytest.mark.parametrize("text", [
         '{"base": "@", "pendants": [',
         "[1]",

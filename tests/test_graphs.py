@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ import oracles
 from conftest import random_connected_graph, random_graph
 from isolab import graphs as G
 from isolab import lab
+from isolab.partition import is_c5
 
 
 def all_labeled_graphs(n):
@@ -286,15 +287,6 @@ class TestNeighborhoods:
         y = x | rnd.randrange(1 << n)
         assert G.closed_neighborhood(g, x) & ~G.closed_neighborhood(g, y) == 0
 
-    def test_delete_closed_neighborhood(self):
-        c5 = G.cycle_graph(5)
-        h, keep = G.delete_closed_neighborhood(c5, 1 << 0)
-        assert h.order == 2 and h.edge_count() == 1 and keep == (2, 3)
-        h, _ = G.delete_closed_neighborhood(G.path_graph(3), 1 << 1)
-        assert h.order == 0
-        h, _ = G.delete_closed_neighborhood(G.cycle_graph(6), 1 << 0)
-        assert h == G.path_graph(3)
-
 
 class TestConnectivity:
     def test_components_cycle(self):
@@ -398,6 +390,54 @@ class TestCycles:
         g = G.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (1, 6)])
         cp = G.find_cycle_len_mod3(g)
         assert len(cp.vertices) == 3
+
+
+def connected_mask(rng, g, size):
+    """A connected vertex set of at most ``size`` vertices, grown from a
+    random vertex one random neighbor at a time."""
+    mask = 1 << rng.randrange(g.order)
+    while mask.bit_count() < size:
+        frontier = G.closed_neighborhood(g, mask) & ~mask
+        if not frontier:
+            break
+        mask |= 1 << rng.choice(G.bit_list(frontier))
+    return mask
+
+
+class TestMasks:
+    """Each masked helper equals the unmasked one on the induced subgraph,
+    mapped back through its increasing vertex map."""
+
+    @staticmethod
+    def check(g, mask):
+        sub, keep = G.induced_subgraph(g, mask)
+
+        def back(x):
+            return G.bits_of(keep[v] for v in G.iter_bits(x))
+
+        assert G.cut_vertices(g, mask) == back(G.cut_vertices(sub))
+        cp = G.find_cycle_len_mod3(sub)
+        want = None if cp is None else G.CyclePath(tuple(keep[v] for v in cp.vertices), True)
+        assert G.find_cycle_len_mod3(g, mask) == want
+        # A prefix keeps dense masks from enumerating exponentially many cycles.
+        cycles = [tuple(keep[v] for v in c) for c in islice(G.iter_simple_cycles(sub), 300)]
+        assert list(islice(G.iter_simple_cycles(g, mask), 300)) == cycles
+        assert is_c5(g, mask) == is_c5(sub)
+
+    def test_random_masks_on_all_graphs_up_to_7(self):
+        rng = random.Random(12)
+        for n in range(1, 8):
+            for line in lab.enumerate_all(n):
+                g = G.parse_graph6(line)
+                for _ in range(3):
+                    self.check(g, rng.randrange(1 << n))
+
+    def test_connected_masks_in_random_graphs_up_to_64(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            n = rng.randrange(3, G.MAX_ORDER + 1)
+            g = random_graph(rng, n, rng.choice([2.5 / n, 4.0 / n, 0.2, 0.5]))
+            self.check(g, connected_mask(rng, g, rng.randrange(3, 17)))
 
 
 class TestCanonical:

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 import random
@@ -26,6 +27,10 @@ from isolab.partition import (
     separating_path_reduce,
     verify_partition,
 )
+
+
+# sha256 of the engine output over the graphs of test_trace_bytes_pinned.
+PINNED_TRACE_SHA256 = "18d19cc129a9388a4d4a4b2dea7c6a266fe50a98e1a8f5eda3397d066a03c23c"
 
 
 class TestOracleAgreement:
@@ -150,6 +155,20 @@ class TestEngineOnCatalogs:
             assert ok, (G.write_graph6(g), bad)
             assert not any(s.kind == "exhaustive-fallback" for s in steps)
 
+    def test_trace_bytes_pinned(self, small_connected):
+        # Every choice the engine makes is a minimum or an ascending order,
+        # so its classes, leftover and trace are fixed bytes; this digest
+        # pins them across refactors of the engine.
+        graphs = [g for n in range(3, 8) for g in small_connected[n] if not is_c5(g)]
+        rng = random.Random(2031)
+        graphs += [random_connected_graph(rng, rng.randrange(9, 31)) for _ in range(300)]
+        h = hashlib.sha256()
+        for g in graphs:
+            tp, steps = partition3(g)
+            trace = [(s.kind, s.vertices, sorted(s.colors.items())) for s in steps]
+            h.update(repr((tp.classes, tp.residual, trace)).encode() + b"\n")
+        assert h.hexdigest() == PINNED_TRACE_SHA256
+
     def test_determinism(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -231,12 +250,13 @@ class TestTrace:
             "    except RuntimeError as exc:\n"
             "        print('raised', exc)\n"
             "cut_vertices = partition.cut_vertices\n"
-            "partition.cut_vertices = lambda g: 1\n"
+            "partition.cut_vertices = lambda g, mask: 1\n"
             "probe(lambda: partition.partition3(theta))\n"
             "partition.cut_vertices = cut_vertices\n"
             "partition._bfs_shortest_path = lambda *args: None\n"
             "probe(lambda: partition.partition3(theta))\n"
-            "probe(lambda: partition._solve(graphs.cycle_graph(5)))\n"
+            "c5 = graphs.cycle_graph(5)\n"
+            "probe(lambda: partition._solve(c5, c5.full_mask))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -258,7 +278,7 @@ class TestRarePaths:
         from isolab.partition import _colors_to_partition, _reduce_separating_cycle
 
         g = G.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 5)])
-        reduced = _reduce_separating_cycle(g)
+        reduced = _reduce_separating_cycle(g, g.full_mask)
         assert reduced is not None
         colors, steps = reduced
         assert steps[0].kind == "separating-cycle"
@@ -271,22 +291,31 @@ class TestRarePaths:
         from isolab.partition import _colors_to_partition, _exhaust
 
         g = G.cycle_graph(6)
-        colors, steps = _exhaust(g)
+        colors, steps = _exhaust(g, g.full_mask)
         assert steps[0].kind == "exhaustive-fallback"
         ok, _, _ = verify_partition(g, _colors_to_partition(g, colors))
         assert ok
+        # On a proper mask it colors the induced subgraph in h's numbering.
+        h = G.disjoint_union(G.path_graph(3), g)
+        colors_h, steps_h = _exhaust(h, h.full_mask & ~0b111)
+        assert colors_h == {v + 3: c for v, c in colors.items()}
+        assert steps_h[0].vertices == tuple(range(3, 9))
 
     def test_exhaustive_fallback_warning_names_the_graph(self, caplog):
         g = G.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-        with caplog.at_level(logging.WARNING, logger="isolab.partition"):
-            P._exhaust(g)
-        assert any(G.write_graph6(g) in r.getMessage() for r in caplog.records)
+        # The same subgraph, alone and inside a graph with a pendant vertex.
+        h = G.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 4)])
+        for host in (g, h):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="isolab.partition"):
+                P._exhaust(host, 0b1111)
+            assert any(G.write_graph6(g) in r.getMessage() for r in caplog.records)
 
     def test_failed_fallback_raises(self, monkeypatch):
         # Both the engine and the fallback return a monochrome coloring,
         # which never verifies; the result must not be returned.
-        def mono(g):
-            return {v: 1 for v in range(g.order)}, []
+        def mono(g, mask):
+            return {v: 1 for v in G.iter_bits(mask)}, []
 
         monkeypatch.setattr(P, "_solve", mono)
         monkeypatch.setattr(P, "_exhaust", mono)
@@ -297,7 +326,8 @@ class TestRarePaths:
         from isolab.partition import _exhaust
 
         with pytest.raises(NoValidPartition):
-            _exhaust(G.cycle_graph(5))
+            c5 = G.cycle_graph(5)
+            _exhaust(c5, c5.full_mask)
 
     def test_dead_end_above_fallback_guard_is_engine_gap(self, monkeypatch, caplog):
         g = G.path_graph(P.EXHAUSTIVE_MAX_ORDER + 1)
