@@ -1,6 +1,6 @@
 /* Compiled compute kernels: canonical labeling and set-cover decisions.
  *
- * Mirrors isolab._pykernels exactly (same refinement order, same orbit
+ * Mirrors isolab._pykernels exactly (same refined partitions, same orbit
  * pruning, same 96-automorphism cap, same tie-breaks), so the two backends
  * are interchangeable. Graphs arrive as a sequence of per-vertex adjacency
  * bitmasks, one 64-bit word per vertex, order <= 64.
@@ -85,7 +85,8 @@ static void pack_body(const CS *s, const int *vx, unsigned char *out) {
 
 /* Stable neighborhood refinement: split every cell by its members' neighbor
  * counts against each current cell until nothing splits. Subcells come in
- * ascending signature order, members ascending, as in the Python fallback.
+ * ascending signature order, members ascending. The Python fallback counts
+ * only against the cells that just split and gets the same subcells.
  * Rewrites vx and cstart in place and returns the new cell count. */
 static int refine(const CS *s, int *vx, int *cstart, int ncells) {
     u64 cellmask[MAXN];
@@ -263,7 +264,7 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
     int vx[MAXN], cstart[MAXN + 1], degs[MAXN];
     int i, j, n, ncells;
     u64 full;
-    PyObject *labels, *body, *orbits;
+    PyObject *labels, *body, *orbits, *auts;
     (void)self;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "canon_form() takes exactly 2 arguments (%zd given)", nargs);
@@ -293,8 +294,9 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
     }
     labels = PyList_New(n);
     orbits = PyList_New(n);
+    auts = PyList_New(s.naut);
     body = PyBytes_FromStringAndSize((const char *)s.best_body, s.body_len);
-    if (labels == NULL || orbits == NULL || body == NULL)
+    if (labels == NULL || orbits == NULL || auts == NULL || body == NULL)
         goto fail;
     for (i = 0; i < n; i++) {
         /* orbit representative = union-find root = least vertex of its class */
@@ -307,11 +309,25 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
         PyList_SET_ITEM(labels, i, label);
         PyList_SET_ITEM(orbits, i, orbit);
     }
-    return Py_BuildValue("(NNN)", labels, body, orbits);
+    /* the automorphisms in the order found, gamma[v] = image of v */
+    for (j = 0; j < s.naut; j++) {
+        PyObject *gamma = PyList_New(n);
+        if (gamma == NULL)
+            goto fail;
+        PyList_SET_ITEM(auts, j, gamma);
+        for (i = 0; i < n; i++) {
+            PyObject *image = PyLong_FromLong(s.auts[j][i]);
+            if (image == NULL)
+                goto fail;
+            PyList_SET_ITEM(gamma, i, image);
+        }
+    }
+    return Py_BuildValue("(NNNN)", labels, body, orbits, auts);
 fail:
     Py_XDECREF(labels);
     Py_XDECREF(body);
     Py_XDECREF(orbits);
+    Py_XDECREF(auts);
     return NULL;
 }
 
@@ -406,8 +422,9 @@ static PyObject *has_dominating_set(PyObject *self, PyObject *const *args, Py_ss
 
 static PyMethodDef core_methods[] = {
     {"canon_form", (PyCFunction)(void (*)(void))canon_form, METH_FASTCALL,
-     "canon_form(adj, n) -> (labels, body, orbits), as in isolab._pykernels;\n"
-     "a maximum-degree vertex is labeled last."},
+     "canon_form(adj, n) -> (labels, body, orbits, auts), as in isolab._pykernels;\n"
+     "auts lists the first 96 automorphisms found, each as gamma[v] = image of v,\n"
+     "and a maximum-degree vertex is labeled last."},
     {"has_isolating_set", (PyCFunction)(void (*)(void))has_isolating_set, METH_FASTCALL,
      "has_isolating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
      "isolates the graph; the search starts with covered vertices removed and never\n"

@@ -12,22 +12,34 @@ BACKEND_NAME = "python"
 _AUT_CAP = 96
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, fresh):
     """Stable neighborhood refinement of an ordered partition.
 
     Repeatedly splits cells by the vector of neighbor counts against every
     current cell, keeping subcells in ascending signature order, until no
     cell splits. Deterministic and invariant under vertex relabeling.
+
+    Only the counts against the cells in ``fresh`` are taken. The caller
+    passes the cells its input may be uneven against, less one whose counts
+    follow from the others: the search passes the degree cells but the last
+    at the root, and the individualized singleton below it. Each later
+    round takes the subcells that the round before split off, less the last
+    of each split cell. The result is the same as counting against every
+    cell. Members of a cell have equal counts against each cell of the
+    round before, and the counts against a split cell's parts add up to the
+    count against the whole. So two members' full signatures agree at every
+    cell that is not fresh, at a split cell's last part once they agree at
+    its other parts, which come first, and first differ at a fresh cell.
     """
-    while True:
+    while fresh:
         masks = []
-        for cell in cells:
+        for cell in fresh:
             m = 0
             for v in cell:
                 m |= 1 << v
             masks.append(m)
         out = []
-        split = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
@@ -35,17 +47,16 @@ def _refine(adj, cells):
             sigs = {}
             for v in cell:
                 a = adj[v]
-                sig = tuple((a & m).bit_count() for m in masks)
+                sig = tuple([(a & m).bit_count() for m in masks])
                 sigs.setdefault(sig, []).append(v)
             if len(sigs) == 1:
                 out.append(cell)
             else:
-                split = True
-                for key in sorted(sigs):
-                    out.append(sigs[key])
-        if not split:
-            return out
+                parts = [sigs[key] for key in sorted(sigs)]
+                out += parts
+                fresh += parts[:-1]
         cells = out
+    return cells
 
 
 def _pack_body(adj, n, pos):
@@ -74,12 +85,14 @@ def _pack_body(adj, n, pos):
 def canon_form(adj, n):
     """Canonical labeling by refinement plus backtracking.
 
-    Returns ``(labels, body, orbits)`` where ``labels[v]`` is the canonical
-    position of vertex ``v``, ``body`` is the graph6 bit packing of the
-    relabeled adjacency (equal bodies for equal order <=> isomorphic), and
-    ``orbits[v]`` is the least vertex in ``v``'s orbit under the
-    automorphisms discovered during the search (a refinement of the true
-    orbit partition, never coarser).
+    Returns ``(labels, body, orbits, auts)`` where ``labels[v]`` is the
+    canonical position of vertex ``v``, ``body`` is the graph6 bit packing
+    of the relabeled adjacency (equal bodies for equal order <=>
+    isomorphic), ``auts`` lists the automorphisms discovered during the
+    search, the first ``_AUT_CAP`` of them in the order found, each as a
+    list with ``gamma[v]`` the image of ``v``, and ``orbits[v]`` is the
+    least vertex in ``v``'s orbit under every discovered automorphism (a
+    refinement of the true orbit partition, never coarser).
 
     Positions are in nondecreasing degree, so ``labels`` puts a vertex of
     maximum degree last: the search starts from cells in ascending degree
@@ -87,7 +100,7 @@ def canon_form(adj, n):
     prunes on this.
     """
     if n == 0:
-        return [], b"", []
+        return [], b"", [], []
     bydeg = {}
     for v in range(n):
         bydeg.setdefault(adj[v].bit_count(), []).append(v)
@@ -111,8 +124,8 @@ def canon_form(adj, n):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    def search(cells, prefix):
-        cells = _refine(adj, cells)
+    def search(cells, prefix, fresh):
+        cells = _refine(adj, cells, fresh)
         t = -1
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -158,12 +171,13 @@ def canon_form(adj, n):
                     tried.add(v)
                     continue
             rest = [u for u in cell if u != v]
-            search(head + [[v], rest] + tail, prefix + (v,))
+            single = [v]
+            search(head + [single, rest] + tail, prefix + (v,), [single])
             tried.add(v)
 
-    search(cells0, ())
+    search(cells0, (), cells0[:-1])
 
-    return best["pos"], best["body"], [find(v) for v in range(n)]
+    return best["pos"], best["body"], [find(v) for v in range(n)], auts
 
 
 def has_isolating_set(adj, n, k, covered=0, forbidden=0):

@@ -319,7 +319,7 @@ def main(argv=None) -> int:
             parser.error("full enumeration (without --connected) stops at order 9")
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, lab.CacheDirError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
     except BrokenPipeError:

@@ -489,8 +489,7 @@ def find_cycle_len_mod3(g: Graph, mask: Optional[int] = None) -> Optional[CycleP
 
 def canonical_labels(g: Graph) -> list[int]:
     """Canonical position of each vertex (refinement plus backtracking)."""
-    labels, _, _ = _backend.canon_form(g.adj, g.order)
-    return labels
+    return _backend.canon_form(g.adj, g.order)[0]
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -505,5 +504,4 @@ def canonical_code(g: Graph) -> bytes:
 def canonical_code_of(adj: Sequence[int], n: int) -> bytes:
     """``canonical_code`` of the graph with these adjacency masks, for
     callers that hold raw rows and no ``Graph``."""
-    _, body, _ = _backend.canon_form(adj, n)
-    return _g6_header(n) + body
+    return _g6_header(n) + _backend.canon_form(adj, n)[1]

@@ -18,6 +18,20 @@ child's isomorphism class, so skipping such a child before the per-parent
 dedupe leaves the output unchanged. For connected final levels, a child is
 connected exactly when the new vertex's neighborhood meets every component
 of the parent.
+
+Of the subsets left, only one per orbit of the parent's automorphisms is
+canonized (orbit pruning, as in McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998). An automorphism of the parent maps a
+subset to one whose child is isomorphic, so every skipped subset has an
+isomorphic subset earlier in the iteration order, whose code the per-parent
+dedupe already holds. The automorphisms are the ones ``canon_form`` found
+on the parent; they may generate only a subgroup, which makes the orbits
+finer but the pruning no less exact, and the dedupe stays for the
+isomorphic children that such orbits, or different orbits, still give.
+
+The canonical parent test compares the sorted degree sequence of the
+child minus its canonically-last vertex with the parent's before it
+canonizes that deletion; a mismatch means the two are not isomorphic.
 """
 
 from __future__ import annotations
@@ -76,6 +90,39 @@ def _delete_vertex(adj: tuple[int, ...], u: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _orbit_heads(subsets, k: int, auts) -> list[int]:
+    """The first subset, in the given order, of each orbit that the
+    subsets meet under the group generated by ``auts`` (permutations of
+    ``range(k)``), in that order."""
+    subsets = list(subsets)
+    if not auts:
+        return subsets
+    # images[g][s]: the image of subset s under auts[g], built a bit at a time
+    images = []
+    for gamma in auts:
+        img = [0]
+        for v in range(k):
+            bit = 1 << gamma[v]
+            img += [s | bit for s in img]
+        images.append(img)
+    reached = bytearray(1 << k)
+    heads = []
+    for s in subsets:
+        if reached[s]:
+            continue
+        heads.append(s)
+        reached[s] = 1
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y = img[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    stack.append(y)
+    return heads
+
+
 def _children_of(
     parent: tuple[tuple[int, ...], bytes],
     connected_final: bool,
@@ -84,30 +131,36 @@ def _children_of(
     """Accepted augmentations of one parent, deduped within the parent."""
     padj, pcode = parent
     k = len(padj)
-    top = max(row.bit_count() for row in padj)
+    pdegs = sorted(row.bit_count() for row in padj)
+    top = pdegs[-1]
     topmask = bits_of(v for v, row in enumerate(padj) if row.bit_count() == top)
     comps = components(Graph(k, padj)) if connected_final else []
+    # The new vertex must reach the child's maximum degree (module
+    # docstring), and must touch every parent component to connect it.
+    subsets = [
+        s
+        for s in (range((1 << k) - 1, -1, -1) if descending else range(1 << k))
+        if s.bit_count() >= top + (1 if s & topmask else 0)
+        and all(s & comp for comp in comps)
+    ]
+    auts = _backend.canon_form(padj, k)[3]
     out = []
     seen: set[bytes] = set()
-    subsets = range((1 << k) - 1, -1, -1) if descending else range(1 << k)
-    for subset in subsets:
-        # The new vertex must reach the child's maximum degree (module
-        # docstring), and must touch every parent component to connect it.
-        if subset.bit_count() < top + (1 if subset & topmask else 0):
-            continue
-        if connected_final and not all(subset & comp for comp in comps):
-            continue
+    for subset in _orbit_heads(subsets, k, auts):
         child = tuple(
             row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)
         ) + (subset,)
-        labels, body, orbits = _backend.canon_form(child, k + 1)
+        labels, body, orbits, _ = _backend.canon_form(child, k + 1)
         code = _g6_header(k + 1) + body
         if code in seen:
             continue
         seen.add(code)
         u_last = labels.index(k)
         if u_last != k and orbits[u_last] != orbits[k]:
-            if canonical_code_of(_delete_vertex(child, u_last), k) != pcode:
+            rest = _delete_vertex(child, u_last)
+            if sorted(row.bit_count() for row in rest) != pdegs:
+                continue
+            if canonical_code_of(rest, k) != pcode:
                 continue
         out.append((child, code))
     return out
@@ -130,32 +183,57 @@ def _all_graphs_level(n: int) -> list[tuple[tuple[int, ...], bytes]]:
     return level
 
 
+class CacheDirError(OSError):
+    """``ISOLAB_CACHE_DIR`` names something that cannot hold the cache."""
+
+
 def _cache_path(name: str) -> Optional[str]:
     root = os.environ.get("ISOLAB_CACHE_DIR")
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError as exc:
+        raise CacheDirError(f"cannot use cache dir {root}: {exc.strerror}") from None
     return os.path.join(root, name)
 
 
+def _cache_header(body: bytes) -> bytes:
+    # Imported here: loading hashlib adds about 4 MB of resident memory,
+    # which runs without ISOLAB_CACHE_DIR need not pay.
+    import hashlib
+
+    return b"# sha256 " + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+
+
 def _read_cache(path: str, n: int) -> Optional[list[str]]:
-    """The cached catalog, or None when the file is missing or holds other
-    than the known number of classes (cut short, say)."""
+    """The cached catalog, or None when the file is missing or fails a check:
+    its first line must be the sha256 header of the rest, which must hold
+    the known number of classes in strictly increasing order."""
     try:
-        with open(path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        with open(path, "rb") as fh:
+            header, body = fh.readline(), fh.read()
+        lines = body.decode("ascii").split("\n")
     except (FileNotFoundError, UnicodeDecodeError):
         return None
-    return lines if len(lines) == CONNECTED_COUNTS[n - 1] else None
+    if header != _cache_header(body) or lines.pop() != "":
+        return None
+    if len(lines) != CONNECTED_COUNTS[n - 1]:
+        return None
+    if any(a >= b for a, b in zip(lines, lines[1:])):
+        return None
+    return lines
 
 
 def _write_cache(path: str, lines: list[str]) -> None:
     """Write a temp file beside ``path`` and rename it over ``path``, so the
-    cache never holds a half-written catalog."""
+    cache never holds a half-written catalog. The first line is
+    ``# sha256 <hex>`` of the graph6 lines below it."""
+    body = ("\n".join(lines) + "\n").encode("ascii")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_cache_header(body) + body)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

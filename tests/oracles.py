@@ -76,6 +76,55 @@ def isomorphic_ref(n1, edges1, n2, edges2) -> bool:
     return False
 
 
+def is_automorphism_ref(n: int, edges: set[frozenset[int]], perm) -> bool:
+    """perm (perm[v] = image of v) permutes range(n) and maps edges onto edges."""
+    return sorted(perm) == list(range(n)) and {
+        frozenset(perm[v] for v in e) for e in edges
+    } == edges
+
+
+def orbit_minima_ref(n: int, perms) -> list[int]:
+    """The least vertex of each vertex's orbit under the group the perms
+    generate: the union of their cycles through it, closed by search."""
+    out = []
+    for v in range(n):
+        orbit = {v}
+        frontier = [v]
+        while frontier:
+            u = frontier.pop()
+            for perm in perms:
+                if perm[u] not in orbit:
+                    orbit.add(perm[u])
+                    frontier.append(perm[u])
+        out.append(min(orbit))
+    return out
+
+
+def subset_orbit_heads_ref(k: int, perms, order) -> list[int]:
+    """The first subset mask, in the given order, of each orbit of subsets
+    of range(k) under the group the perms generate. The group is closed
+    out as a set of permutation tuples, then applied to every subset."""
+    group = {tuple(range(k))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for perm in perms:
+            h = tuple(perm[g[v]] for v in range(k))
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    heads = []
+    done = set()
+    for s in order:
+        if s in done:
+            continue
+        heads.append(s)
+        members = {v for v in range(k) if s >> v & 1}
+        for g in group:
+            done.add(sum(1 << g[v] for v in members))
+    return heads
+
+
 def valid_tripartition_ref(n, edges, coloring) -> bool:
     """Set-based check that the leftover of a 3-coloring is independent."""
     adj = neighbors(n, edges)

@@ -6,6 +6,8 @@ classification, the exceptional catalogs, the order-15 search) are built
 once per module and shared.
 """
 
+import hashlib
+
 import pytest
 
 from isolab import family as F
@@ -50,6 +52,20 @@ def test_criterion_01_order9_reproduction(report9):
     assert report9.g_count == 18
     assert report9.e_count == 8
     ok(1, "order-9 search: 261080 connected graphs, 26 extremal = 18 family + 8 exceptional")
+
+
+# sha256 of the order-9 connected catalog, computed before orbit pruning:
+# the lines joined by newlines, and the same with the final newline that
+# `isolab enum --order 9 --connected` prints.
+ORDER9_SHA256 = "95cbcdce236032e13bca398ddc38b72eb51e95d41910530ee2316cd12c23ba55"
+ORDER9_OUTPUT_SHA256 = "171f6e37c93a53dcb213fb3f3cc72ec62369fe7bec1228d5de5ba6deb1ad92b2"
+
+
+def test_supporting_order9_catalog_bytes(report9):
+    # report9 built and memoized the catalog
+    text = "\n".join(lab.enumerate_connected(9))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER9_SHA256
+    assert hashlib.sha256((text + "\n").encode()).hexdigest() == ORDER9_OUTPUT_SHA256
 
 
 def test_criterion_02_exceptional_counts(exceptional):

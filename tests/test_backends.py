@@ -2,6 +2,7 @@
 
 import random
 
+import oracles
 import pytest
 
 from isolab import _pykernels
@@ -56,15 +57,32 @@ def test_canon_identical_on_random_graphs(core):
         assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
 
 
+SYMMETRIC = (
+    G.complete_graph(9),
+    G.empty_graph(9),
+    G.cycle_graph(9),
+    G.star_graph(8),
+    G.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),  # K44
+)
+
+
 def test_highly_symmetric_graphs(core):
-    for g in (
-        G.complete_graph(9),
-        G.empty_graph(9),
-        G.cycle_graph(9),
-        G.star_graph(8),
-        G.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),  # K44
-    ):
+    for g in SYMMETRIC:
         assert _pykernels.canon_form(g.adj, g.order) == core.canon_form(g.adj, g.order)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_automorphisms_of_symmetric_graphs(request, backend):
+    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
+    for g in SYMMETRIC:
+        n = g.order
+        edges = {frozenset((u, v)) for u in range(n) for v in G.iter_bits(g.adj[u])}
+        _, _, orbits, auts = kernels.canon_form(g.adj, n)
+        assert 0 < len(auts) <= _pykernels._AUT_CAP
+        assert all(oracles.is_automorphism_ref(n, edges, gamma) for gamma in auts)
+        assert orbits == oracles.orbit_minima_ref(n, auts)
+        # each of these graphs is vertex-transitive or a star
+        assert len(set(orbits)) == (2 if g == G.star_graph(8) else 1)
 
 
 def test_identical_on_random_graphs_up_to_64(core):

@@ -131,6 +131,15 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert err == f"isolab: error: cannot write {path}: No such file or directory\n"
 
+    def test_cache_dir_naming_a_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "cache"
+        path.write_text("")
+        monkeypatch.setenv("ISOLAB_CACHE_DIR", str(path))
+        monkeypatch.delitem(lab._CONNECTED, 5, raising=False)
+        code, out, err = run_cli(capsys, ["enum", "--order", "5", "--connected"])
+        assert code == 2 and out == ""
+        assert err == f"isolab: error: cannot use cache dir {path}: File exists\n"
+
     @pytest.mark.parametrize("text", [
         '{"base": "@", "pendants": [',
         "[1]",

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from conftest import random_connected_graph
 from isolab import _pykernels
 from isolab import family as F
@@ -67,19 +68,50 @@ class TestEnumeration:
         monkeypatch.setenv("ISOLAB_CACHE_DIR", str(tmp_path))
         lab._CONNECTED.pop(6, None)
         first = lab.enumerate_connected(6)
-        assert (tmp_path / "connected_n6.g6").exists()
+        cache = tmp_path / "connected_n6.g6"
+        assert cache.read_text() == self.cache_text(first)
         lab._CONNECTED.pop(6, None)
+        # a valid file is read back, not rebuilt
+        monkeypatch.setattr(lab, "_all_graphs_level", None)
         assert lab.enumerate_connected(6) == first
         lab._CONNECTED.pop(6, None)
 
-    def test_truncated_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
+    @staticmethod
+    def cache_text(lines):
+        body = "\n".join(lines) + "\n"
+        return f"# sha256 {hashlib.sha256(body.encode()).hexdigest()}\n" + body
+
+    def assert_rebuilt(self, tmp_path, monkeypatch, text):
         want = lab.enumerate_connected(6)
         cache = tmp_path / "connected_n6.g6"
-        cache.write_text("\n".join(want[:50]) + "\n" + want[50][:3])
+        cache.write_text(text)
         monkeypatch.setenv("ISOLAB_CACHE_DIR", str(tmp_path))
         monkeypatch.delitem(lab._CONNECTED, 6)
         assert lab.enumerate_connected(6) == want
-        assert cache.read_text() == "\n".join(want) + "\n"
+        assert cache.read_text() == self.cache_text(want)
+
+    def test_truncated_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
+        want = lab.enumerate_connected(6)
+        text = "\n".join(want[:50]) + "\n" + want[50][:3]
+        self.assert_rebuilt(tmp_path, monkeypatch, text)
+
+    def test_cache_file_of_right_length_without_header_is_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        # 112 copies of one class: the right line count, nothing else right
+        self.assert_rebuilt(tmp_path, monkeypatch, "E?~o\n" * 112)
+
+    def test_cache_file_with_one_byte_changed_is_rebuilt(self, tmp_path, monkeypatch):
+        text = self.cache_text(lab.enumerate_connected(6))
+        at = len(text) // 2
+        changed = text[:at] + ("A" if text[at] != "A" else "B") + text[at + 1 :]
+        self.assert_rebuilt(tmp_path, monkeypatch, changed)
+
+    def test_cache_file_not_strictly_increasing_is_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        # a true header does not make a catalog of repeated lines valid
+        self.assert_rebuilt(tmp_path, monkeypatch, self.cache_text(["E?~o"] * 112))
 
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(*args):
@@ -154,6 +186,88 @@ def test_pruned_augmentation_matches_unpruned(connected_final):
                 assert lab._children_of(
                     parent, connected_final, descending
                 ) == _reference_children(verdicts, descending)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_canon_automorphisms_on_all_graphs_up_to_7(request, backend):
+    # Orbit pruning in lab._children_of trusts every returned gamma.
+    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
+    rng = random.Random(9)
+    for n in range(1, 8):
+        for line in lab.enumerate_all(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = G.relabel(G.parse_graph6(line), perm)
+            edges = {
+                frozenset((u, v)) for u in range(n) for v in G.iter_bits(g.adj[u])
+            }
+            _, _, orbits, auts = kernels.canon_form(g.adj, n)
+            assert len(auts) <= _pykernels._AUT_CAP
+            assert all(oracles.is_automorphism_ref(n, edges, gamma) for gamma in auts)
+            assert orbits == oracles.orbit_minima_ref(n, auts)
+
+
+def _most_symmetric_parents(count):
+    level = lab._all_graphs_level(7)
+    return sorted(level, key=lambda p: -len(_pykernels.canon_form(p[0], 7)[3]))[:count]
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_orbit_heads_match_brute_force_closure(descending):
+    parents = [p for k in range(1, 6) for p in lab._all_graphs_level(k)]
+    parents += _most_symmetric_parents(5)
+    for padj, _ in parents:
+        k = len(padj)
+        order = range((1 << k) - 1, -1, -1) if descending else range(1 << k)
+        auts = _pykernels.canon_form(padj, k)[3]
+        for subgroup in ([], auts[:1], auts):
+            want = oracles.subset_orbit_heads_ref(k, subgroup, order)
+            assert lab._orbit_heads(order, k, subgroup) == want
+
+
+@pytest.mark.parametrize("connected_final", [False, True])
+def test_orbit_pruned_children_on_symmetric_parents(monkeypatch, connected_final):
+    # Pruning by a subgroup of Aut(parent), as when the 96-automorphism cap
+    # is reached, must leave the children unchanged; the first automorphism
+    # alone stands in for that case.
+    parents = _most_symmetric_parents(30)
+    verdicts = [_reference_accepts(p, connected_final) for p in parents]
+    canon_form = lab._backend.canon_form
+
+    def capped(cut):
+        def canon(adj, n):
+            labels, body, orbits, auts = canon_form(adj, n)
+            return labels, body, orbits, auts[:cut]
+
+        return canon
+
+    for cut in (None, 1):
+        monkeypatch.setattr(lab._backend, "canon_form", capped(cut))
+        for parent, verdict in zip(parents, verdicts):
+            for descending in (False, True):
+                assert lab._children_of(
+                    parent, connected_final, descending
+                ) == _reference_children(verdict, descending)
+
+
+def test_children_accepted_through_the_deletion_test():
+    # Up to order 8, only children of these two parents are accepted with
+    # the canonically-last vertex outside the new vertex's found orbit, so
+    # only they pass the degree-sequence gate and the deletion test.
+    level = {p[1]: p for p in lab._all_graphs_level(7)}
+    for code in (b"F@Tkw", b"F@YQw"):
+        parent = level[code]
+        via_deletion = 0
+        for child, _ in lab._children_of(parent, True):
+            labels, _, orbits, _ = _pykernels.canon_form(child, 8)
+            u_last = labels.index(7)
+            via_deletion += u_last != 7 and orbits[u_last] != orbits[7]
+        assert via_deletion == 1
+        verdicts = _reference_accepts(parent, True)
+        for descending in (False, True):
+            assert lab._children_of(
+                parent, True, descending
+            ) == _reference_children(verdicts, descending)
 
 
 def _brute_isolating_sets(h, k):
