@@ -6,10 +6,14 @@
  * bitmasks, one 64-bit word per vertex, order <= 64.
  *
  * Contract relied on by canonical augmentation in isolab.lab: canon_form
- * labels a vertex of maximum degree last. The search starts from cells in
+ * labels a vertex of maximum degree last, and that vertex lies in the last
+ * cell of the refined root partition. The search starts from cells in
  * ascending degree (members ascending) and refinement and individualization
  * only split cells in place, never reorder them, so canonical positions are
- * in nondecreasing degree.
+ * in nondecreasing degree and every cell of the refined root partition keeps
+ * its range of positions. canon_form(adj, n, last) with 0 <= last < n returns
+ * None when vertex last is outside that last cell, after the root refinement
+ * alone, and otherwise searches on from the refined cells.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -145,17 +149,16 @@ static int refine(const CS *s, int *vx, int *cstart, int ncells) {
     }
 }
 
-/* Refine, then either record a leaf (keeping the greatest body, collecting
- * automorphisms from equal ones) or individualize each member of the first
- * non-singleton cell in turn, skipping members that a known automorphism
- * maps onto one already tried. */
+/* On a refined partition, either record a leaf (keeping the greatest body,
+ * collecting automorphisms from equal ones) or individualize each member of
+ * the first non-singleton cell in turn, refine, and recurse, skipping members
+ * that a known automorphism maps onto one already tried. */
 static void search(CS *s, int *vx, int *cstart, int ncells) {
     unsigned char body[MAX_BODY];
     int pos[MAXN], members[MAXN], tried[MAXN], cvx[MAXN], ccs[MAXN + 1];
     int t = -1, c, i, j, mi, v, skip, ntried, cmp, cellsz, w;
     signed char *gamma;
 
-    ncells = refine(s, vx, cstart, ncells);
     for (c = 0; c < ncells && t < 0; c++)
         if (cstart[c + 1] - cstart[c] > 1)
             t = c;
@@ -210,7 +213,7 @@ static void search(CS *s, int *vx, int *cstart, int ncells) {
             ccs[t + 1] = cstart[t] + 1;
             memcpy(ccs + t + 2, cstart + t + 1, (size_t)(ncells - t) * sizeof(int));
             s->prefix[s->plen++] = v;
-            search(s, cvx, ccs, ncells + 1);
+            search(s, cvx, ccs, refine(s, cvx, ccs, ncells + 1));
             s->plen--;
         }
         tried[ntried++] = v;
@@ -262,16 +265,26 @@ fail:
 static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     CS s;
     int vx[MAXN], cstart[MAXN + 1], degs[MAXN];
-    int i, j, n, ncells;
+    int i, j, n, ncells, overflow;
+    long last = -1;
     u64 full;
     PyObject *labels, *body, *orbits, *auts;
     (void)self;
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "canon_form() takes exactly 2 arguments (%zd given)", nargs);
+    if (nargs != 2 && nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "canon_form() takes 2 or 3 arguments (%zd given)", nargs);
         return NULL;
     }
     if (parse_graph(args, s.adj, &n, &full) < 0)
         return NULL;
+    if (nargs == 3) {
+        last = PyLong_AsLongAndOverflow(args[2], &overflow);
+        if (last == -1 && PyErr_Occurred())
+            return NULL;
+        if (overflow || last < -1 || last >= n) {
+            PyErr_Format(PyExc_ValueError, "last %R outside -1..%d", args[2], n - 1);
+            return NULL;
+        }
+    }
     s.n = n;
     s.body_len = (n * (n - 1) / 2 + 5) / 6;
     s.have_best = s.naut = s.plen = 0;
@@ -290,6 +303,14 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
             cstart[++ncells] = i;
     if (n > 0) {
         cstart[++ncells] = n;
+        ncells = refine(&s, vx, cstart, ncells);
+        if (last >= 0) {
+            /* vertex last is outside the last root cell: not labeled last */
+            for (i = cstart[ncells - 1]; i < n && vx[i] != last; i++)
+                ;
+            if (i == n)
+                Py_RETURN_NONE;
+        }
         search(&s, vx, cstart, ncells);
     }
     labels = PyList_New(n);
@@ -422,9 +443,12 @@ static PyObject *has_dominating_set(PyObject *self, PyObject *const *args, Py_ss
 
 static PyMethodDef core_methods[] = {
     {"canon_form", (PyCFunction)(void (*)(void))canon_form, METH_FASTCALL,
-     "canon_form(adj, n) -> (labels, body, orbits, auts), as in isolab._pykernels;\n"
+     "canon_form(adj, n[, last]) -> (labels, body, orbits, auts), as in isolab._pykernels;\n"
      "auts lists the first 96 automorphisms found, each as gamma[v] = image of v,\n"
-     "and a maximum-degree vertex is labeled last."},
+     "and a maximum-degree vertex of the last refined root cell is labeled last.\n"
+     "With 0 <= last < n, None when vertex last is outside that cell (found\n"
+     "without searching), else the same tuple; last outside -1..n-1 is a ValueError,\n"
+     "and one that is not an integer a TypeError."},
     {"has_isolating_set", (PyCFunction)(void (*)(void))has_isolating_set, METH_FASTCALL,
      "has_isolating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
      "isolates the graph; the search starts with covered vertices removed and never\n"

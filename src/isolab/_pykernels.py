@@ -7,6 +7,8 @@ bitmasks, one machine word per vertex, order <= 64.
 
 from __future__ import annotations
 
+import operator
+
 BACKEND_NAME = "python"
 
 _AUT_CAP = 96
@@ -21,15 +23,16 @@ def _refine(adj, cells, fresh):
 
     Only the counts against the cells in ``fresh`` are taken. The caller
     passes the cells its input may be uneven against, less one whose counts
-    follow from the others: the search passes the degree cells but the last
-    at the root, and the individualized singleton below it. Each later
-    round takes the subcells that the round before split off, less the last
-    of each split cell. The result is the same as counting against every
-    cell. Members of a cell have equal counts against each cell of the
-    round before, and the counts against a split cell's parts add up to the
-    count against the whole. So two members' full signatures agree at every
-    cell that is not fresh, at a split cell's last part once they agree at
-    its other parts, which come first, and first differ at a fresh cell.
+    follow from the others: ``canon_form`` passes the degree cells but the
+    last at the root, and the search the individualized singleton below
+    it. Each later round takes the subcells that the round before split
+    off, less the last of each split cell. The result is the same as
+    counting against every cell. Members of a cell have equal counts
+    against each cell of the round before, and the counts against a split
+    cell's parts add up to the count against the whole. So two members'
+    full signatures agree at every cell that is not fresh, at a split
+    cell's last part once they agree at its other parts, which come first,
+    and first differ at a fresh cell.
     """
     while fresh:
         masks = []
@@ -82,7 +85,7 @@ def _pack_body(adj, n, pos):
     return bytes(out)
 
 
-def canon_form(adj, n):
+def canon_form(adj, n, last=-1):
     """Canonical labeling by refinement plus backtracking.
 
     Returns ``(labels, body, orbits, auts)`` where ``labels[v]`` is the
@@ -94,17 +97,28 @@ def canon_form(adj, n):
     least vertex in ``v``'s orbit under every discovered automorphism (a
     refinement of the true orbit partition, never coarser).
 
-    Positions are in nondecreasing degree, so ``labels`` puts a vertex of
-    maximum degree last: the search starts from cells in ascending degree
-    and never reorders cells. Canonical augmentation in ``isolab.lab``
-    prunes on this.
+    The search starts from cells in ascending degree, refines them, and
+    from then on refinement and individualization only split cells in
+    place, never reorder them. So positions are in nondecreasing degree,
+    and the vertex labeled last lies in the last cell of the refined root
+    partition. Canonical augmentation in ``isolab.lab`` prunes on both.
+
+    With ``0 <= last < n``, the result is ``None`` when vertex ``last``
+    is not in that cell, found after the root refinement alone; otherwise
+    it is the same as without ``last``. ``last`` outside ``-1..n-1``
+    raises ``ValueError``, and one that is not an integer ``TypeError``.
     """
+    if not -1 <= operator.index(last) < n:
+        raise ValueError(f"last {last} outside -1..{n - 1}")
     if n == 0:
         return [], b"", [], []
     bydeg = {}
     for v in range(n):
         bydeg.setdefault(adj[v].bit_count(), []).append(v)
     cells0 = [bydeg[d] for d in sorted(bydeg)]
+    cells0 = _refine(adj, cells0, cells0[:-1])
+    if last >= 0 and last not in cells0[-1]:
+        return None
 
     best = {"body": None, "pos": None, "inv": None}
     parent = list(range(n))
@@ -124,8 +138,8 @@ def canon_form(adj, n):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    def search(cells, prefix, fresh):
-        cells = _refine(adj, cells, fresh)
+    def search(cells, prefix):
+        # cells: a refined partition
         t = -1
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -172,10 +186,10 @@ def canon_form(adj, n):
                     continue
             rest = [u for u in cell if u != v]
             single = [v]
-            search(head + [single, rest] + tail, prefix + (v,), [single])
+            search(_refine(adj, head + [single, rest] + tail, [single]), prefix + (v,))
             tried.add(v)
 
-    search(cells0, (), cells0[:-1])
+    search(cells0, ())
 
     return best["pos"], best["body"], [find(v) for v in range(n)], auts
 

@@ -28,10 +28,35 @@ dedupe already holds. The automorphisms are the ones ``canon_form`` found
 on the parent; they may generate only a subgroup, which makes the orbits
 finer but the pruning no less exact, and the dedupe stays for the
 isomorphic children that such orbits, or different orbits, still give.
+They come with the parent from the level below: each entry of an
+all-graph level keeps the automorphisms of its own ``canon_form`` call,
+one ``bytes`` per automorphism, so no parent is canonized twice.
 
-The canonical parent test compares the sorted degree sequence of the
-child minus its canonically-last vertex with the parent's before it
-canonizes that deletion; a mismatch means the two are not isomorphic.
+Each child left is canonized as ``canon_form(child, k + 1, k)``, which
+refines the child's degree partition once and returns None, without
+searching, when the new vertex k is not in the last refined cell. The
+canonically-last vertex always lies in that cell (both backends split
+cells in place and never reorder them), so k cannot be in its orbit, and
+such a child is skipped before the per-parent dedupe. The set of classes
+does not change. Let a skipped child C have a class that the parent test
+accepts: deleting C's canonically-last vertex u leaves a graph that some
+map f takes onto the parent. Let s2 be the subset f(N(u)) of the parent.
+The child of s2 is isomorphic to C by f extended with u -> k, and the
+refined cells are invariant under isomorphism, so its new vertex is in
+its last refined cell. s2 passes the degree prune, since u has maximum
+degree in C, and the component prune, since its child is connected when
+C is. The orbit head of s2 is its image under an automorphism of the
+parent, which extends to an isomorphism of the two children fixing k, so
+the head's child keeps k in the last cell and is not skipped. Acceptance
+depends only on the class, so the class is still accepted, through the
+first child of it that is not skipped.
+
+The canonical parent test then canonizes the deletion of the
+canonically-last vertex u, unless u is k or in k's found orbit. No cheaper
+invariant is compared first: u and k lie in one cell of an equitable
+partition that refines the degree partition, so they have equally many
+neighbors of each degree, and deleting either leaves the same degree
+sequence.
 """
 
 from __future__ import annotations
@@ -72,7 +97,9 @@ MAX_ENUM_ORDER = 10
 # Connected classes on n = 1..MAX_ENUM_ORDER vertices (OEIS A001349).
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
-_ALL_LEVELS: dict[int, list[tuple[tuple[int, ...], bytes]]] = {}
+# An all-graph level entry: (adj, code, auts), one bytes per automorphism.
+_Entry = tuple[tuple[int, ...], bytes, tuple[bytes, ...]]
+_ALL_LEVELS: dict[int, list[_Entry]] = {}
 _CONNECTED: dict[int, list[str]] = {}
 
 
@@ -124,15 +151,17 @@ def _orbit_heads(subsets, k: int, auts) -> list[int]:
 
 
 def _children_of(
-    parent: tuple[tuple[int, ...], bytes],
+    parent: _Entry,
     connected_final: bool,
     descending: bool = False,
-) -> list[tuple[tuple[int, ...], bytes]]:
-    """Accepted augmentations of one parent, deduped within the parent."""
-    padj, pcode = parent
+) -> list[tuple[tuple[int, ...], bytes, Optional[tuple[bytes, ...]]]]:
+    """Accepted augmentations ``(child, code, auts)`` of one parent
+    ``(adj, code, auts)``, deduped within the parent. A child's ``auts`` are
+    those of its ``canon_form`` call, one ``bytes`` each, or None on a
+    connected final level, whose children are never parents."""
+    padj, pcode, pauts = parent
     k = len(padj)
-    pdegs = sorted(row.bit_count() for row in padj)
-    top = pdegs[-1]
+    top = max(row.bit_count() for row in padj)
     topmask = bits_of(v for v, row in enumerate(padj) if row.bit_count() == top)
     comps = components(Graph(k, padj)) if connected_final else []
     # The new vertex must reach the child's maximum degree (module
@@ -143,37 +172,37 @@ def _children_of(
         if s.bit_count() >= top + (1 if s & topmask else 0)
         and all(s & comp for comp in comps)
     ]
-    auts = _backend.canon_form(padj, k)[3]
     out = []
     seen: set[bytes] = set()
-    for subset in _orbit_heads(subsets, k, auts):
+    for subset in _orbit_heads(subsets, k, pauts):
         child = tuple(
             row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)
         ) + (subset,)
-        labels, body, orbits, _ = _backend.canon_form(child, k + 1)
+        canon = _backend.canon_form(child, k + 1, k)
+        if canon is None:  # k is outside the last root cell (docstring)
+            continue
+        labels, body, orbits, auts = canon
         code = _g6_header(k + 1) + body
         if code in seen:
             continue
         seen.add(code)
         u_last = labels.index(k)
         if u_last != k and orbits[u_last] != orbits[k]:
-            rest = _delete_vertex(child, u_last)
-            if sorted(row.bit_count() for row in rest) != pdegs:
+            if canonical_code_of(_delete_vertex(child, u_last), k) != pcode:
                 continue
-            if canonical_code_of(rest, k) != pcode:
-                continue
-        out.append((child, code))
+        carried = None if connected_final else tuple(map(bytes, auts))
+        out.append((child, code, carried))
     return out
 
 
-def _all_graphs_level(n: int) -> list[tuple[tuple[int, ...], bytes]]:
+def _all_graphs_level(n: int) -> list[_Entry]:
     """Every graph on n vertices (connected or not), one per class."""
     if n < 1 or n > MAX_ENUM_ORDER - 1:
         raise ValueError(f"all-graph levels kept for 1 <= n <= {MAX_ENUM_ORDER - 1}")
     if n in _ALL_LEVELS:
         return _ALL_LEVELS[n]
     if n == 1:
-        level = [((0,), canonical_code_of((0,), 1))]
+        level = [((0,), canonical_code_of((0,), 1), ())]
     else:
         level = []
         for parent in _all_graphs_level(n - 1):
@@ -248,7 +277,7 @@ def _final_level_chunk(args) -> list[str]:
     for parent in parents:
         out.extend(
             code.decode("ascii")
-            for _, code in _children_of(
+            for _, code, _ in _children_of(
                 parent, connected_final=True, descending=descending
             )
         )
@@ -306,7 +335,7 @@ def enumerate_all(n: int) -> list[str]:
     """All graphs on n vertices up to isomorphism, sorted canonical lines."""
     if n < 1 or n > MAX_ENUM_ORDER - 1:
         raise ValueError(f"full enumeration supports 1 <= n <= {MAX_ENUM_ORDER - 1}")
-    return [code.decode("ascii") for _, code in _all_graphs_level(n)]
+    return [code.decode("ascii") for _, code, _ in _all_graphs_level(n)]
 
 
 # ---------------------------------------------------------------------------

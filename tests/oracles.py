@@ -100,6 +100,27 @@ def orbit_minima_ref(n: int, perms) -> list[int]:
     return out
 
 
+def refined_root_cells_ref(n: int, edges: set[frozenset[int]]) -> list[list[int]]:
+    """Equitable refinement of the degree partition, done naively. Cells
+    start in ascending degree, members ascending. Each round splits every
+    cell by its members' neighbor counts against every cell, subcells in
+    ascending signature order, until no cell splits."""
+    adj = neighbors(n, edges)
+    cells = [
+        [v for v in range(n) if len(adj[v]) == d]
+        for d in sorted({len(adj[v]) for v in range(n)})
+    ]
+    while True:
+        out = []
+        for cell in cells:
+            sig = {v: tuple(len(adj[v] & set(c)) for c in cells) for v in cell}
+            for key in sorted(set(sig.values())):
+                out.append([v for v in cell if sig[v] == key])
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
 def subset_orbit_heads_ref(k: int, perms, order) -> list[int]:
     """The first subset mask, in the given order, of each orbit of subsets
     of range(k) under the group the perms generate. The group is closed

@@ -15,11 +15,31 @@ def test_backend_names(core):
     assert core.BACKEND_NAME == "c"
 
 
+def assert_canon_agrees(core, adj, n):
+    # Every last in -1..n-1: None or the 4-tuple, the same on both backends.
+    for last in range(-1, n):
+        assert _pykernels.canon_form(adj, n, last) == core.canon_form(adj, n, last)
+
+
+def assert_canon_agrees_in_two_labelings(core, rng, n, lines):
+    for line in lines:
+        g = G.parse_graph6(line)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert_canon_agrees(core, g.adj, n)
+        assert_canon_agrees(core, G.relabel(g, perm).adj, n)
+
+
 def test_canon_identical_on_all_graphs_up_to_6(core):
+    rng = random.Random(6)
     for n in range(1, 7):
-        for line in lab.enumerate_all(n):
-            g = G.parse_graph6(line)
-            assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
+        assert_canon_agrees_in_two_labelings(core, rng, n, lab.enumerate_all(n))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_canon_identical_on_all_graphs_of_order(core, n):
+    lines = lab.enumerate_all(n)
+    assert_canon_agrees_in_two_labelings(core, random.Random(n), n, lines)
 
 
 def assert_decisions_agree(core, g, *state):
@@ -54,7 +74,7 @@ def test_canon_identical_on_random_graphs(core):
     for _ in range(300):
         n = rng.randrange(1, 12)
         g = random_graph(rng, n, rng.choice([0.15, 0.4, 0.7]))
-        assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
+        assert_canon_agrees(core, g.adj, n)
 
 
 SYMMETRIC = (
@@ -68,7 +88,7 @@ SYMMETRIC = (
 
 def test_highly_symmetric_graphs(core):
     for g in SYMMETRIC:
-        assert _pykernels.canon_form(g.adj, g.order) == core.canon_form(g.adj, g.order)
+        assert_canon_agrees(core, g.adj, g.order)
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
@@ -94,7 +114,7 @@ def test_identical_on_random_graphs_up_to_64(core):
     for n in [64, 64, 63] + [rng.randrange(12, 65) for _ in range(33)]:
         g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.3, 0.6]))
         top_bit_used |= n == 64 and g.adj[63] != 0
-        assert _pykernels.canon_form(g.adj, n) == core.canon_form(g.adj, n)
+        assert_canon_agrees(core, g.adj, n)
         assert_decisions_agree(core, g)
     assert top_bit_used
 
@@ -108,6 +128,29 @@ def test_core_rejects_inputs_it_cannot_hold(core):
             fn((0, 0), 3, *extra)
         with pytest.raises(ValueError):
             fn((1 << 5, 1), 2, *extra)  # names vertex 5 of a 2-vertex graph
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_canon_rejects_last_outside_the_vertices(request, backend):
+    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
+    adj = G.path_graph(4).adj
+    for last in (-2, 4, 5, 1 << 70, -(1 << 70)):
+        with pytest.raises(ValueError):
+            kernels.canon_form(adj, 4, last)
+    with pytest.raises(ValueError):
+        kernels.canon_form((), 0, 0)
+    with pytest.raises(TypeError):
+        kernels.canon_form(adj, 4, 0.5)
+    assert kernels.canon_form((), 0, -1) == ([], b"", [], [])
+
+
+def test_core_canon_takes_two_or_three_arguments(core):
+    adj = G.path_graph(4).adj
+    assert core.canon_form(adj, 4, -1) == core.canon_form(adj, 4)
+    with pytest.raises(TypeError):
+        core.canon_form(adj, 4, 3, 0)
+    with pytest.raises(TypeError):
+        core.canon_form(adj)
 
 
 def test_start_state_identical_on_all_graphs_up_to_6(core):

@@ -141,10 +141,36 @@ def test_canon_labels_a_max_degree_vertex_last(request, backend):
             assert adj[last].bit_count() == max(row.bit_count() for row in adj)
 
 
+def _edges(adj):
+    return {frozenset((u, v)) for u, row in enumerate(adj) for v in G.iter_bits(row)}
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_canon_labels_a_last_root_cell_vertex_last(request, backend):
+    # The root-cell test in lab._children_of is exact only while this holds:
+    # canon_form(adj, n, v) is None exactly when v is outside the last cell
+    # of the refined degree partition, and otherwise the full result.
+    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
+    rng = random.Random(10)
+    for n in range(1, 8):
+        for line in lab.enumerate_all(n):
+            g = G.parse_graph6(line)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            adj = G.relabel(g, perm).adj
+            last_cell = oracles.refined_root_cells_ref(n, _edges(adj))[-1]
+            full = kernels.canon_form(adj, n)
+            assert full[0].index(n - 1) in last_cell
+            for v in range(n):
+                want = full if v in last_cell else None
+                assert kernels.canon_form(adj, n, v) == want
+
+
 def _reference_accepts(parent, connected_final):
-    """Per subset, unpruned: the child, its code and the canonical-parent
-    verdict, or None for a disconnected connected-final child."""
-    padj, pcode = parent
+    """Per subset, unpruned: the child, its code, the canonical-parent
+    verdict and whether the new vertex is in the last refined root cell, or
+    None for a disconnected connected-final child."""
+    padj, pcode, _ = parent
     k = len(padj)
     out = []
     for subset in range(1 << k):
@@ -157,23 +183,36 @@ def _reference_accepts(parent, connected_final):
             continue
         last = G.canonical_labels(g).index(k)
         rest, _ = G.induced_subgraph(g, g.full_mask ^ (1 << last))
-        out.append((child, G.canonical_code(g), G.canonical_code(rest) == pcode))
+        in_last_cell = k in oracles.refined_root_cells_ref(k + 1, _edges(child))[-1]
+        out.append(
+            (child, G.canonical_code(g), G.canonical_code(rest) == pcode, in_last_cell)
+        )
     return out
 
 
-def _reference_children(verdicts, descending):
+def _reference_children(verdicts, descending, connected_final, root_cell=True):
+    """The first child of each accepted class, in the given order. With
+    ``root_cell``, a subset whose new vertex is outside the last root cell
+    is skipped before the dedupe. Each child carries the automorphisms of
+    its own canon_form call, or None on a connected final level."""
     order = reversed(verdicts) if descending else verdicts
     out = []
     seen = set()
     for item in order:
         if item is None:
             continue
-        child, code, accepted = item
+        child, code, accepted, in_last_cell = item
+        if root_cell and not in_last_cell:
+            continue
         if code in seen:
             continue
         seen.add(code)
         if accepted:
-            out.append((child, code))
+            auts = None
+            if not connected_final:
+                found = lab._backend.canon_form(child, len(child))[3]
+                auts = tuple(bytes(gamma) for gamma in found)
+            out.append((child, code, auts))
     return out
 
 
@@ -185,7 +224,14 @@ def test_pruned_augmentation_matches_unpruned(connected_final):
             for descending in (False, True):
                 assert lab._children_of(
                     parent, connected_final, descending
-                ) == _reference_children(verdicts, descending)
+                ) == _reference_children(verdicts, descending, connected_final)
+
+
+def test_levels_carry_each_parents_automorphisms():
+    for k in range(1, 8):
+        for padj, _, auts in lab._all_graphs_level(k):
+            found = lab._backend.canon_form(padj, k)[3]
+            assert [list(gamma) for gamma in auts] == found
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
@@ -198,9 +244,7 @@ def test_canon_automorphisms_on_all_graphs_up_to_7(request, backend):
             perm = list(range(n))
             rng.shuffle(perm)
             g = G.relabel(G.parse_graph6(line), perm)
-            edges = {
-                frozenset((u, v)) for u in range(n) for v in G.iter_bits(g.adj[u])
-            }
+            edges = _edges(g.adj)
             _, _, orbits, auts = kernels.canon_form(g.adj, n)
             assert len(auts) <= _pykernels._AUT_CAP
             assert all(oracles.is_automorphism_ref(n, edges, gamma) for gamma in auts)
@@ -208,66 +252,97 @@ def test_canon_automorphisms_on_all_graphs_up_to_7(request, backend):
 
 
 def _most_symmetric_parents(count):
-    level = lab._all_graphs_level(7)
-    return sorted(level, key=lambda p: -len(_pykernels.canon_form(p[0], 7)[3]))[:count]
+    return sorted(lab._all_graphs_level(7), key=lambda p: -len(p[2]))[:count]
 
 
 @pytest.mark.parametrize("descending", [False, True])
 def test_orbit_heads_match_brute_force_closure(descending):
     parents = [p for k in range(1, 6) for p in lab._all_graphs_level(k)]
     parents += _most_symmetric_parents(5)
-    for padj, _ in parents:
+    for padj, _, auts in parents:
         k = len(padj)
         order = range((1 << k) - 1, -1, -1) if descending else range(1 << k)
-        auts = _pykernels.canon_form(padj, k)[3]
         for subgroup in ([], auts[:1], auts):
             want = oracles.subset_orbit_heads_ref(k, subgroup, order)
             assert lab._orbit_heads(order, k, subgroup) == want
 
 
 @pytest.mark.parametrize("connected_final", [False, True])
-def test_orbit_pruned_children_on_symmetric_parents(monkeypatch, connected_final):
+def test_orbit_pruned_children_on_symmetric_parents(connected_final):
     # Pruning by a subgroup of Aut(parent), as when the 96-automorphism cap
     # is reached, must leave the children unchanged; the first automorphism
     # alone stands in for that case.
     parents = _most_symmetric_parents(30)
     verdicts = [_reference_accepts(p, connected_final) for p in parents]
-    canon_form = lab._backend.canon_form
-
-    def capped(cut):
-        def canon(adj, n):
-            labels, body, orbits, auts = canon_form(adj, n)
-            return labels, body, orbits, auts[:cut]
-
-        return canon
-
     for cut in (None, 1):
-        monkeypatch.setattr(lab._backend, "canon_form", capped(cut))
-        for parent, verdict in zip(parents, verdicts):
+        for (padj, pcode, auts), verdict in zip(parents, verdicts):
             for descending in (False, True):
                 assert lab._children_of(
-                    parent, connected_final, descending
-                ) == _reference_children(verdict, descending)
+                    (padj, pcode, auts[:cut]), connected_final, descending
+                ) == _reference_children(verdict, descending, connected_final)
 
 
 def test_children_accepted_through_the_deletion_test():
-    # Up to order 8, only children of these two parents are accepted with
-    # the canonically-last vertex outside the new vertex's found orbit, so
-    # only they pass the degree-sequence gate and the deletion test.
+    # Up to order 8, only these two parents had a child accepted with the
+    # canonically-last vertex outside the new vertex's found orbit. In both,
+    # the new vertex is outside the last root cell, so the root-cell test
+    # now skips that child, and another subset gives its class.
     level = {p[1]: p for p in lab._all_graphs_level(7)}
     for code in (b"F@Tkw", b"F@YQw"):
         parent = level[code]
-        via_deletion = 0
-        for child, _ in lab._children_of(parent, True):
-            labels, _, orbits, _ = _pykernels.canon_form(child, 8)
-            u_last = labels.index(7)
-            via_deletion += u_last != 7 and orbits[u_last] != orbits[7]
-        assert via_deletion == 1
         verdicts = _reference_accepts(parent, True)
+        skipped_accepts = [v for v in verdicts if v and v[2] and not v[3]]
+        assert len(skipped_accepts) == 1
         for descending in (False, True):
-            assert lab._children_of(
-                parent, True, descending
-            ) == _reference_children(verdicts, descending)
+            children = lab._children_of(parent, True, descending)
+            assert children == _reference_children(verdicts, descending, True)
+            unfiltered = _reference_children(verdicts, descending, True, False)
+            assert {c[1] for c in children} == {c[1] for c in unfiltered}
+
+
+@pytest.mark.parametrize("connected_final", [False, True])
+def test_children_unchanged_with_the_finest_orbits(monkeypatch, connected_final):
+    # canon_form may return orbits finer than the true ones, down to
+    # list(range(n)). Then every child whose canonically-last vertex is not
+    # the new one goes through the deletion test.
+    # E@N?, EFzg and F@U^? have children that the deletion test rejects.
+    parents = [p for k in range(1, 6) for p in lab._all_graphs_level(k)]
+    level = {p[1]: p for k in (6, 7) for p in lab._all_graphs_level(k)}
+    parents += [level[c] for c in (b"E@N?", b"EFzg", b"F@Tkw", b"F@YQw", b"F@U^?")]
+    parents += _most_symmetric_parents(5)
+    want = [
+        _reference_children(_reference_accepts(p, connected_final), d, connected_final)
+        for p in parents
+        for d in (False, True)
+    ]
+    canon_form = lab._backend.canon_form
+
+    def finest(adj, n, *last):
+        result = canon_form(adj, n, *last)
+        if result is None:
+            return None
+        labels, body, _, auts = result
+        return labels, body, list(range(n)), auts
+
+    code_of = lab.canonical_code_of
+    deletions = []
+
+    def counted_code(adj, n):
+        deletions.append(code_of(adj, n))
+        return deletions[-1]
+
+    monkeypatch.setattr(lab._backend, "canon_form", finest)
+    monkeypatch.setattr(lab, "canonical_code_of", counted_code)
+    got = []
+    verdicts = set()
+    for parent in parents:
+        for descending in (False, True):
+            deletions.clear()
+            got.append(lab._children_of(parent, connected_final, descending))
+            verdicts |= {code == parent[1] for code in deletions}
+    assert got == want
+    # the deletion test both accepts and rejects children
+    assert verdicts == {False, True}
 
 
 def _brute_isolating_sets(h, k):
