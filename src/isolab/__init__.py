@@ -1,123 +1,5 @@
-"""Exact isolation computations, tri-partitions, and extremal catalogs."""
+"""Exact isolation computations, tri-partitions, and extremal catalogs.
 
-from isolab._backend import backend_name
-from isolab.family import (
-    FamilySpec,
-    InvalidAttachment,
-    DisconnectedBase,
-    PendantAttachment,
-    block_dominating_set,
-    build_family_graph,
-    hook_isolating_set,
-    random_family_spec,
-    recognize_family,
-    spec_from_json,
-    spec_to_json,
-    valid_c5_attachments,
-    validate_spec,
-)
-from isolab.graphs import (
-    CyclePath,
-    Graph,
-    Graph6Error,
-    canonical_code,
-    closed_neighborhood,
-    components,
-    cut_vertices,
-    find_cycle_len_mod3,
-    parse_graph6,
-    write_graph6,
-)
-from isolab.lab import (
-    ExtremalReport,
-    StarReduction,
-    check_order15_extensions,
-    derive_exceptional,
-    enumerate_all,
-    enumerate_connected,
-    enumerate_family_members,
-    extend_pair_check,
-    extremal_graphs,
-    find_reducing_star,
-    verify_characterization,
-)
-from isolab.partition import (
-    EngineGap,
-    NoValidPartition,
-    TriPartition,
-    TraceStep,
-    disjoint_isolating_sets,
-    exhaustive_partition3,
-    partition3,
-    replay_trace,
-    separating_path_reduce,
-    verify_partition,
-)
-from isolab.solvers import (
-    SolveResult,
-    domination_number,
-    has_dominating_set,
-    has_isolating_set,
-    is_distance2_dominating,
-    is_dominating,
-    is_extremal,
-    is_isolating,
-    isolation_number,
-)
-
-__all__ = [
-    "CyclePath",
-    "DisconnectedBase",
-    "EngineGap",
-    "ExtremalReport",
-    "FamilySpec",
-    "Graph",
-    "Graph6Error",
-    "InvalidAttachment",
-    "NoValidPartition",
-    "PendantAttachment",
-    "SolveResult",
-    "StarReduction",
-    "TraceStep",
-    "TriPartition",
-    "backend_name",
-    "block_dominating_set",
-    "build_family_graph",
-    "canonical_code",
-    "check_order15_extensions",
-    "closed_neighborhood",
-    "components",
-    "cut_vertices",
-    "derive_exceptional",
-    "disjoint_isolating_sets",
-    "domination_number",
-    "enumerate_all",
-    "enumerate_connected",
-    "enumerate_family_members",
-    "exhaustive_partition3",
-    "extend_pair_check",
-    "extremal_graphs",
-    "find_cycle_len_mod3",
-    "find_reducing_star",
-    "has_dominating_set",
-    "has_isolating_set",
-    "hook_isolating_set",
-    "is_distance2_dominating",
-    "is_dominating",
-    "is_extremal",
-    "is_isolating",
-    "isolation_number",
-    "parse_graph6",
-    "partition3",
-    "random_family_spec",
-    "recognize_family",
-    "replay_trace",
-    "separating_path_reduce",
-    "spec_from_json",
-    "spec_to_json",
-    "valid_c5_attachments",
-    "validate_spec",
-    "verify_characterization",
-    "verify_partition",
-    "write_graph6",
-]
+The API is the submodules: ``isolab.graphs``, ``isolab.solvers``,
+``isolab.partition``, ``isolab.family``, ``isolab.lab`` and ``isolab.cli``.
+"""

@@ -213,7 +213,8 @@ def _all_graphs_level(n: int) -> list[_Entry]:
 
 
 class CacheDirError(OSError):
-    """``ISOLAB_CACHE_DIR`` names something that cannot hold the cache."""
+    """``ISOLAB_CACHE_DIR`` names something that cannot hold the cache, or
+    a cache file in it cannot be read."""
 
 
 def _cache_path(name: str) -> Optional[str]:
@@ -238,16 +239,19 @@ def _cache_header(body: bytes) -> bytes:
 def _read_cache(path: str, n: int) -> Optional[list[str]]:
     """The cached catalog, or None when the file is missing or fails a check:
     its first line must be the sha256 header of the rest, which must hold
-    the known number of classes in strictly increasing order."""
+    the known number of classes in strictly increasing order. A file that
+    exists but cannot be read raises ``CacheDirError``."""
     try:
         with open(path, "rb") as fh:
             header, body = fh.readline(), fh.read()
-        lines = body.decode("ascii").split("\n")
-    except (FileNotFoundError, UnicodeDecodeError):
+    except FileNotFoundError:
         return None
-    if header != _cache_header(body) or lines.pop() != "":
+    except OSError as exc:
+        raise CacheDirError(f"cannot read cache file {path}: {exc.strerror}") from None
+    if header != _cache_header(body) or not body.isascii():
         return None
-    if len(lines) != CONNECTED_COUNTS[n - 1]:
+    lines = body.decode("ascii").split("\n")
+    if lines.pop() != "" or len(lines) != CONNECTED_COUNTS[n - 1]:
         return None
     if any(a >= b for a, b in zip(lines, lines[1:])):
         return None
@@ -271,64 +275,45 @@ def _write_cache(path: str, lines: list[str]) -> None:
         raise
 
 
-def _final_level_chunk(args) -> list[str]:
-    parents, descending = args
-    out = []
-    for parent in parents:
-        out.extend(
-            code.decode("ascii")
-            for _, code, _ in _children_of(
-                parent, connected_final=True, descending=descending
-            )
-        )
-    return out
-
-
-def _parallel_map(fn, chunks, threads: int):
-    if threads <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
+def _parallel_map(fn, items: list, threads: int) -> list:
+    """``[fn(x) for x in items]``, in order; with more than one thread, over
+    that many worker processes, each task a run of about 1/(8 threads) of
+    the items."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
 
+    chunksize = -(-len(items) // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _chunked(items: list, pieces: int) -> list[list]:
-    pieces = max(1, min(pieces, len(items)))
-    step = (len(items) + pieces - 1) // pieces
-    return [items[i : i + step] for i in range(0, len(items), step)]
+def _connected_children(parent: _Entry) -> list[str]:
+    return [code.decode("ascii") for _, code, _ in _children_of(parent, True)]
 
 
-def enumerate_connected(
-    n: int, threads: int = 1, descending: bool = False
-) -> list[str]:
+def enumerate_connected(n: int, threads: int = 1) -> list[str]:
     """Connected graphs on n vertices, one canonical graph6 line per class,
     sorted by canonical code. Guarded at order 10. Returns a fresh list, so
     callers may mutate it without touching the memo."""
     if n < 1 or n > MAX_ENUM_ORDER:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}")
-    if not descending and n in _CONNECTED:
+    if n in _CONNECTED:
         return list(_CONNECTED[n])
-    cache_file = _cache_path(f"connected_n{n}.g6") if not descending else None
-    cached = _read_cache(cache_file, n) if cache_file else None
-    if cached is not None:
-        _CONNECTED[n] = cached
-        return list(cached)
-    if n == 1:
-        lines = ["@"]
-    else:
-        parents = _all_graphs_level(n - 1)
-        chunks = _chunked(parents, threads * 8 if threads > 1 else 1)
-        results = _parallel_map(
-            _final_level_chunk, [(c, descending) for c in chunks], threads
-        )
-        lines = sorted(line for chunk in results for line in chunk)
-    if not descending:
-        _CONNECTED[n] = lines
+    cache_file = _cache_path(f"connected_n{n}.g6")
+    lines = _read_cache(cache_file, n) if cache_file else None
+    if lines is None:
+        if n == 1:
+            lines = ["@"]
+        else:
+            results = _parallel_map(
+                _connected_children, _all_graphs_level(n - 1), threads
+            )
+            lines = sorted(line for chunk in results for line in chunk)
         if cache_file:
             _write_cache(cache_file, lines)
-        return list(lines)
-    return lines
+    _CONNECTED[n] = lines
+    return list(lines)
 
 
 def enumerate_all(n: int) -> list[str]:
@@ -381,14 +366,9 @@ class ExtremalReport:
         }
 
 
-def _extremal_filter_chunk(args) -> list[str]:
-    lines, k = args
-    out = []
-    for line in lines:
-        g = parse_graph6(line)
-        if not _backend.has_isolating_set(g.adj, g.order, k):
-            out.append(line)
-    return out
+def _has_no_smaller_isolating_set(line: str) -> bool:
+    g = parse_graph6(line)
+    return not _backend.has_isolating_set(g.adj, g.order, g.order // 3 - 1)
 
 
 _EXTREMAL_CACHE: dict[int, "ExtremalReport"] = {}
@@ -402,18 +382,12 @@ def extremal_graphs(n: int, threads: int = 1) -> ExtremalReport:
     if n in _EXTREMAL_CACHE:
         return _EXTREMAL_CACHE[n]
     lines = enumerate_connected(n, threads=threads)
-    chunks = _chunked(lines, threads * 8 if threads > 1 else 1)
-    results = _parallel_map(
-        _extremal_filter_chunk, [(c, n // 3 - 1) for c in chunks], threads
-    )
-    extremal = sorted(line for chunk in results for line in chunk)
+    keep = _parallel_map(_has_no_smaller_isolating_set, lines, threads)
     entries = []
-    for line in extremal:
-        g = parse_graph6(line)
-        spec = recognize_family(g)
-        entries.append(
-            ExtremalEntry(line, "G" if spec else "E", spec)
-        )
+    for line, kept in zip(lines, keep):
+        if kept:
+            spec = recognize_family(parse_graph6(line))
+            entries.append(ExtremalEntry(line, "G" if spec else "E", spec))
     report = ExtremalReport(n, len(lines), tuple(entries))
     _EXTREMAL_CACHE[n] = report
     return report
@@ -466,17 +440,35 @@ def _extend_by_star(h: Graph, s1: int, s2: int, edge: bool) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _derive12_for_host(line: str) -> list[str]:
+def _star_extensions(line: str) -> tuple[int, list[str]]:
+    """Graft a two-leaf star onto the host ``line`` of order 3k at every
+    attachment pair that survives its size-k isolating sets, with and
+    without the leaf edge. Returns how many extensions were decided, and
+    the sorted canonical lines of those with no size-k isolating set."""
     h = parse_graph6(line)
-    out = {}
-    for s1, s2 in _star_attachment_survivors(h, 3):
+    k, n = h.order // 3, h.order + 3
+    checked = 0
+    extremal = set()
+    for s1, s2 in _star_attachment_survivors(h, k):
         for edge in (False, True):
             adj = _extend_by_star(h, s1, s2, edge)
-            if _backend.has_isolating_set(adj, 12, 3):
-                continue
-            code = canonical_code_of(adj, 12)
-            out[code] = code.decode("ascii")
-    return sorted(out.values())
+            checked += 1
+            if not _backend.has_isolating_set(adj, n, k):
+                extremal.add(canonical_code_of(adj, n).decode("ascii"))
+    return checked, sorted(extremal)
+
+
+def _extremal_star_extensions(
+    hosts: list[str], threads: int
+) -> tuple[int, list[str], list[str]]:
+    """``_star_extensions`` over every host: the extensions decided, the
+    sorted extremal ones, and those of them the family recognizer rejects."""
+    results = _parallel_map(_star_extensions, hosts, threads)
+    extremal = sorted({line for _, lines in results for line in lines})
+    outside = [
+        line for line in extremal if recognize_family(parse_graph6(line)) is None
+    ]
+    return sum(checked for checked, _ in results), extremal, outside
 
 
 def derive_exceptional(order: int, threads: int = 1) -> list[str]:
@@ -495,9 +487,7 @@ def derive_exceptional(order: int, threads: int = 1) -> list[str]:
         report = extremal_graphs(order, threads=threads)
         return [e.graph6 for e in report.entries if e.kind == "E"]
     hosts = [e.graph6 for e in extremal_graphs(9, threads=threads).entries]
-    results = _parallel_map(_derive12_for_host, hosts, threads)
-    merged = sorted({line for chunk in results for line in chunk})
-    return [line for line in merged if recognize_family(parse_graph6(line)) is None]
+    return _extremal_star_extensions(hosts, threads)[2]
 
 
 def enumerate_family_members(order: int) -> list[tuple[str, FamilySpec]]:
@@ -648,9 +638,11 @@ def find_reducing_star(g: Graph) -> StarReduction:
 # characterization checks
 
 
-def verify_characterization(
-    n: int, threads: int = 1, sample_specs: int = 200, seed: int = 20240
-) -> dict:
+# Seeds of the random family specs checked at order 12.
+FAMILY_SAMPLE_SEEDS = range(20240, 20440)
+
+
+def verify_characterization(n: int, threads: int = 1) -> dict:
     """Check both directions of the extremal characterization at one order.
 
     Full at orders 3, 6, 9: the classified extremal set must agree exactly
@@ -690,40 +682,19 @@ def verify_characterization(
             g = parse_graph6(line)
             if not is_extremal(g):
                 counterexamples.append({"graph6": line, "problem": "derived exceptional graph not extremal"})
-        for i in range(sample_specs):
-            spec = random_family_spec(12, seed + i)
-            g = build_family_graph(spec)
+        for seed in FAMILY_SAMPLE_SEEDS:
+            g = build_family_graph(random_family_spec(12, seed))
             if not is_extremal(g):
                 counterexamples.append({"graph6": canonical_code(g).decode(), "problem": "sampled family member not extremal"})
         return {
             "order": 12,
             "mode": "partial",
             "exceptional": len(exceptional),
-            "family_sampled": sample_specs,
+            "family_sampled": len(FAMILY_SAMPLE_SEEDS),
             "counterexamples": counterexamples,
             "ok": not counterexamples,
         }
     raise ValueError("characterization checks run at orders 3, 6, 9, 12")
-
-
-def _order15_for_host(line: str) -> dict:
-    h = parse_graph6(line)
-    survivors = _star_attachment_survivors(h, 4)
-    checked = 0
-    extremal_lines = []
-    for s1, s2 in survivors:
-        for edge in (False, True):
-            adj = _extend_by_star(h, s1, s2, edge)
-            checked += 1
-            if _backend.has_isolating_set(adj, 15, 4):
-                continue
-            extremal_lines.append(canonical_code_of(adj, 15).decode("ascii"))
-    return {
-        "host": line,
-        "survivor_pairs": len(survivors),
-        "checked": checked,
-        "extremal": sorted(set(extremal_lines)),
-    }
 
 
 def check_order15_extensions(threads: int = 1) -> dict:
@@ -738,15 +709,11 @@ def check_order15_extensions(threads: int = 1) -> dict:
     hosts = [code for code, _ in enumerate_family_members(12)]
     hosts += derive_exceptional(12, threads=threads)
     hosts = sorted(set(hosts))
-    results = _parallel_map(_order15_for_host, hosts, threads)
-    extremal = sorted({line for r in results for line in r["extremal"]})
-    outside = [
-        line for line in extremal if recognize_family(parse_graph6(line)) is None
-    ]
+    checked, extremal, outside = _extremal_star_extensions(hosts, threads)
     return {
         "order": 15,
         "hosts": len(hosts),
-        "candidates_checked": sum(r["checked"] for r in results),
+        "candidates_checked": checked,
         "extremal_extensions": len(extremal),
         "outside_family": outside,
         "ok": not outside,

@@ -140,6 +140,15 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert err == f"isolab: error: cannot use cache dir {path}: File exists\n"
 
+    def test_unreadable_cache_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        entry = tmp_path / "connected_n5.g6"
+        entry.mkdir()
+        monkeypatch.setenv("ISOLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.delitem(lab._CONNECTED, 5, raising=False)
+        code, out, err = run_cli(capsys, ["enum", "--order", "5", "--connected"])
+        assert code == 2 and out == ""
+        assert err == f"isolab: error: cannot read cache file {entry}: Is a directory\n"
+
     @pytest.mark.parametrize("text", [
         '{"base": "@", "pendants": [',
         "[1]",
@@ -230,7 +239,7 @@ class TestCatalogs:
     def test_threads_clamped(self, capsys, monkeypatch, asked, cores, want):
         seen = []
 
-        def fake_enumerate(order, threads=1, descending=False):
+        def fake_enumerate(order, threads=1):
             seen.append(threads)
             return ["@"]
 

@@ -54,9 +54,12 @@ class TestEnumeration:
 
     def test_two_augmentation_orders_agree(self):
         for n in (5, 6, 7):
-            assert lab.enumerate_connected(n) == lab.enumerate_connected(
-                n, descending=True
+            descending = sorted(
+                code.decode()
+                for parent in lab._all_graphs_level(n - 1)
+                for _, code, _ in lab._children_of(parent, True, descending=True)
             )
+            assert descending == lab.enumerate_connected(n)
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -373,6 +376,13 @@ def test_star_attachment_survivors_match_reference(small_connected, k):
             assert lab._star_attachment_survivors(h, k) == want
             without_sets += not _brute_isolating_sets(h, k)
     assert without_sets > 0
+
+
+@pytest.mark.parametrize("count", [0, 1, 17])
+def test_parallel_map_keeps_the_item_order(count):
+    # callers zip the results back onto their items
+    items = list(range(count, 0, -1))
+    assert lab._parallel_map(hex, items, 2) == [hex(x) for x in items]
 
 
 class TestExtremalSmall:
