@@ -210,6 +210,16 @@ def has_isolating_set(adj, n, k, covered=0, forbidden=0):
     if k < 0:
         return False
     full = (1 << n) - 1
+    if k == 0:
+        # Nothing left to choose: the uncovered vertices must span no edge.
+        rem = full & ~covered
+        m = rem
+        while m:
+            x = m & -m
+            if adj[x.bit_length() - 1] & rem:
+                return False
+            m ^= x
+        return True
 
     def rec(covered, forbidden, budget):
         rem = full & ~covered
@@ -229,6 +239,23 @@ def has_isolating_set(adj, n, k, covered=0, forbidden=0):
         e = adj[v] & rem
         u = (e & -e).bit_length() - 1
         cand = (adj[v] | adj[u] | (1 << v) | (1 << u)) & ~forbidden
+        if budget == 1:
+            # The last choice, tested in place: a candidate isolates when no
+            # edge is left among the vertices it leaves. Vertices below v
+            # had no edge in rem, so the scan starts at v.
+            while cand:
+                x = cand & -cand
+                cand ^= x
+                left = rem & ~(adj[x.bit_length() - 1] | x)
+                m = left >> v << v
+                while m:
+                    y = m & -m
+                    if adj[y.bit_length() - 1] & left:
+                        break
+                    m ^= y
+                else:
+                    return True
+            return False
         tried = 0
         while cand:
             x = cand & -cand
@@ -249,6 +276,8 @@ def has_dominating_set(adj, n, k, covered=0, forbidden=0):
     if k < 0:
         return False
     full = (1 << n) - 1
+    if k == 0:
+        return not full & ~covered
 
     def rec(covered, forbidden, budget):
         rem = full & ~covered
@@ -259,6 +288,14 @@ def has_dominating_set(adj, n, k, covered=0, forbidden=0):
         x = rem & -rem
         v = x.bit_length() - 1
         cand = (adj[v] | x) & ~forbidden
+        if budget == 1:
+            # The last choice, tested in place: it must dominate all of rem.
+            while cand:
+                y = cand & -cand
+                if not rem & ~(adj[y.bit_length() - 1] | y):
+                    return True
+                cand ^= y
+            return False
         tried = 0
         while cand:
             y = cand & -cand

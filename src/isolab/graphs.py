@@ -10,6 +10,8 @@ branch-free.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -52,6 +54,66 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= x
 
 
+def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """Delta swaps that transpose a w x w bit matrix held in one integer,
+    row r at bit w * r (Warren, Hacker's Delight, 2nd ed., section 7-3).
+
+    The swap for each j in w/2, w/4, ..., 1 exchanges bit (r, c) with bit
+    (r + j, c - j) wherever bit j of r is 0 and bit j of c is 1, so the
+    pair lies j * (w - 1) apart; the masks are those positions, a column
+    pattern repeated down a row pattern.
+    """
+    big = 1 << w
+    out = []
+    j = w // 2
+    while j:
+        cols = ((1 << w) - 1) // ((1 << 2 * j) - 1) * (((1 << j) - 1) << j)
+        rows = (big**w - 1) // (big ** (2 * j) - 1) * ((big**j - 1) // (big - 1))
+        out.append((j * (w - 1), rows * cols))
+        j //= 2
+    return tuple(out)
+
+
+_WIDTHS = (8, 16, 32, 64)
+_SWAPS = {w: _transpose_swaps(w) for w in _WIDTHS}
+_TYPECODES = {w: next(c for c in "BHILQ" if array(c).itemsize * 8 == w) for w in _WIDTHS}
+
+
+def _layout(n: int) -> tuple:
+    """How a graph of order n is packed into one integer, row v at bit
+    w * v, where the width w is the least of 8, 16, 32 and 64 that holds n:
+    ``(w, array typecode of w-bit items, outside, transpose swaps)``, with
+    ``outside`` the bits no simple graph sets, the diagonal and every
+    column from n on."""
+    w = next(w for w in _WIDTHS if n <= w)
+    every_row = ((1 << w * n) - 1) // ((1 << w) - 1)  # bit w * v for each v < n
+    diagonal = ((1 << (w + 1) * n) - 1) // ((1 << w + 1) - 1)
+    outside = ((1 << w) - (1 << n)) * every_row | diagonal
+    return w, _TYPECODES[w], outside, _SWAPS[w]
+
+
+_LAYOUTS = tuple(_layout(n) for n in range(MAX_ORDER + 1))
+
+
+def _transpose(m: int, swaps: tuple[tuple[int, int], ...]) -> int:
+    """Transpose a packed bit matrix by the swaps of ``_transpose_swaps``."""
+    for s, mask in swaps:
+        x = (m ^ (m >> s)) & mask
+        m ^= x ^ (x << s)
+    return m
+
+
+def _row_fault(adj: Sequence[int], n: int) -> str:
+    """The first row, in vertex order, with bits beyond the order or a loop."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return f"adjacency bits beyond order at vertex {v}"
+        if (row >> v) & 1:
+            return f"loop at vertex {v}"
+    raise RuntimeError("no row fault found")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on at most 64 vertices.
@@ -67,18 +129,25 @@ class Graph:
         n = self.order
         if not 0 <= n <= MAX_ORDER:
             raise ValueError(f"order {n} outside 0..{MAX_ORDER}")
-        if len(self.adj) != n:
+        adj = self.adj
+        if len(adj) != n:
             raise ValueError("adjacency length does not match order")
-        full = (1 << n) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"adjacency bits beyond order at vertex {v}")
-            if (row >> v) & 1:
-                raise ValueError(f"loop at vertex {v}")
-        for v in range(n):
-            for u in iter_bits(self.adj[v]):
-                if not (self.adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
+        width, code, outside, swaps = _LAYOUTS[n]
+        # The whole matrix in one integer, so that the range, loop and
+        # symmetry checks are a few word operations. Packing refuses a row
+        # that is negative or wider than the width.
+        try:
+            m = int.from_bytes(array(code, adj), sys.byteorder)
+        except OverflowError:
+            raise ValueError(_row_fault(adj, n)) from None
+        if m & outside:
+            raise ValueError(_row_fault(adj, n))
+        t = _transpose(m, swaps)
+        if t != m:
+            # Bit (v, u) of m without (u, v): the least v, then the least u.
+            x = m & ~t
+            v, u = divmod((x & -x).bit_length() - 1, width)
+            raise ValueError(f"asymmetric edge {v}-{u}")
 
     @property
     def full_mask(self) -> int:
@@ -151,27 +220,9 @@ def star_graph(leaves: int) -> Graph:
     return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def corona_of_complete(m: int) -> Graph:
-    """K_m with one private pendant leaf per clique vertex (order 2m)."""
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    edges += [(i, m + i) for i in range(m)]
-    return from_edges(2 * m, edges)
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     adj = list(a.adj) + [row << a.order for row in b.adj]
     return Graph(a.order + b.order, tuple(adj))
-
-
-def relabel(g: Graph, labels: list[int]) -> Graph:
-    """Return the graph with vertex ``v`` renamed to ``labels[v]``."""
-    adj = [0] * g.order
-    for v in range(g.order):
-        row = 0
-        for u in iter_bits(g.adj[v]):
-            row |= 1 << labels[u]
-        adj[labels[v]] = row
-    return Graph(g.order, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +238,12 @@ def _g6_header(n: int) -> bytes:
 # Each graph6 character, as the six body bits it carries, high bit first.
 _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 _G6_BAD = re.compile("[^?-~]")
+# Per packing width, for each column j of the graph6 upper triangle: where
+# its j bits start in the reversed body, their mask, and the bit of row j in
+# the packed matrix.
+_G6_COLUMNS = {
+    w: tuple((j * (j - 1) // 2, (1 << j) - 1, w * j) for j in range(w)) for w in _WIDTHS
+}
 
 
 def parse_graph6(text: str) -> Graph:
@@ -226,24 +283,22 @@ def parse_graph6(text: str) -> Graph:
     if have > need:
         raise Graph6Error("unexpected trailing bytes", body_off + need)
     # The body is the upper triangle column by column: column j holds the
-    # bits of edges (0, j), ..., (j - 1, j), so reversed it is the binary
-    # numeral of j's lower neighborhood.
+    # bits of edges (0, j), ..., (j - 1, j).
     bits = line[body_off:].translate(_G6_BITS)
     pad = bits.find("1", nbits)
     if pad >= 0:
         raise Graph6Error("nonzero padding bits", body_off + pad // 6)
-    adj = [0] * n
-    start = 0
-    for j in range(1, n):
-        lower = int(bits[start : start + j][::-1], 2)
-        start += j
-        adj[j] = lower
-        bj = 1 << j
-        while lower:
-            x = lower & -lower
-            adj[x.bit_length() - 1] |= bj
-            lower ^= x
-    return Graph(n, tuple(adj))
+    # Reversed, it is one numeral with edge (i, j) at bit j(j - 1)/2 + i, so
+    # j's lower neighborhood is a run of j bits. Moved to row j of the packed
+    # matrix, the runs make its lower triangle; the upper one is the transpose.
+    body = int(bits[:nbits][::-1] or "0", 2)
+    width, code, _, swaps = _LAYOUTS[n]
+    lower = 0
+    for at, run, row in _G6_COLUMNS[width][:n]:
+        lower |= ((body >> at) & run) << row
+    m = lower | _transpose(lower, swaps)
+    rows = array(code, m.to_bytes(width * n // 8, sys.byteorder))
+    return Graph(n, tuple(rows))
 
 
 def write_graph6(g: Graph) -> str:
@@ -258,9 +313,12 @@ def write_graph6(g: Graph) -> str:
 
 def closed_neighborhood(g: Graph, x: int) -> int:
     """N[x]: the set together with every neighbor of its members."""
+    adj = g.adj
     out = x
-    for v in iter_bits(x):
-        out |= g.adj[v]
+    while x:
+        b = x & -x
+        out |= adj[b.bit_length() - 1]
+        x ^= b
     return out
 
 
@@ -286,12 +344,15 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _closure(g: Graph, seed: int, mask: int) -> int:
+    adj = g.adj
     comp = seed & mask
     frontier = comp
     while frontier:
         grow = 0
-        for v in iter_bits(frontier):
-            grow |= g.adj[v]
+        while frontier:
+            b = frontier & -frontier
+            grow |= adj[b.bit_length() - 1]
+            frontier ^= b
         frontier = grow & mask & ~comp
         comp |= frontier
     return comp
@@ -338,9 +399,13 @@ def bfs_tree(g: Graph, root: int, mask: int) -> tuple[list[int], list[int]]:
             new = g.adj[v] & mask & ~seen
             seen |= new
             reached |= new
-            for u in iter_bits(new):
+            d = depth[v] + 1
+            while new:
+                b = new & -new
+                u = b.bit_length() - 1
                 parent[u] = v
-                depth[u] = depth[v] + 1
+                depth[u] = d
+                new ^= b
         frontier = bit_list(reached)
     return parent, depth
 
@@ -386,9 +451,13 @@ def cut_vertices(g: Graph, mask: Optional[int] = None) -> int:
         stack.pop()
         # Neighbors discovered later are descendants and cannot lower it.
         lo = low[v]
-        for u in iter_bits(up[v]):
-            if disc[u] < lo:
-                lo = disc[u]
+        back = up[v]
+        while back:
+            b = back & -back
+            d = disc[b.bit_length() - 1]
+            if d < lo:
+                lo = d
+            back ^= b
         low[v] = lo
         if not stack:
             break
@@ -485,11 +554,6 @@ def find_cycle_len_mod3(g: Graph, mask: Optional[int] = None) -> Optional[CycleP
 
 # ---------------------------------------------------------------------------
 # canonical labeling
-
-
-def canonical_labels(g: Graph) -> list[int]:
-    """Canonical position of each vertex (refinement plus backtracking)."""
-    return _backend.canon_form(g.adj, g.order)[0]
 
 
 def canonical_code(g: Graph) -> bytes:

@@ -214,7 +214,7 @@ def _all_graphs_level(n: int) -> list[_Entry]:
 
 class CacheDirError(OSError):
     """``ISOLAB_CACHE_DIR`` names something that cannot hold the cache, or
-    a cache file in it cannot be read."""
+    a cache file in it cannot be read or written."""
 
 
 def _cache_path(name: str) -> Optional[str]:
@@ -261,18 +261,23 @@ def _read_cache(path: str, n: int) -> Optional[list[str]]:
 def _write_cache(path: str, lines: list[str]) -> None:
     """Write a temp file beside ``path`` and rename it over ``path``, so the
     cache never holds a half-written catalog. The first line is
-    ``# sha256 <hex>`` of the graph6 lines below it."""
+    ``# sha256 <hex>`` of the graph6 lines below it. A temp file that cannot
+    be made or written (read-only or full dir) raises ``CacheDirError``."""
     body = ("\n".join(lines) + "\n").encode("ascii")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_cache_header(body) + body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_cache_header(body) + body)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CacheDirError(f"cannot write cache file {path}: {reason}") from None
 
 
 def _parallel_map(fn, items: list, threads: int) -> list:

@@ -42,11 +42,6 @@ def is_dominating(g: Graph, x: int) -> bool:
     return closed_neighborhood(g, x) == g.full_mask
 
 
-def is_distance2_dominating(g: Graph, x: int) -> bool:
-    """True iff every vertex is within distance two of x."""
-    return closed_neighborhood(g, closed_neighborhood(g, x)) == g.full_mask
-
-
 def has_isolating_set(g: Graph, k: int) -> bool:
     """Decide whether an isolating set of size at most k exists."""
     return _backend.has_isolating_set(g.adj, g.order, k)
@@ -76,19 +71,21 @@ def _walk(g: Graph, decide, size: int, covered: int, forbidden: int) -> Iterator
         if decide(g.adj, g.order, 0, covered, forbidden):
             yield 0
         return
-    allowed = g.full_mask & ~forbidden
-    for v in iter_bits(allowed):
-        if (allowed >> (v + 1)).bit_count() < size - 1:
+    adj, n = g.adj, g.order
+    rest = g.full_mask & ~forbidden
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if rest.bit_count() < size - 1:
             return
-        bit = 1 << v
-        state = (covered | g.adj[v] | bit, forbidden | ((bit << 1) - 1))
-        if not decide(g.adj, g.order, size - 1, *state):
+        state = (covered | adj[bit.bit_length() - 1] | bit, forbidden | ((bit << 1) - 1))
+        if not decide(adj, n, size - 1, *state):
             continue
         if size == 1:
             yield bit
         else:
-            for rest in _walk(g, decide, size - 1, *state):
-                yield bit | rest
+            for tail in _walk(g, decide, size - 1, *state):
+                yield bit | tail
 
 
 def _lex_least(g: Graph, decide) -> SolveResult:

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the library's bitmask machinery:
 graphs are dicts of sets, subsets are frozensets, and graph6 decoding goes
 through a textual bit string. Slow and obvious beats fast and clever for
-an oracle.
+an oracle. The last section is the exception: small helpers on isolab's
+``Graph`` that only the tests use.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+
+from isolab import _backend
+from isolab import graphs as G
 
 
 def decode_graph6_reference(line: str) -> tuple[int, set[frozenset[int]]]:
@@ -47,15 +51,17 @@ def closed_nbhd(adj: dict[int, set[int]], xs: frozenset[int]) -> set[int]:
     return out
 
 
-def isolating_ref(n: int, edges: set[frozenset[int]], xs) -> bool:
+def isolating_ref(n: int, edges: set[frozenset[int]], xs, covered=()) -> bool:
+    """N[xs], together with the ``covered`` vertices, meets every edge."""
     adj = neighbors(n, edges)
-    removed = closed_nbhd(adj, frozenset(xs))
+    removed = closed_nbhd(adj, frozenset(xs)) | set(covered)
     return not any(e.isdisjoint(removed) for e in edges)
 
 
-def dominating_ref(n: int, edges: set[frozenset[int]], xs) -> bool:
+def dominating_ref(n: int, edges: set[frozenset[int]], xs, covered=()) -> bool:
+    """N[xs], together with the ``covered`` vertices, is every vertex."""
     adj = neighbors(n, edges)
-    return closed_nbhd(adj, frozenset(xs)) == set(range(n))
+    return closed_nbhd(adj, frozenset(xs)) | set(covered) == set(range(n))
 
 
 def min_param_ref(n: int, edges, predicate) -> tuple[int, tuple[int, ...]]:
@@ -65,6 +71,27 @@ def min_param_ref(n: int, edges, predicate) -> tuple[int, tuple[int, ...]]:
             if predicate(n, edges, combo):
                 return k, combo
     raise AssertionError("predicate never satisfied")
+
+
+def graph_faults_ref(n: int, rows) -> list[str]:
+    """Every reason ``Graph(n, rows)`` must be refused, one bit at a time,
+    worded as isolab words it: a row that is negative or has a bit at or
+    beyond n, a loop, and each set bit (v, u) whose mirror (u, v) is clear.
+    Empty when the rows are a simple undirected graph on n vertices."""
+    faults = []
+    for v in range(n):
+        row = rows[v]
+        if row < 0 or row >= 1 << n:
+            faults.append(f"adjacency bits beyond order at vertex {v}")
+            continue
+        for u in range(n):
+            if not (row >> u) & 1:
+                continue
+            if u == v:
+                faults.append(f"loop at vertex {v}")
+            elif not (rows[u] >> v) & 1:
+                faults.append(f"asymmetric edge {v}-{u}")
+    return faults
 
 
 def isomorphic_ref(n1, edges1, n2, edges2) -> bool:
@@ -161,3 +188,36 @@ def has_valid_tripartition_ref(n, edges) -> bool:
         valid_tripartition_ref(n, edges, dict(enumerate(assign)))
         for assign in product((1, 2, 3), repeat=n)
     )
+
+
+# ---------------------------------------------------------------------------
+# helpers on isolab's Graph that only the tests use
+
+
+def relabel(g: G.Graph, labels: list[int]) -> G.Graph:
+    """The graph with vertex ``v`` renamed to ``labels[v]``."""
+    adj = [0] * g.order
+    for v in range(g.order):
+        row = 0
+        for u in G.iter_bits(g.adj[v]):
+            row |= 1 << labels[u]
+        adj[labels[v]] = row
+    return G.Graph(g.order, tuple(adj))
+
+
+def corona_of_complete(m: int) -> G.Graph:
+    """K_m with one private pendant leaf per clique vertex (order 2m)."""
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges += [(i, m + i) for i in range(m)]
+    return G.from_edges(2 * m, edges)
+
+
+def canonical_labels(g: G.Graph) -> list[int]:
+    """Canonical position of each vertex under the selected backend."""
+    return _backend.canon_form(g.adj, g.order)[0]
+
+
+def is_distance2_dominating(g: G.Graph, x: int) -> bool:
+    """True iff every vertex is within distance two of the set x."""
+    near = G.closed_neighborhood(g, G.closed_neighborhood(g, x))
+    return near == g.full_mask

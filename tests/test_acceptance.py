@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+import oracles
 from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
@@ -176,7 +177,7 @@ def test_criterion_08_extendability(exceptional):
 
 def test_criterion_09_corona():
     for m in range(2, 9):
-        g = G.corona_of_complete(m)
+        g = oracles.corona_of_complete(m)
         assert S.domination_number(g).value == m
         assert S.isolation_number(g).value == 1
     ok(9, "corona of K_m has domination m and isolation 1 for 2 <= m <= 8")

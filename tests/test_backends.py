@@ -27,7 +27,7 @@ def assert_canon_agrees_in_two_labelings(core, rng, n, lines):
         perm = list(range(n))
         rng.shuffle(perm)
         assert_canon_agrees(core, g.adj, n)
-        assert_canon_agrees(core, G.relabel(g, perm).adj, n)
+        assert_canon_agrees(core, oracles.relabel(g, perm).adj, n)
 
 
 def test_canon_identical_on_all_graphs_up_to_6(core):

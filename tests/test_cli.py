@@ -149,6 +149,20 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert err == f"isolab: error: cannot read cache file {entry}: Is a directory\n"
 
+    def test_unwritable_cache_dir_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a read-only or full dir: the temp file beside the entry cannot be made
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(lab.tempfile, "mkstemp", refuse)
+        monkeypatch.setenv("ISOLAB_CACHE_DIR", str(tmp_path))
+        monkeypatch.delitem(lab._CONNECTED, 5, raising=False)
+        code, out, err = run_cli(capsys, ["enum", "--order", "5", "--connected"])
+        assert code == 2 and out == ""
+        entry = tmp_path / "connected_n5.g6"
+        assert err == f"isolab: error: cannot write cache file {entry}: Permission denied\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("text", [
         '{"base": "@", "pendants": [',
         "[1]",

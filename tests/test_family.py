@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
@@ -191,7 +192,7 @@ class TestRecognition:
             g = F.build_family_graph(spec)
             perm = list(range(g.order))
             rng.shuffle(perm)
-            g = G.relabel(g, perm)
+            g = oracles.relabel(g, perm)
             cands = F._candidate_blocks(g)
             assert cands == full_scan_candidate_blocks(g), seed
             assert sum(c.kind == "C5" for c in cands) >= sum(

@@ -1,0 +1,178 @@
+"""The word-level ``Graph`` validation and the pure-Python decision leaf,
+each against a per-bit or brute-force oracle.
+
+The checks are plain functions that return what they checked and what
+disagreed, with no ``assert`` inside, so that the same checks also run
+under ``python -O``.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from itertools import combinations
+
+import oracles
+from isolab import _pykernels
+from isolab import graphs as G
+from isolab import lab
+
+# Orders on both sides of each packing width (8, 16, 32, 64 bits a row).
+WIDTH_EDGE_ORDERS = (0, 1, 8, 9, 16, 17, 32, 33, 63, 64)
+
+
+def _random_rows(rng, n, p):
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _changed(rows, v, row):
+    out = list(rows)
+    out[v] = row
+    return out
+
+
+def hostile_rows(seed=11):
+    """(order, rows) at the width edges: valid graphs, and each with a loop,
+    one asymmetric bit, a bit beyond the order, a negative row, or two of
+    these at once."""
+    rng = random.Random(seed)
+    for n in WIDTH_EDGE_ORDERS:
+        for p in (0.0, 0.3, 0.7, 1.0):
+            rows = _random_rows(rng, n, p)
+            yield n, rows
+            if n == 0:
+                continue
+            for v in sorted({0, n - 1, rng.randrange(n)}):
+                row = rows[v]
+                yield n, _changed(rows, v, row | 1 << v)
+                for b in sorted({n, 15, 16, 31, 32, 63, 64, 100}):
+                    if b >= n:
+                        yield n, _changed(rows, v, row | 1 << b)
+                for neg in (-1, ~row, -(1 << n), row - (1 << 64)):
+                    yield n, _changed(rows, v, neg)
+                if n > 1:
+                    u = rng.choice([w for w in range(n) if w != v])
+                    flipped = _changed(rows, v, row ^ 1 << u)
+                    yield n, flipped
+                    w = rng.randrange(n)
+                    yield n, _changed(flipped, w, flipped[w] | 1 << w)
+
+
+def validation_mismatches():
+    """(inputs checked, list of disagreements with the per-bit oracle)."""
+    checked = 0
+    bad = []
+    for n, rows in hostile_rows():
+        checked += 1
+        faults = oracles.graph_faults_ref(n, rows)
+        try:
+            G.Graph(n, tuple(rows))
+        except ValueError as exc:
+            if str(exc) not in faults:
+                bad.append(f"order {n}: refused with {exc!r}, oracle says {faults[:3]}")
+        else:
+            if faults:
+                bad.append(f"order {n}: accepted, oracle says {faults[:3]}")
+    return checked, bad
+
+
+def _leaf_cases(seed=3):
+    """Every graph up to order 6, each from four start states: nothing
+    covered or forbidden, then three seeded random (covered, forbidden)."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        for line in lab.enumerate_all(n):
+            g = G.parse_graph6(line)
+            states = [(0, 0)] + [
+                (rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n))
+                for _ in range(3)
+            ]
+            for covered, forbidden in states:
+                yield line, g, covered, forbidden
+
+
+def leaf_mismatches():
+    """(decisions checked, list of disagreements with brute force) for the
+    pure-Python kernels at k = 0, 1 and 2."""
+    checked = 0
+    bad = []
+    for line, g, covered, forbidden in _leaf_cases():
+        n = g.order
+        edges = {frozenset(e) for e in g.edges()}
+        cov = {v for v in range(n) if covered >> v & 1}
+        allowed = [v for v in range(n) if not forbidden >> v & 1]
+        for name, ref in (
+            ("has_isolating_set", oracles.isolating_ref),
+            ("has_dominating_set", oracles.dominating_ref),
+        ):
+            decide = getattr(_pykernels, name)
+            for k in (0, 1, 2):
+                want = any(
+                    ref(n, edges, xs, cov)
+                    for size in range(k + 1)
+                    for xs in combinations(allowed, size)
+                )
+                got = decide(g.adj, n, k, covered, forbidden)
+                checked += 1
+                if got != want:
+                    bad.append(f"{name} {line} k={k} {covered:#x}/{forbidden:#x}: {got}")
+    return checked, bad
+
+
+def test_validation_matches_per_bit_oracle():
+    checked, bad = validation_mismatches()
+    assert checked > 1000
+    assert bad == []
+
+
+def _refusal(n, rows):
+    try:
+        G.Graph(n, tuple(rows))
+    except ValueError as exc:
+        return exc
+    raise AssertionError(f"Graph({n}, {rows}) accepted")
+
+
+def test_validation_names_the_first_fault():
+    assert str(_refusal(3, [0b010, 0b101, 0b000])) == "asymmetric edge 1-2"
+    assert str(_refusal(9, [0] * 8 + [1 << 8])) == "loop at vertex 8"
+    assert str(_refusal(9, [1 << 15] + [0] * 8)) == (
+        "adjacency bits beyond order at vertex 0"
+    )
+    # the first faulty vertex wins, whatever kind of fault comes later
+    assert str(_refusal(17, [0] * 16 + [-1])) == (
+        "adjacency bits beyond order at vertex 16"
+    )
+    assert str(_refusal(64, [1 << 63] + [0] * 63)) == "asymmetric edge 0-63"
+
+
+def test_pykernels_leaf_matches_brute_force():
+    checked, bad = leaf_mismatches()
+    assert checked == 208 * 4 * 2 * 3
+    assert bad == []
+
+
+def test_checks_hold_under_python_O():
+    # Under -O every assert is stripped, so a check that leaned on one
+    # would accept bad rows or let a wrong answer through here.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(G.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    code = (
+        "import json, test_fast_paths as T\n"
+        "print(json.dumps([T.validation_mismatches(), T.leaf_mismatches()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (v_checked, v_bad), (l_checked, l_bad) = json.loads(proc.stdout)
+    assert v_checked > 1000 and v_bad == []
+    assert l_checked == 208 * 4 * 2 * 3 and l_bad == []

@@ -327,7 +327,7 @@ class TestConnectivity:
                 g = G.parse_graph6(line)
                 perm = list(range(n))
                 rng.shuffle(perm)
-                for h in (g, G.relabel(g, perm)):
+                for h in (g, oracles.relabel(g, perm)):
                     assert G.cut_vertices(h) == closure_cut_vertices(h), line
 
     def test_cut_vertices_match_closures_on_random_connected_graphs(self):
@@ -450,7 +450,7 @@ class TestCanonical:
             g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             perm = list(range(n))
             rng.shuffle(perm)
-            assert G.canonical_code(g) == G.canonical_code(G.relabel(g, perm))
+            assert G.canonical_code(g) == G.canonical_code(oracles.relabel(g, perm))
 
     def test_separates_path_from_star(self):
         assert G.canonical_code(G.path_graph(4)) != G.canonical_code(G.star_graph(3))

@@ -138,7 +138,7 @@ def test_canon_labels_a_max_degree_vertex_last(request, backend):
             g = G.parse_graph6(line)
             perm = list(range(n))
             rng.shuffle(perm)
-            adj = G.relabel(g, perm).adj
+            adj = oracles.relabel(g, perm).adj
             labels = kernels.canon_form(adj, n)[0]
             last = labels.index(n - 1)
             assert adj[last].bit_count() == max(row.bit_count() for row in adj)
@@ -160,7 +160,7 @@ def test_canon_labels_a_last_root_cell_vertex_last(request, backend):
             g = G.parse_graph6(line)
             perm = list(range(n))
             rng.shuffle(perm)
-            adj = G.relabel(g, perm).adj
+            adj = oracles.relabel(g, perm).adj
             last_cell = oracles.refined_root_cells_ref(n, _edges(adj))[-1]
             full = kernels.canon_form(adj, n)
             assert full[0].index(n - 1) in last_cell
@@ -184,7 +184,7 @@ def _reference_accepts(parent, connected_final):
         if connected_final and not G.is_connected(g):
             out.append(None)
             continue
-        last = G.canonical_labels(g).index(k)
+        last = oracles.canonical_labels(g).index(k)
         rest, _ = G.induced_subgraph(g, g.full_mask ^ (1 << last))
         in_last_cell = k in oracles.refined_root_cells_ref(k + 1, _edges(child))[-1]
         out.append(
@@ -246,7 +246,7 @@ def test_canon_automorphisms_on_all_graphs_up_to_7(request, backend):
         for line in lab.enumerate_all(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            g = G.relabel(G.parse_graph6(line), perm)
+            g = oracles.relabel(G.parse_graph6(line), perm)
             edges = _edges(g.adj)
             _, _, orbits, auts = kernels.canon_form(g.adj, n)
             assert len(auts) <= _pykernels._AUT_CAP

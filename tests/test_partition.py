@@ -379,7 +379,7 @@ class TestDisjointIsolating:
                 assert a1 | a2 | a3 == g.full_mask
                 for cls in (a1, a2, a3):
                     assert S.is_isolating(g, cls)
-                    assert S.is_distance2_dominating(g, cls)
+                    assert oracles.is_distance2_dominating(g, cls)
 
     def test_star_example(self):
         g = G.star_graph(3)
