@@ -194,6 +194,18 @@ def canon_form(adj, n, last=-1):
     return best["pos"], best["body"], [find(v) for v in range(n)], auts
 
 
+def _edge_vertex(adj, rem):
+    """The least vertex of ``rem`` with a neighbor in ``rem``, or -1."""
+    m = rem
+    while m:
+        x = m & -m
+        v = x.bit_length() - 1
+        if adj[v] & rem:
+            return v
+        m ^= x
+    return -1
+
+
 def has_isolating_set(adj, n, k, covered=0, forbidden=0):
     """Decide whether some vertex set of size <= k isolates the graph.
 
@@ -211,31 +223,13 @@ def has_isolating_set(adj, n, k, covered=0, forbidden=0):
         return False
     full = (1 << n) - 1
     if k == 0:
-        # Nothing left to choose: the uncovered vertices must span no edge.
-        rem = full & ~covered
-        m = rem
-        while m:
-            x = m & -m
-            if adj[x.bit_length() - 1] & rem:
-                return False
-            m ^= x
-        return True
+        return _edge_vertex(adj, full & ~covered) < 0
 
     def rec(covered, forbidden, budget):
         rem = full & ~covered
-        m = rem
-        v = -1
-        while m:
-            x = m & -m
-            i = x.bit_length() - 1
-            if adj[i] & rem:
-                v = i
-                break
-            m ^= x
+        v = _edge_vertex(adj, rem)
         if v < 0:
             return True
-        if budget == 0:
-            return False
         e = adj[v] & rem
         u = (e & -e).bit_length() - 1
         cand = (adj[v] | adj[u] | (1 << v) | (1 << u)) & ~forbidden
@@ -283,8 +277,6 @@ def has_dominating_set(adj, n, k, covered=0, forbidden=0):
         rem = full & ~covered
         if not rem:
             return True
-        if budget == 0:
-            return False
         x = rem & -rem
         v = x.bit_length() - 1
         cand = (adj[v] | x) & ~forbidden
