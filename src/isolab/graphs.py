@@ -171,17 +171,6 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-@dataclass(frozen=True)
-class CyclePath:
-    """Vertex sequence forming a path, or a cycle when ``closed``."""
-
-    vertices: tuple[int, ...]
-    closed: bool
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
 # ---------------------------------------------------------------------------
 # construction helpers
 
@@ -532,23 +521,17 @@ def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:
     return order
 
 
-def iter_simple_cycles(g: Graph, mask: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All simple cycles inside ``mask`` (default: all vertices), shortest
-    first, in the order of ``cycles_of_length``."""
-    if mask is None:
-        mask = g.full_mask
-    for length in range(3, mask.bit_count() + 1):
-        yield from cycles_of_length(g, length, mask)
-
-
-def find_cycle_len_mod3(g: Graph, mask: Optional[int] = None) -> Optional[CyclePath]:
-    """Shortest simple cycle inside ``mask`` (default: all vertices) whose
-    length is a multiple of 3, if any."""
+def find_cycle_len_mod3(
+    g: Graph, mask: Optional[int] = None
+) -> Optional[tuple[int, ...]]:
+    """Vertices of the first shortest simple cycle inside ``mask`` (default:
+    all vertices) whose length is a multiple of 3, in the order of
+    ``cycles_of_length``; None when there is none."""
     if mask is None:
         mask = g.full_mask
     for length in range(3, mask.bit_count() + 1, 3):
         for cyc in cycles_of_length(g, length, mask):
-            return CyclePath(cyc, closed=True)
+            return cyc
     return None
 
 

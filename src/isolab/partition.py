@@ -8,14 +8,16 @@ before being returned, and a brute-force search over all 3^n colorings
 doubles as both the oracle for tests and the last-resort fallback.
 
 Reductions, in the order tried: star base case, cycle base case,
-cut-vertex, degree-2 vertex, cycle of length divisible by 3, separating
-cycle. Each subproblem is the subgraph induced on a vertex mask, solved in
-place in the input graph's numbering, so every vertex in a trace is an
-input vertex; only the exhaustive fallback builds a relabelled copy. The
-cycle-length-mod-3 step runs before the separating-cycle scan
-(dense graphs nearly always contain a triangle, while graphs with no cycle
-length divisible by 3 are necessarily sparse); the steps are sound in any
-order, so this only affects which valid partition is produced.
+cut-vertex, degree-2 vertex, cycle of length divisible by 3. Each
+subproblem is the subgraph induced on a vertex mask, solved in place in
+the input graph's numbering, so every vertex in a trace is an input vertex;
+only the exhaustive fallback builds a relabelled copy. The cycle rung is
+the last one: a mask that reaches it has no cut vertex and no degree-2
+vertex, so it is 2-connected with minimum degree at least 3, and every
+graph of minimum degree at least 3 has a cycle whose length is divisible by
+3 (G. Chen and A. Saito, J. Combin. Theory Ser. B 60 (1994) 277-292). A
+mask where the search finds none is a gap between the engine and that
+theorem, and goes to the loud exhaustive fallback.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from isolab.graphs import (
     induced_subgraph,
     is_connected,
     iter_bits,
-    iter_simple_cycles,
     masked_components,
     write_graph6,
 )
@@ -286,10 +287,10 @@ def _path_reduce(
 
 
 def _cycle_reduce(
-    g: Graph, mask: int, cyc: list[int], kind: str
+    g: Graph, mask: int, cyc: tuple[int, ...]
 ) -> tuple[dict[int, int], list[TraceStep]]:
     colors = {v: (i % 3) + 1 for i, v in enumerate(cyc)}
-    step = TraceStep(kind, tuple(cyc), dict(colors))
+    step = TraceStep("cycle-mod-3", cyc, dict(colors))
     steps = [step]
     _color_components(g, mask, colors, {}, step, steps)
     return colors, steps
@@ -362,58 +363,6 @@ def _reduce_degree_two(
     return _path_reduce(g, mask, path, x=u, y=y, pre_steps=[pre])
 
 
-def _reduce_separating_cycle(
-    g: Graph, mask: int
-) -> Optional[tuple[dict[int, int], list[TraceStep]]]:
-    for cyc in iter_simple_cycles(g, mask):
-        cyc = list(cyc)
-        rest = mask & ~bits_of(cyc)
-        if not rest:
-            continue
-        comps = masked_components(g, rest)
-        if len(comps) < 2:
-            continue
-
-        def comp_of(v: int) -> int:
-            return next(c for c in comps if (c >> v) & 1)
-
-        length = len(cyc)
-        # Consecutive pair attached to different outside components: take
-        # the whole cycle as a path between them.
-        for i in range(length):
-            u, w = cyc[i], cyc[(i + 1) % length]
-            ext_u = g.adj[u] & rest
-            ext_w = g.adj[w] & rest
-            if not ext_u or not ext_w:
-                continue
-            for xc in iter_bits(ext_w):
-                for yc in iter_bits(ext_u):
-                    if comp_of(xc) != comp_of(yc):
-                        path = [cyc[(i + 1 + t) % length] for t in range(length)]
-                        pre = TraceStep("separating-cycle", tuple(cyc))
-                        return _path_reduce(g, mask, path, x=xc, y=yc, pre_steps=[pre])
-        # Otherwise some cycle vertex has no outside neighbor; drop one such
-        # vertex whose cycle neighbor does reach outside.
-        cands = []
-        for i in range(length):
-            v = cyc[i]
-            if g.adj[v] & rest:
-                continue
-            for w in (cyc[(i - 1) % length], cyc[(i + 1) % length]):
-                if g.adj[w] & rest:
-                    cands.append((v, w))
-        if not cands:
-            raise RuntimeError("separating cycle must have an attachment boundary")
-        v, w = min(cands)
-        i = cyc.index(v)
-        rot = cyc[i + 1 :] + cyc[:i]
-        path = rot if rot[-1] == w else list(reversed(rot))
-        y = min(iter_bits(g.adj[w] & rest))
-        pre = TraceStep("separating-cycle", tuple(cyc))
-        return _path_reduce(g, mask, path, x=v, y=y, pre_steps=[pre])
-    return None
-
-
 def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
     """Color the connected subgraph induced on ``mask``, in ``g``'s own
     vertex numbering."""
@@ -442,14 +391,10 @@ def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
         if deg2:
             colors, steps = _reduce_degree_two(g, mask, deg2)
         else:
-            cp = find_cycle_len_mod3(g, mask)
-            if cp is not None:
-                colors, steps = _cycle_reduce(g, mask, list(cp.vertices), "cycle-mod-3")
-            else:
-                reduced = _reduce_separating_cycle(g, mask)
-                if reduced is None:
-                    return _exhaust(g, mask)
-                colors, steps = reduced
+            cyc = find_cycle_len_mod3(g, mask)
+            if cyc is None:
+                return _exhaust(g, mask)
+            colors, steps = _cycle_reduce(g, mask, cyc)
     if len(colors) != n:
         raise RuntimeError("reduction left a vertex uncolored")
     return colors, steps
@@ -510,16 +455,6 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
     if not all(tp.classes):
         raise RuntimeError("top-level partition must use all three classes")
     return tp, steps
-
-
-def disjoint_isolating_sets(g: Graph) -> tuple[int, int, int]:
-    """Three disjoint isolating sets: the classes of the tri-partition.
-
-    Each V - N[Ai] sits inside the independent leftover, so removing N[Ai]
-    leaves no edge.
-    """
-    tp, _ = partition3(g)
-    return tp.classes
 
 
 def replay_trace(g: Graph, steps: list[TraceStep]) -> TriPartition:

@@ -13,6 +13,8 @@ from itertools import combinations, permutations, product
 
 from isolab import _backend
 from isolab import graphs as G
+from isolab.partition import partition3
+from isolab.solvers import lex_extensions
 
 
 def decode_graph6_reference(line: str) -> tuple[int, set[frozenset[int]]]:
@@ -221,3 +223,28 @@ def is_distance2_dominating(g: G.Graph, x: int) -> bool:
     """True iff every vertex is within distance two of the set x."""
     near = G.closed_neighborhood(g, G.closed_neighborhood(g, x))
     return near == g.full_mask
+
+
+def extend_pair_check(h: G.Graph, k: int) -> dict[tuple[int, int], int | None]:
+    """For each vertex pair, one size-k isolating superset or None: the pair
+    plus the first k-2 other vertices, in combinations order, that complete it."""
+    out = {}
+    for z1, z2 in combinations(range(h.order), 2):
+        base = (1 << z1) | (1 << z2)
+        witness = None
+        if k >= 2:
+            for extra in lex_extensions(h, _backend.has_isolating_set, k - 2, base):
+                witness = base | extra
+                break
+        out[(z1, z2)] = witness
+    return out
+
+
+def disjoint_isolating_sets(g: G.Graph) -> tuple[int, int, int]:
+    """Three disjoint isolating sets: the classes of the tri-partition.
+
+    Each V - N[Ai] sits inside the independent leftover, so removing N[Ai]
+    leaves no edge.
+    """
+    tp, _ = partition3(g)
+    return tp.classes

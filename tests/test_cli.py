@@ -167,12 +167,14 @@ class TestHostileInput:
         '{"base": "@", "pendants": [',
         "[1]",
         '{"base": "@", "pendants": [{"kind": "K2", "attach": 1}]}',
-    ], ids=["malformed", "not-an-object", "attach-not-a-list"])
+        "[" * 200000,
+    ], ids=["malformed", "not-an-object", "attach-not-a-list", "nested-too-deep"])
     def test_bad_spec_is_invalid_spec(self, capsys, tmp_path, text):
         path = tmp_path / "spec.json"
         path.write_text(text)
-        code, out, _ = run_cli(capsys, ["gen-g", "--spec", str(path)])
-        assert code == 1
+        code, out, err = run_cli(capsys, ["gen-g", "--spec", str(path)])
+        assert code == 1 and err == ""
+        assert out.count("\n") == 1
         data = json.loads(out)
         assert set(data) == {"error", "detail"}
         assert data["error"] == "invalid_spec"

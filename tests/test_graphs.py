@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -366,8 +366,7 @@ class TestCycles:
                     assert list(G.cycles_of_length(g, length, mask)) == inside
 
     def test_c6_found(self):
-        cp = G.find_cycle_len_mod3(G.cycle_graph(6))
-        assert cp is not None and cp.closed and len(cp.vertices) == 6
+        assert G.find_cycle_len_mod3(G.cycle_graph(6)) == (0, 1, 2, 3, 4, 5)
 
     def test_c5_absent(self):
         assert G.find_cycle_len_mod3(G.cycle_graph(5)) is None
@@ -378,9 +377,8 @@ class TestCycles:
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6),
              (6, 8), (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
         )
-        cp = G.find_cycle_len_mod3(pet)
-        assert cp is not None and len(cp.vertices) == 6
-        vs = cp.vertices
+        vs = G.find_cycle_len_mod3(pet)
+        assert vs is not None and len(vs) == 6
         for i in range(6):
             assert pet.has_edge(vs[i], vs[(i + 1) % 6])
         assert len(set(vs)) == 6
@@ -388,8 +386,20 @@ class TestCycles:
     def test_shortest_preferred(self):
         # Triangle hanging off a 6-cycle: the 3-cycle must win.
         g = G.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (1, 6)])
-        cp = G.find_cycle_len_mod3(g)
-        assert len(cp.vertices) == 3
+        assert len(G.find_cycle_len_mod3(g)) == 3
+
+    def test_min_degree_three_has_cycle_mod3(self):
+        # Chen and Saito (1994): minimum degree >= 3 forces a cycle whose
+        # length is divisible by 3, which makes cycle-mod-3 the engine's
+        # last rung. Checked on every connected graph of order 4..8.
+        checked = 0
+        for n in range(4, 9):
+            for line in lab.enumerate_connected(n):
+                g = G.parse_graph6(line)
+                if min(row.bit_count() for row in g.adj) >= 3:
+                    assert G.find_cycle_len_mod3(g) is not None, line
+                    checked += 1
+        assert checked == 2762
 
 
 def connected_mask(rng, g, size):
@@ -416,12 +426,18 @@ class TestMasks:
             return G.bits_of(keep[v] for v in G.iter_bits(x))
 
         assert G.cut_vertices(g, mask) == back(G.cut_vertices(sub))
-        cp = G.find_cycle_len_mod3(sub)
-        want = None if cp is None else G.CyclePath(tuple(keep[v] for v in cp.vertices), True)
+        cyc = G.find_cycle_len_mod3(sub)
+        want = None if cyc is None else tuple(keep[v] for v in cyc)
         assert G.find_cycle_len_mod3(g, mask) == want
+
+        def all_cycles(h, m):
+            return chain.from_iterable(
+                G.cycles_of_length(h, length, m) for length in range(3, m.bit_count() + 1)
+            )
+
         # A prefix keeps dense masks from enumerating exponentially many cycles.
-        cycles = [tuple(keep[v] for v in c) for c in islice(G.iter_simple_cycles(sub), 300)]
-        assert list(islice(G.iter_simple_cycles(g, mask), 300)) == cycles
+        cycles = [tuple(keep[v] for v in c) for c in islice(all_cycles(sub, sub.full_mask), 300)]
+        assert list(islice(all_cycles(g, mask), 300)) == cycles
         assert is_c5(g, mask) == is_c5(sub)
 
     def test_random_masks_on_all_graphs_up_to_7(self):

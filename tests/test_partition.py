@@ -19,7 +19,6 @@ from isolab.partition import (
     TraceStep,
     NoValidPartition,
     TriPartition,
-    disjoint_isolating_sets,
     exhaustive_partition3,
     is_c5,
     partition3,
@@ -193,10 +192,11 @@ class TestTrace:
 
     def test_step_kinds_named(self):
         rng = random.Random(7)
-        allowed = {
+        # Every rung of the reduction ladder; the exhaustive fallback is a
+        # gap in the engine and must not show up.
+        rungs = {
             "base-star", "base-cycle", "cycle-mod-3", "separating-path",
-            "cut-vertex", "degree-2", "separating-cycle", "endgame-cycle",
-            "exhaustive-fallback",
+            "cut-vertex", "degree-2",
         }
         seen = set()
         for _ in range(300):
@@ -204,10 +204,8 @@ class TestTrace:
             if is_c5(g):
                 continue
             _, steps = partition3(g)
-            for s in steps:
-                assert s.kind in allowed
-                seen.add(s.kind)
-        assert {"base-star", "base-cycle", "cycle-mod-3", "separating-path"} <= seen
+            seen.update(s.kind for s in steps)
+        assert seen == rungs
 
     def test_replay_rejects_bad_traces(self):
         g = G.path_graph(3)
@@ -238,7 +236,9 @@ class TestTrace:
         # Each probe breaks one invariant of the reduction engine on a
         # 2-connected theta graph: a "cut vertex" that is none, a
         # shortest-path search that finds nothing, and a 5-cycle handed to
-        # the solver. The engine must say so rather than run on.
+        # the solver. The engine must say so rather than run on. The last
+        # probe hides every cycle of length divisible by 3 from K4, which
+        # must reach the exhaustive fallback and announce it.
         src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         code = (
@@ -257,6 +257,10 @@ class TestTrace:
             "probe(lambda: partition.partition3(theta))\n"
             "c5 = graphs.cycle_graph(5)\n"
             "probe(lambda: partition._solve(c5, c5.full_mask))\n"
+            "partition.find_cycle_len_mod3 = lambda g, mask: None\n"
+            "k4 = graphs.complete_graph(4)\n"
+            "tp, steps = partition.partition3(k4)\n"
+            "print([s.kind for s in steps], partition.verify_partition(k4, tp)[0])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -267,25 +271,27 @@ class TestTrace:
             "raised cut-vertex reduction needs a cut vertex",
             "raised degree-2 reduction requires 2-connectivity",
             "raised reduction needs order at least 3 and no 5-cycle",
+            "['exhaustive-fallback'] True",
         ]
+        k4 = G.write_graph6(G.complete_graph(4))
+        assert f"reduction dead-end on 4-vertex graph {k4}" in proc.stderr
 
 
 class TestRarePaths:
-    def test_separating_cycle_reduction_directly(self):
-        # No graph reaches this rung through the normal flow (a cycle of
-        # length divisible by 3 always shows up first), so drive it by hand:
-        # a 4-cycle separating two single vertices.
-        from isolab.partition import _colors_to_partition, _reduce_separating_cycle
-
-        g = G.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 5)])
-        reduced = _reduce_separating_cycle(g, g.full_mask)
-        assert reduced is not None
-        colors, steps = reduced
-        assert steps[0].kind == "separating-cycle"
-        assert any(s.kind == "separating-path" for s in steps)
-        tp = _colors_to_partition(g, colors)
+    @pytest.mark.parametrize("g", [
+        G.complete_graph(4),
+        G.from_edges(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]),
+    ], ids=["K4", "3-cube"])
+    def test_no_cycle_mod3_falls_back_loudly(self, g, monkeypatch, caplog):
+        # The cycle-mod-3 rung is the last; on a 2-connected graph of
+        # minimum degree 3 a search that finds no cycle is an engine gap.
+        monkeypatch.setattr(P, "find_cycle_len_mod3", lambda g, mask: None)
+        with caplog.at_level(logging.WARNING, logger="isolab.partition"):
+            tp, steps = partition3(g)
         ok, _, bad = verify_partition(g, tp)
         assert ok, bad
+        assert [s.kind for s in steps] == ["exhaustive-fallback"]
+        assert any(G.write_graph6(g) in r.getMessage() for r in caplog.records)
 
     def test_exhaustive_fallback_directly(self):
         from isolab.partition import _colors_to_partition, _exhaust
@@ -374,7 +380,7 @@ class TestDisjointIsolating:
             for g in small_connected[n]:
                 if is_c5(g):
                     continue
-                a1, a2, a3 = disjoint_isolating_sets(g)
+                a1, a2, a3 = oracles.disjoint_isolating_sets(g)
                 assert a1 & a2 == a1 & a3 == a2 & a3 == 0
                 assert a1 | a2 | a3 == g.full_mask
                 for cls in (a1, a2, a3):
@@ -383,5 +389,5 @@ class TestDisjointIsolating:
 
     def test_star_example(self):
         g = G.star_graph(3)
-        for cls in disjoint_isolating_sets(g):
+        for cls in oracles.disjoint_isolating_sets(g):
             assert S.is_isolating(g, cls)
