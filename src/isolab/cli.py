@@ -64,91 +64,64 @@ def _input_lines(paths: list[str]) -> Iterable[str]:
                     yield line.strip()
 
 
-def _for_each_graph(args, handler) -> int:
+def _for_each_graph(args) -> int:
     status = 0
     for line in _input_lines(args.inputs):
         try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            _emit({"graph6": line, "error": "graph6", "detail": str(exc)})
-            status = 1
+            _emit({"graph6": line, **args.answer(parse_graph6(line), args)})
             continue
-        try:
-            _emit(handler(line, g))
+        except Graph6Error as exc:
+            error = {"error": "graph6", "detail": str(exc)}
         except NoValidPartition:
-            _emit({"graph6": line, "error": "no_valid_partition"})
-            status = 1
+            error = {"error": "no_valid_partition"}
         except EngineGap:
-            _emit({"graph6": line, "error": "engine_gap"})
-            status = 1
+            error = {"error": "engine_gap"}
         except ValueError as exc:
-            _emit({"graph6": line, "error": "domain", "detail": str(exc)})
-            status = 1
+            error = {"error": "domain", "detail": str(exc)}
+        _emit({"graph6": line, **error})
+        status = 1
     return status
 
 
-def _cmd_iso(args) -> int:
-    def handler(line, g):
-        r = isolation_number(g)
-        return {"graph6": line, "n": g.order, "iota": r.value, "witness": bit_list(r.witness)}
-
-    return _for_each_graph(args, handler)
-
-
-def _cmd_dom(args) -> int:
-    def handler(line, g):
-        r = domination_number(g)
-        return {"graph6": line, "n": g.order, "gamma": r.value, "witness": bit_list(r.witness)}
-
-    return _for_each_graph(args, handler)
+# The query commands' answers look the solvers up by name at each call, so
+# that a wrapper installed on those names sees every call.
+def _iso(g, args) -> dict:
+    r = isolation_number(g)
+    return {"n": g.order, "iota": r.value, "witness": bit_list(r.witness)}
 
 
-def _cmd_partition3(args) -> int:
-    def handler(line, g):
-        tp, steps = partition3(g)
-        out = {
-            "graph6": line,
-            "n": g.order,
-            "classes": [bit_list(c) for c in tp.classes],
-            "residual": bit_list(tp.residual),
-        }
-        if args.trace:
-            out["trace"] = [
-                {
-                    "kind": s.kind,
-                    "vertices": list(s.vertices),
-                    "colors": {str(v): c for v, c in sorted(s.colors.items())},
-                }
-                for s in steps
-            ]
-        return out
-
-    return _for_each_graph(args, handler)
+def _dom(g, args) -> dict:
+    r = domination_number(g)
+    return {"n": g.order, "gamma": r.value, "witness": bit_list(r.witness)}
 
 
-def _cmd_recognize(args) -> int:
-    def handler(line, g):
-        spec = family.recognize_family(g)
-        return {
-            "graph6": line,
-            "member": spec is not None,
-            "spec": family.spec_to_json(spec) if spec else None,
-        }
+def _partition3(g, args) -> dict:
+    tp, steps = partition3(g)
+    out = {
+        "n": g.order,
+        "classes": [bit_list(c) for c in tp.classes],
+        "residual": bit_list(tp.residual),
+    }
+    if args.trace:
+        out["trace"] = [
+            {
+                "kind": s.kind,
+                "vertices": list(s.vertices),
+                "colors": {str(v): c for v, c in sorted(s.colors.items())},
+            }
+            for s in steps
+        ]
+    return out
 
-    return _for_each_graph(args, handler)
+
+def _recognize(g, args) -> dict:
+    spec = family.recognize_family(g)
+    return {"member": spec is not None, "spec": family.spec_to_json(spec) if spec else None}
 
 
-def _cmd_star(args) -> int:
-    def handler(line, g):
-        star = lab.find_reducing_star(g)
-        return {
-            "graph6": line,
-            "n": g.order,
-            "center": star.center,
-            "leaves": bit_list(star.leaves),
-        }
-
-    return _for_each_graph(args, handler)
+def _star(g, args) -> dict:
+    star = lab.find_reducing_star(g)
+    return {"n": g.order, "center": star.center, "leaves": bit_list(star.leaves)}
 
 
 def _cmd_gen_g(args) -> int:
@@ -259,20 +232,20 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_cmd(name, fn, help_):
+    def graph_cmd(name, answer, help_):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.add_argument("inputs", nargs="*", default=["-"],
                        help="graph6 files, or - for stdin")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_for_each_graph, answer=answer)
         return p
 
-    graph_cmd("iso", _cmd_iso, "isolation number and witness per graph")
-    graph_cmd("dom", _cmd_dom, "domination number and witness per graph")
-    p = graph_cmd("partition3", _cmd_partition3,
+    graph_cmd("iso", _iso, "isolation number and witness per graph")
+    graph_cmd("dom", _dom, "domination number and witness per graph")
+    p = graph_cmd("partition3", _partition3,
                   "tri-partition with independent leftover per graph")
     p.add_argument("--trace", action="store_true", help="include the reduction trace")
-    graph_cmd("recognize-g", _cmd_recognize, "pendant-family membership per graph")
-    graph_cmd("star", _cmd_star, "reducing star per graph")
+    graph_cmd("recognize-g", _recognize, "pendant-family membership per graph")
+    graph_cmd("star", _star, "reducing star per graph")
 
     p = sub.add_parser("gen-g", parents=[common], help="realize a family spec")
     p.add_argument("--spec", required=True, metavar="FILE", help="spec JSON file")

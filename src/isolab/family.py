@@ -233,6 +233,7 @@ def _candidate_blocks(g: Graph) -> list[_Block]:
     each of its vertices has two cycle neighbors and at most one more:
     degree at most 3. The 5-cycles are therefore searched only among those
     vertices, which yields every block a search of the whole graph would.
+    Each 5-cycle comes once, and two on one vertex set imply a chord.
     """
     cands = []
     n = g.order
@@ -249,12 +250,8 @@ def _candidate_blocks(g: Graph) -> list[_Block]:
             )
             cands.append(_Block("K2", (p, q), h, attach, (1 << p) | (1 << q)))
     low = bits_of(v for v in range(n) if g.adj[v].bit_count() <= 3)
-    seen = set()
     for cyc in cycles_of_length(g, 5, low):
         mask = bits_of(cyc)
-        if mask in seen:
-            continue
-        seen.add(mask)
         if any((g.adj[v] & mask).bit_count() != 2 for v in cyc):
             continue  # chorded
         ext = 0

@@ -506,10 +506,9 @@ def cycles_of_length(
 def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:
     """The cycle through ``start`` inside ``mask``, in walk order.
 
-    Every vertex of ``mask`` must have exactly two neighbors in ``mask``.
-    The walk leaves ``start`` toward its smaller neighbor and takes
-    ``|mask|`` vertices, so when ``mask`` holds several cycles the list
-    repeats vertices of the first one.
+    ``mask`` must induce one cycle: connected, every vertex with exactly
+    two neighbors in ``mask``. The walk leaves ``start`` toward its smaller
+    neighbor.
     """
     order = [start]
     prev, cur = -1, start

@@ -90,7 +90,7 @@ from isolab.graphs import (
     masked_components,
     parse_graph6,
 )
-from isolab.solvers import isolating_sets_of_size
+from isolab.solvers import is_extremal, isolating_sets_of_size
 
 MAX_ENUM_ORDER = 10
 # Connected classes on n = 1..MAX_ENUM_ORDER vertices (OEIS A001349).
@@ -550,17 +550,17 @@ class StarReduction:
 
 def _verify_star(g: Graph, star: StarReduction) -> None:
     if star.leaves.bit_count() < 2:
-        raise ValueError("star must have at least two leaves")
+        raise RuntimeError("star must have at least two leaves")
     if (star.leaves >> star.center) & 1:
-        raise ValueError("center must not be a leaf")
+        raise RuntimeError("center must not be a leaf")
     if star.leaves & ~g.adj[star.center]:
-        raise ValueError("center must touch every leaf")
+        raise RuntimeError("center must touch every leaf")
     rest = g.full_mask & ~star.mask
     nontrivial = sum(
         1 for comp in masked_components(g, rest) if comp.bit_count() >= 2
     )
     if nontrivial > 1:
-        raise ValueError("removal must leave at most one nontrivial component")
+        raise RuntimeError("removal must leave at most one nontrivial component")
 
 
 def find_reducing_star(g: Graph) -> StarReduction:
@@ -570,7 +570,8 @@ def find_reducing_star(g: Graph) -> StarReduction:
     otherwise the tree is rooted at one end of a longest path ending
     ...x, y, z and the star is found at y, at a child of x, as the path tail
     {x, y, z}, across an edge between grandchildren of x, or as x with all
-    its children. The result is re-verified before returning.
+    its children. Bad input raises ValueError; the result is re-verified
+    before returning, and a failed check raises RuntimeError.
     """
     n = g.order
     if n < 3 or not is_connected(g):
@@ -627,6 +628,14 @@ def find_reducing_star(g: Graph) -> StarReduction:
 # characterization checks
 
 
+def _flag(lines, problem: str) -> list[dict]:
+    return [{"graph6": line, "problem": problem} for line in lines]
+
+
+def _not_extremal(lines) -> list[str]:
+    return [line for line in lines if not is_extremal(parse_graph6(line))]
+
+
 def verify_characterization(n: int, threads: int = 1) -> dict:
     """Check both directions of the extremal characterization at one order.
 
@@ -636,20 +645,17 @@ def verify_characterization(n: int, threads: int = 1) -> dict:
     the derived exceptional catalog and every family member of order 12
     are checked on the extremal side only, and the report says so.
     """
-    from isolab.solvers import is_extremal
-
     if n in (3, 6, 9):
         report = extremal_graphs(n, threads=threads)
         generated = {code for code, _ in enumerate_family_members(n)}
         recognized = {e.graph6 for e in report.entries if e.kind == "G"}
-        counterexamples = []
-        for line in sorted(generated - recognized):
-            counterexamples.append({"graph6": line, "problem": "family member not among recognized extremal graphs"})
-        for line in sorted(recognized - generated):
-            counterexamples.append({"graph6": line, "problem": "recognized member missing from generated family"})
-        for code in sorted(generated):
-            if not is_extremal(parse_graph6(code)):
-                counterexamples.append({"graph6": code, "problem": "family member not extremal"})
+        counterexamples = (
+            _flag(sorted(generated - recognized),
+                  "family member not among recognized extremal graphs")
+            + _flag(sorted(recognized - generated),
+                    "recognized member missing from generated family")
+            + _flag(_not_extremal(sorted(generated)), "family member not extremal")
+        )
         return {
             "order": n,
             "mode": "full",
@@ -662,15 +668,10 @@ def verify_characterization(n: int, threads: int = 1) -> dict:
         }
     if n == 12:
         exceptional = derive_exceptional(12, threads=threads)
-        counterexamples = []
-        for line in exceptional:
-            g = parse_graph6(line)
-            if not is_extremal(g):
-                counterexamples.append({"graph6": line, "problem": "derived exceptional graph not extremal"})
         members = enumerate_family_members(12)
-        for code, _ in members:
-            if not is_extremal(parse_graph6(code)):
-                counterexamples.append({"graph6": code, "problem": "family member not extremal"})
+        counterexamples = _flag(
+            _not_extremal(exceptional), "derived exceptional graph not extremal"
+        ) + _flag(_not_extremal(code for code, _ in members), "family member not extremal")
         return {
             "order": 12,
             "mode": "partial",

@@ -11,13 +11,17 @@ Reductions, in the order tried: star base case, cycle base case,
 cut-vertex, degree-2 vertex, cycle of length divisible by 3. Each
 subproblem is the subgraph induced on a vertex mask, solved in place in
 the input graph's numbering, so every vertex in a trace is an input vertex;
-only the exhaustive fallback builds a relabelled copy. The cycle rung is
-the last one: a mask that reaches it has no cut vertex and no degree-2
-vertex, so it is 2-connected with minimum degree at least 3, and every
-graph of minimum degree at least 3 has a cycle whose length is divisible by
-3 (G. Chen and A. Saito, J. Combin. Theory Ser. B 60 (1994) 277-292). A
-mask where the search finds none is a gap between the engine and that
-theorem, and goes to the loud exhaustive fallback.
+only the exhaustive fallback builds a relabelled copy. One pass per mask
+counts each vertex's degree inside it, and both base cases and the
+degree-2 rung are read from those counts. The verifier looks for an edge
+inside the leftover set with the decision kernels' own edge scan.
+
+The cycle rung is the last one: a mask that reaches it has no cut vertex
+and no degree-2 vertex, so it is 2-connected with minimum degree at least
+3, and every graph of minimum degree at least 3 has a cycle whose length
+is divisible by 3 (G. Chen and A. Saito, J. Combin. Theory Ser. B 60
+(1994) 277-292). A mask where the search finds none is a gap between the
+engine and that theorem, and goes to the loud exhaustive fallback.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
+from isolab._pykernels import _edge_vertex
 from isolab.graphs import (
     Graph,
     bfs_tree,
@@ -90,11 +95,11 @@ def compute_residual(g: Graph, classes: tuple[int, int, int]) -> int:
 
 
 def _independence_violation(g: Graph, mask: int) -> Optional[tuple[int, int]]:
-    for v in iter_bits(mask):
-        hit = g.adj[v] & mask
-        if hit:
-            return (v, (hit & -hit).bit_length() - 1)
-    return None
+    v = _edge_vertex(g.adj, mask)
+    if v < 0:
+        return None
+    hit = g.adj[v] & mask
+    return (v, (hit & -hit).bit_length() - 1)
 
 
 def verify_partition(
@@ -139,23 +144,6 @@ def exhaustive_partition3(g: Graph) -> Optional[TriPartition]:
 
 # ---------------------------------------------------------------------------
 # structure probes
-
-
-def _star_center(g: Graph, mask: int) -> Optional[int]:
-    for v in iter_bits(mask):
-        if g.adj[v] & mask == mask ^ (1 << v):
-            if all((g.adj[u] & mask).bit_count() == 1 for u in iter_bits(mask) if u != v):
-                return v
-    return None
-
-
-def _cycle_order(g: Graph, mask: int) -> Optional[list[int]]:
-    if any((g.adj[v] & mask).bit_count() != 2 for v in iter_bits(mask)):
-        return None
-    order = cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
-    if len(set(order)) != mask.bit_count():
-        return None
-    return order
 
 
 def is_c5(g: Graph, mask: Optional[int] = None) -> bool:
@@ -330,10 +318,11 @@ def _reduce_cut_vertex(
 
 
 def _reduce_degree_two(
-    g: Graph, mask: int, deg2: list[int]
+    g: Graph, mask: int, deg2: int
 ) -> tuple[dict[int, int], list[TraceStep]]:
+    """``deg2`` holds the vertices of degree 2 inside ``mask``, one bit each."""
     best = None
-    for v in deg2:
+    for v in iter_bits(deg2):
         a, b = bit_list(g.adj[v] & mask)
         sp = _bfs_shortest_path(g, a, b, mask & ~(1 << v))
         if sp is None:
@@ -347,7 +336,7 @@ def _reduce_degree_two(
     pairs = []
     for i in range(length):
         u = cyc[i]
-        if (g.adj[u] & mask).bit_count() != 2:
+        if not (deg2 >> u) & 1:
             continue
         for w in (cyc[(i - 1) % length], cyc[(i + 1) % length]):
             if g.adj[w] & rest:
@@ -366,35 +355,46 @@ def _reduce_degree_two(
 def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
     """Color the connected subgraph induced on ``mask``, in ``g``'s own
     vertex numbering."""
+    adj = g.adj
     n = mask.bit_count()
-    if n < 3 or is_c5(g, mask):
+    ones = deg2 = 0
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        d = (adj[b.bit_length() - 1] & mask).bit_count()
+        if d == 1:
+            ones |= b
+        elif d == 2:
+            deg2 |= b
+    if n < 3 or (n == 5 and deg2 == mask):
         raise RuntimeError("reduction needs order at least 3 and no 5-cycle")
 
-    center = _star_center(g, mask)
-    if center is not None:
-        leaves = [v for v in iter_bits(mask) if v != center]
+    if ones.bit_count() == n - 1:
+        # The mask is connected, so the one vertex left touches every leaf.
+        center = (mask ^ ones).bit_length() - 1
+        leaves = bit_list(ones)
         colors = {center: 1, leaves[0]: 2, leaves[1]: 3}
         for u in leaves[2:]:
             colors[u] = 1
         return colors, [TraceStep("base-star", (center,), dict(colors))]
 
-    cyc = _cycle_order(g, mask)
-    if cyc is not None:
+    if deg2 == mask:
+        # Connected with every degree 2: one cycle.
+        cyc = cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
         colors = _cycle_base_coloring(cyc)
         return colors, [TraceStep("base-cycle", tuple(cyc), dict(colors))]
 
     cvs = cut_vertices(g, mask)
     if cvs:
         colors, steps = _reduce_cut_vertex(g, mask, cvs)
+    elif deg2:
+        colors, steps = _reduce_degree_two(g, mask, deg2)
     else:
-        deg2 = [v for v in iter_bits(mask) if (g.adj[v] & mask).bit_count() == 2]
-        if deg2:
-            colors, steps = _reduce_degree_two(g, mask, deg2)
-        else:
-            cyc = find_cycle_len_mod3(g, mask)
-            if cyc is None:
-                return _exhaust(g, mask)
-            colors, steps = _cycle_reduce(g, mask, cyc)
+        cyc = find_cycle_len_mod3(g, mask)
+        if cyc is None:
+            return _exhaust(g, mask)
+        colors, steps = _cycle_reduce(g, mask, cyc)
     if len(colors) != n:
         raise RuntimeError("reduction left a vertex uncolored")
     return colors, steps

@@ -5,6 +5,9 @@ witness one position at a time from further decisions that start from the
 chosen prefix: at most n * k decisions for value k at order n, never a scan
 of the C(n, k) candidate sets. Everything here runs on the full 64-vertex
 range; the cost of one decision is what grows with the value.
+
+``is_isolating`` reuses the pure-Python kernels' edge scan. Order 0 needs no
+case of its own: both kernels decide k = 0 on the empty graph.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from isolab import _backend
-from isolab.graphs import Graph, closed_neighborhood, is_connected, iter_bits
+from isolab._pykernels import _edge_vertex
+from isolab.graphs import Graph, closed_neighborhood, is_connected
 
 
 @dataclass(frozen=True)
@@ -30,11 +34,7 @@ class SolveResult:
 
 def is_isolating(g: Graph, x: int) -> bool:
     """True iff removing N[x] leaves no edge."""
-    rem = g.full_mask & ~closed_neighborhood(g, x)
-    for v in iter_bits(rem):
-        if g.adj[v] & rem:
-            return False
-    return True
+    return _edge_vertex(g.adj, g.full_mask & ~closed_neighborhood(g, x)) < 0
 
 
 def is_dominating(g: Graph, x: int) -> bool:
@@ -107,8 +107,6 @@ def isolation_number(g: Graph) -> SolveResult:
 
 def domination_number(g: Graph) -> SolveResult:
     """Minimum size of a dominating set, with the lex-least witness."""
-    if g.order == 0:
-        return SolveResult(0, 0)
     return _lex_least(g, _backend.has_dominating_set)
 
 

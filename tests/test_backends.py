@@ -92,6 +92,21 @@ def test_highly_symmetric_graphs(core):
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
+def test_order_zero_graph_solves_to_zero(request, monkeypatch, backend):
+    # The minimizers have no order-0 case of their own: both kernels decide
+    # k = 0 on the empty graph, and the witness walk yields the empty set.
+    from isolab import _backend
+    from isolab import solvers as S
+
+    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
+    for name in ("has_isolating_set", "has_dominating_set"):
+        monkeypatch.setattr(_backend, name, getattr(kernels, name))
+    empty = G.empty_graph(0)
+    assert S.domination_number(empty) == S.SolveResult(0, 0)
+    assert S.isolation_number(empty) == S.SolveResult(0, 0)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
 def test_automorphisms_of_symmetric_graphs(request, backend):
     kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
     for g in SYMMETRIC:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +10,8 @@ import pytest
 from isolab import graphs as G
 from isolab import lab
 from isolab.cli import main
+
+from conftest import random_connected_graph
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -69,6 +73,14 @@ class TestQueries:
         code, out, _ = run_cli(capsys, ["partition3", "-"], p21 + "\n", monkeypatch)
         assert code == 1
         assert json.loads(out) == {"graph6": p21, "error": "engine_gap"}
+
+    def test_broken_star_check_is_not_a_domain_error(self, capsys, monkeypatch):
+        # A star that fails its own self-check is the engine's fault: it
+        # escapes as RuntimeError instead of an "error":"domain" record.
+        monkeypatch.setattr(lab, "bits_of", lambda vertices: 1)
+        with pytest.raises(RuntimeError, match="two leaves"):
+            run_cli(capsys, ["star", "-"], "FhP?G\n", monkeypatch)
+        assert capsys.readouterr().out == ""
 
     def test_bad_graph6_reports_offset(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["iso", "-"], "A_x\n", monkeypatch)
@@ -344,3 +356,41 @@ class TestProcessLevel:
             assert proc.returncode == 0
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+# sha256 of each query command's stdout over the query corpus: any changed
+# output byte on the query path changes one of them.
+QUERY_SHA256 = {
+    "iso": "9c5c5d6782b5756f1a4e1804a6d723d917b8dd632c5a00f6c38a031526551c27",
+    "dom": "83998b6dd1a0daeda0c791e3a4237c86c8b277f6ea9764e3a0f2e3d49fdf2970",
+    "partition3 --trace": "8c4fd07118ac697cc3d93ea98f259ed3bb526c7b67fb7ddc2c0b0dde3954c1a3",
+    "recognize-g": "5bce8fa21f54060ed3069e0d526dc8b5c7f67035e104a5afccaa25e3469dc9dc",
+    "star": "cd8a3b16f36bc3f017ce84e3fdaf16dcde0ca8e0859c0d5e71542115e56fbefc",
+}
+
+
+@pytest.fixture(scope="module")
+def query_corpus(small_connected, tmp_path_factory):
+    """Every connected graph of order 3-7, 200 seeded random connected graphs
+    of order 9-20, then C5, a disconnected graph, K1, K2 and a malformed
+    line."""
+    rng = random.Random(13)
+    graphs = [g for n in range(3, 8) for g in small_connected[n]]
+    graphs += [random_connected_graph(rng, rng.randrange(9, 21)) for _ in range(200)]
+    graphs += [
+        G.cycle_graph(5),
+        G.disjoint_union(G.complete_graph(3), G.path_graph(3)),
+        G.empty_graph(1),
+        G.complete_graph(2),
+    ]
+    lines = [G.write_graph6(g) for g in graphs] + ["D?~~"]
+    path = tmp_path_factory.mktemp("query") / "corpus.g6"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(QUERY_SHA256))
+def test_query_bytes_pinned(capsys, query_corpus, command):
+    code, out, _ = run_cli(capsys, command.split() + [query_corpus])
+    assert code == 1  # the corpus holds domain and graph6 errors
+    assert hashlib.sha256(out.encode()).hexdigest() == QUERY_SHA256[command]

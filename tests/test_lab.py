@@ -458,35 +458,42 @@ class TestExtendability:
                 assert S.is_isolating(h, w)
 
 
+BAD_STARS_ON_P7 = (
+    (1, 1 << 0),  # one leaf
+    (1, (1 << 0) | (1 << 1)),  # center is a leaf
+    (1, (1 << 0) | (1 << 3)),  # 3 is not adjacent
+    (3, (1 << 2) | (1 << 4)),  # leaves 0-1 and 5-6
+)
+
+
 class TestReducingStar:
+    # A star that fails its self-check is a broken engine invariant, not bad
+    # input: RuntimeError, which the CLI does not report as a domain error.
     def test_bad_star_raises(self):
         g = G.path_graph(7)
-        bad = [
-            lab.StarReduction(1, 1 << 0),  # one leaf
-            lab.StarReduction(1, (1 << 0) | (1 << 1)),  # center is a leaf
-            lab.StarReduction(1, (1 << 0) | (1 << 3)),  # 3 is not adjacent
-            lab.StarReduction(3, (1 << 2) | (1 << 4)),  # leaves 0-1 and 5-6
-        ]
-        for star in bad:
-            with pytest.raises(ValueError):
-                lab._verify_star(g, star)
+        for center, leaves in BAD_STARS_ON_P7:
+            with pytest.raises(RuntimeError):
+                lab._verify_star(g, lab.StarReduction(center, leaves))
 
     def test_bad_star_raises_under_python_O(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(lab.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         code = (
             "from isolab import graphs, lab\n"
-            "try:\n"
-            "    lab._verify_star(graphs.path_graph(5), lab.StarReduction(1, 1))\n"
-            "except ValueError as exc:\n"
-            "    print('raised', exc)\n"
+            f"for center, leaves in {BAD_STARS_ON_P7!r}:\n"
+            "    try:\n"
+            "        lab._verify_star(graphs.path_graph(7), lab.StarReduction(center, leaves))\n"
+            "    except RuntimeError as exc:\n"
+            "        print('raised', exc)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(BAD_STARS_ON_P7)
+        assert all(line.startswith("raised") for line in lines)
 
     def test_whole_star(self):
         star = lab.find_reducing_star(G.star_graph(5))
