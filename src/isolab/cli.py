@@ -39,8 +39,11 @@ def _open_out(path):
     return _open(path, "w") if path else contextlib.nullcontext()
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    sys.stdout.write(_encode(obj) + "\n")
 
 
 def _note(args, message: str) -> None:

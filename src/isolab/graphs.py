@@ -369,33 +369,43 @@ def is_connected(g: Graph) -> bool:
     return _closure(g, 1, g.full_mask) == g.full_mask
 
 
-def bfs_tree(g: Graph, root: int, mask: int) -> tuple[list[int], list[int]]:
+def bfs_tree(
+    g: Graph, root: int, mask: int, stop: int = -1, limit: Optional[int] = None
+) -> Optional[tuple[list[int], list[int]]]:
     """Breadth-first tree from ``root`` inside the subgraph induced on ``mask``.
 
-    Returns ``(parent, depth)``. Each level is scanned in ascending vertex
-    order, so a vertex's parent is its least-index neighbor one level up.
-    The root and every vertex not reached have parent -1; vertices not
-    reached have depth -1.
+    Returns ``(parent, depth)``. The search keeps each level as one mask,
+    and a vertex's parent is its least-index neighbor one level up. The
+    root and every vertex not reached have parent -1; vertices not reached
+    have depth -1. A positive ``limit`` leaves every vertex ``limit`` or
+    more edges from the root unreached. With a ``stop`` vertex the search
+    ends at the level that reaches it, and returns None when it does not
+    reach it: ``stop`` is outside the root's component or at least
+    ``limit`` edges away.
     """
+    adj = g.adj
     parent = [-1] * g.order
     depth = [-1] * g.order
     depth[root] = 0
-    seen = 1 << root
-    frontier = [root]
-    while frontier:
-        reached = 0
-        for v in frontier:
-            new = g.adj[v] & mask & ~seen
-            seen |= new
-            reached |= new
-            d = depth[v] + 1
-            while new:
-                b = new & -new
-                u = b.bit_length() - 1
-                parent[u] = v
-                depth[u] = d
-                new ^= b
-        frontier = bit_list(reached)
+    seen = level = 1 << root
+    goal = 1 << stop if stop >= 0 else 0
+    deepest = g.order if limit is None else limit - 1
+    d = 0
+    while level and not level & goal and d < deepest:
+        d += 1
+        new = closed_neighborhood(g, level) & mask & ~seen
+        seen |= new
+        m = new
+        while m:
+            b = m & -m
+            u = b.bit_length() - 1
+            p = adj[u] & level
+            parent[u] = (p & -p).bit_length() - 1
+            depth[u] = d
+            m ^= b
+        level = new
+    if goal and not level & goal:
+        return None
     return parent, depth
 
 

@@ -572,12 +572,18 @@ def find_reducing_star(g: Graph) -> StarReduction:
     {x, y, z}, across an edge between grandchildren of x, or as x with all
     its children. Bad input raises ValueError; the result is re-verified
     before returning, and a failed check raises RuntimeError.
+
+    Two breadth-first searches suffice. The spanning tree is the BFS tree
+    from vertex 0, whose edges join consecutive levels, so a vertex's
+    depth in that tree is its BFS depth from the first search; the deepest
+    vertex ``a`` is one end of a longest path, and one search of the tree
+    from ``a`` gives the other end ``z`` and the parents above it.
     """
     n = g.order
     if n < 3 or not is_connected(g):
         raise ValueError("connected graph of order >= 3 required")
 
-    parent0, _ = bfs_tree(g, 0, g.full_mask)
+    parent0, d0 = bfs_tree(g, 0, g.full_mask)
     tree_adj = [0] * n
     for v in range(n):
         if parent0[v] >= 0:
@@ -589,18 +595,16 @@ def find_reducing_star(g: Graph) -> StarReduction:
         if tree.adj[v].bit_count() == n - 1:
             return StarReduction(v, g.full_mask ^ (1 << v))
 
-    _, d0 = bfs_tree(tree, 0, tree.full_mask)
-    a = min(v for v in range(n) if d0[v] == max(d0))
+    a = d0.index(max(d0))
     parent, depth = bfs_tree(tree, a, tree.full_mask)
-    z = min(v for v in range(n) if depth[v] == max(depth))
+    z = depth.index(max(depth))
     y = parent[z]
     x = parent[y]
+    # Filled in ascending vertex order, so every list is sorted.
     children = [[] for _ in range(n)]
     for v in range(n):
         if parent[v] >= 0:
             children[parent[v]].append(v)
-    for lst in children:
-        lst.sort()
 
     star = None
     if len(children[y]) >= 2:

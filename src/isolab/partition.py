@@ -26,7 +26,6 @@ engine and that theorem, and goes to the loud exhaustive fallback.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
@@ -47,8 +46,6 @@ from isolab.graphs import (
     masked_components,
     write_graph6,
 )
-
-log = logging.getLogger("isolab.partition")
 
 COLORS = (1, 2, 3)
 EXHAUSTIVE_MAX_ORDER = 20
@@ -156,10 +153,15 @@ def is_c5(g: Graph, mask: Optional[int] = None) -> bool:
     )
 
 
-def _bfs_shortest_path(g: Graph, src: int, dst: int, mask: int) -> Optional[list[int]]:
-    parent, depth = bfs_tree(g, src, mask)
-    if depth[dst] < 0:
+def _bfs_shortest_path(
+    g: Graph, src: int, dst: int, mask: int, limit: Optional[int] = None
+) -> Optional[list[int]]:
+    """Shortest src-dst path inside ``mask``, or None when there is none
+    with fewer than ``limit`` edges."""
+    tree = bfs_tree(g, src, mask, dst, limit)
+    if tree is None:
         return None
+    parent = tree[0]
     path = [dst]
     while path[-1] != src:
         path.append(parent[path[-1]])
@@ -190,13 +192,14 @@ def separating_path_reduce(
 
 def _color_components(
     g: Graph,
-    mask: int,
+    comps: list[int],
     colors: dict[int, int],
     anchors: dict[int, tuple[int, int]],
     parent_step: TraceStep,
     steps: list[TraceStep],
 ) -> None:
-    """Color every component of ``mask`` left after a path/cycle step.
+    """Color the components ``comps`` left after a path/cycle step: those of
+    the reduced mask without the vertices ``colors`` holds, by least vertex.
 
     ``anchors`` maps a forced vertex to (its colored neighbor, its forced
     color). Small components get the fixed two-vertex and five-cycle
@@ -204,14 +207,13 @@ def _color_components(
     the forced color.
     """
     colored_mask = bits_of(colors)
-    for comp in masked_components(g, mask & ~colored_mask):
+    for comp in comps:
         forced = [(v, av, fc) for v, (av, fc) in anchors.items() if (comp >> v) & 1]
         if len(forced) > 1:
             raise RuntimeError("at most one forced vertex per component")
-        verts = bit_list(comp)
-        size = len(verts)
+        size = comp.bit_count()
         if size == 1:
-            v = verts[0]
+            v = comp.bit_length() - 1
             if forced:
                 c = forced[0][2]
             else:
@@ -220,6 +222,7 @@ def _color_components(
             colors[v] = c
             parent_step.colors[v] = c
         elif size == 2 or is_c5(g, comp):
+            verts = bit_list(comp)
             if size == 2 and not g.has_edge(verts[0], verts[1]):
                 raise RuntimeError("two-vertex component must be an edge")
             # Both patterns start at the forced vertex, else at the first
@@ -259,18 +262,20 @@ def _color_components(
 
 def _path_reduce(
     g: Graph,
-    mask: int,
+    comps: list[int],
     path: list[int],
     x: int,
     y: int,
     pre_steps: list[TraceStep],
 ) -> tuple[dict[int, int], list[TraceStep]]:
+    """Color ``path`` periodically, then the components ``comps`` of the
+    reduced mask without it."""
     path_colors, forced = separating_path_reduce(g, path, x, y)
     step = TraceStep("separating-path", tuple(path), dict(path_colors))
     colors = dict(path_colors)
     steps = pre_steps + [step]
     anchors = {x: (path[0], forced[x]), y: (path[-1], forced[y])}
-    _color_components(g, mask, colors, anchors, step, steps)
+    _color_components(g, comps, colors, anchors, step, steps)
     return colors, steps
 
 
@@ -280,7 +285,8 @@ def _cycle_reduce(
     colors = {v: (i % 3) + 1 for i, v in enumerate(cyc)}
     step = TraceStep("cycle-mod-3", cyc, dict(colors))
     steps = [step]
-    _color_components(g, mask, colors, {}, step, steps)
+    comps = masked_components(g, mask & ~bits_of(cyc))
+    _color_components(g, comps, colors, {}, step, steps)
     return colors, steps
 
 
@@ -309,28 +315,42 @@ def _reduce_cut_vertex(
             nontrivial |= comp
     z = min(iter_bits(g.adj[v] & nontrivial))
     y = min(iter_bits(g.adj[z] & mask & ~(1 << v)))
-    path = [v, z]
-    path_mask = bits_of(path)
-    comp_y = next(c for c in masked_components(g, mask & ~path_mask) if (c >> y) & 1)
+    comp_z = next(c for c in comps_v if (c >> z) & 1)
+    # Removing z as well splits only its own component.
+    comps = [c for c in comps_v if c != comp_z]
+    comps += masked_components(g, comp_z & ~(1 << z))
+    comps.sort(key=lambda c: c & -c)
+    comp_y = next(c for c in comps if (c >> y) & 1)
     x = min(iter_bits(g.adj[v] & mask & ~(1 << z) & ~comp_y))
     pre = TraceStep("cut-vertex", (v, z))
-    return _path_reduce(g, mask, path, x, y, [pre])
+    return _path_reduce(g, comps, [v, z], x, y, [pre])
+
+
+def _degree_two_cycle(g: Graph, mask: int, deg2: int) -> list[int]:
+    """A shortest cycle through a vertex of ``deg2``, the first such vertex
+    on ties, as that vertex followed by the shortest path between its two
+    neighbors.
+
+    Only a strictly shorter cycle replaces the best so far, so each search
+    stops at the far neighbor and gives up before depth ``len(best) - 2``.
+    """
+    best = None
+    for v in iter_bits(deg2):
+        a, b = bit_list(g.adj[v] & mask)
+        limit = None if best is None else len(best) - 2
+        sp = _bfs_shortest_path(g, a, b, mask & ~(1 << v), limit)
+        if sp is not None:
+            best = [v] + sp
+        elif best is None:
+            raise RuntimeError("degree-2 reduction requires 2-connectivity")
+    return best
 
 
 def _reduce_degree_two(
     g: Graph, mask: int, deg2: int
 ) -> tuple[dict[int, int], list[TraceStep]]:
     """``deg2`` holds the vertices of degree 2 inside ``mask``, one bit each."""
-    best = None
-    for v in iter_bits(deg2):
-        a, b = bit_list(g.adj[v] & mask)
-        sp = _bfs_shortest_path(g, a, b, mask & ~(1 << v))
-        if sp is None:
-            raise RuntimeError("degree-2 reduction requires 2-connectivity")
-        cyc = [v] + sp
-        if best is None or len(cyc) < len(best):
-            best = cyc
-    cyc = best
+    cyc = _degree_two_cycle(g, mask, deg2)
     rest = mask & ~bits_of(cyc)
     length = len(cyc)
     pairs = []
@@ -349,7 +369,8 @@ def _reduce_degree_two(
     path = rot if rot[-1] == w else list(reversed(rot))
     y = min(iter_bits(g.adj[w] & rest))
     pre = TraceStep("degree-2", (u, w))
-    return _path_reduce(g, mask, path, x=u, y=y, pre_steps=[pre])
+    comps = masked_components(g, mask & ~bits_of(path))
+    return _path_reduce(g, comps, path, x=u, y=y, pre_steps=[pre])
 
 
 def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
@@ -400,6 +421,14 @@ def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
     return colors, steps
 
 
+def _warn(message: str, *args) -> None:
+    # Only a dead end or a failed self-check warns, so logging is loaded
+    # then and not on every import.
+    import logging
+
+    logging.getLogger("isolab.partition").warning(message, *args)
+
+
 def _exhaust(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
     # Reachable only through a gap between the reduction engine and the
     # theory; loud by design, naming the subgraph that dead-ended.
@@ -409,7 +438,7 @@ def _exhaust(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
             f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}; "
             f"exhaustive fallback is guarded at order {EXHAUSTIVE_MAX_ORDER}"
         )
-    log.warning(
+    _warn(
         "reduction dead-end on %d-vertex graph %s; running exhaustive fallback",
         sub.order,
         write_graph6(sub),
@@ -446,7 +475,7 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
     tp = _colors_to_partition(g, colors)
     ok, _, bad = verify_partition(g, tp)
     if not ok:
-        log.warning("self-verification failed (edge %s); falling back", bad)
+        _warn("self-verification failed (edge %s); falling back", bad)
         colors, steps = _exhaust(g, g.full_mask)
         tp = _colors_to_partition(g, colors)
         ok, _, _ = verify_partition(g, tp)

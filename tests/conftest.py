@@ -70,3 +70,53 @@ def random_connected_graph(rng: random.Random, n: int) -> G.Graph:
         g = random_graph(rng, n, rng.choice([0.15, 0.25, 0.4, 0.6, 0.8]))
         if G.is_connected(g):
             return g
+
+
+def _shuffled(rng: random.Random, n: int, edges) -> G.Graph:
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return G.from_edges(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+def random_tree(rng: random.Random, n: int) -> G.Graph:
+    return _shuffled(rng, n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def random_sparse_connected(rng: random.Random, n: int) -> G.Graph:
+    """A random tree plus up to n/4 random extra edges."""
+    edges = {(v, rng.randrange(v)) for v in range(1, n)}
+    for _ in range(rng.randrange(n // 4 + 1)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((max(u, v), min(u, v)))
+    return _shuffled(rng, n, edges)
+
+
+def random_subdivision(rng: random.Random, core: int, n: int) -> G.Graph:
+    """K_core with its edges subdivided at random up to n vertices: a
+    2-connected graph with many degree-2 vertices."""
+    paths = {(i, j): [] for i in range(core) for j in range(i + 1, core)}
+    keys = sorted(paths)
+    for v in range(core, n):
+        paths[rng.choice(keys)].append(v)
+    edges = []
+    for (i, j), inner in paths.items():
+        walk = [i] + inner + [j]
+        edges += zip(walk, walk[1:])
+    return _shuffled(rng, n, edges)
+
+
+def random_theta(rng: random.Random, n: int) -> G.Graph:
+    """Two poles joined by three to six internally disjoint paths, at most
+    one of them a single edge, on n vertices."""
+    count = rng.randrange(3, 7)
+    direct = rng.random() < 0.5
+    inner = list(range(2, n))
+    cuts = sorted(rng.sample(range(1, len(inner)), count - direct - 1))
+    runs = [inner[a:b] for a, b in zip([0] + cuts, cuts + [len(inner)])]
+    if direct:
+        runs.append([])
+    edges = []
+    for run in runs:
+        walk = [0] + run + [1]
+        edges += zip(walk, walk[1:])
+    return _shuffled(rng, n, edges)

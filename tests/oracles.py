@@ -9,6 +9,7 @@ an oracle. The last section is the exception: small helpers on isolab's
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations, product
 
 from isolab import _backend
@@ -248,3 +249,82 @@ def disjoint_isolating_sets(g: G.Graph) -> tuple[int, int, int]:
     """
     tp, _ = partition3(g)
     return tp.classes
+
+
+def bfs_tree_ref(g: G.Graph, root: int, mask: int) -> tuple[list[int], list[int]]:
+    """Queue BFS from ``root`` inside ``mask``, then each reached vertex's
+    parent as its least-index neighbor one level up."""
+    n = g.order
+    nbrs = [list(G.iter_bits(g.adj[v] & mask)) for v in range(n)]
+    depth = [-1] * n
+    depth[root] = 0
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in nbrs[v]:
+            if depth[u] < 0:
+                depth[u] = depth[v] + 1
+                queue.append(u)
+    parent = [-1] * n
+    for v in range(n):
+        if depth[v] > 0:
+            parent[v] = min(u for u in nbrs[v] if depth[u] == depth[v] - 1)
+    return parent, depth
+
+
+def _ref_path(g: G.Graph, src: int, dst: int, mask: int) -> list[int] | None:
+    parent, depth = bfs_tree_ref(g, src, mask)
+    if depth[dst] < 0:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def reducing_star_ref(g: G.Graph) -> tuple[int, int]:
+    """``(center, leaves)`` of the reducing star, found as
+    ``lab.find_reducing_star`` did with three breadth-first searches: the
+    spanning tree from vertex 0, the tree's depths from 0, and the tree
+    from the least deepest vertex. ``g`` is connected of order >= 3."""
+    n = g.order
+    parent0, _ = bfs_tree_ref(g, 0, g.full_mask)
+    edges = [(v, parent0[v]) for v in range(n) if parent0[v] >= 0]
+    tree = G.from_edges(n, edges)
+    for v in range(n):
+        if tree.degree(v) == n - 1:
+            return v, g.full_mask ^ (1 << v)
+    _, d0 = bfs_tree_ref(tree, 0, tree.full_mask)
+    a = min(v for v in range(n) if d0[v] == max(d0))
+    parent, depth = bfs_tree_ref(tree, a, tree.full_mask)
+    z = min(v for v in range(n) if depth[v] == max(depth))
+    y = parent[z]
+    x = parent[y]
+    children = [sorted(v for v in range(n) if parent[v] == p) for p in range(n)]
+    if len(children[y]) >= 2:
+        return y, G.bits_of(children[y])
+    for c in children[x]:
+        if len(children[c]) >= 2:
+            return c, G.bits_of(children[c])
+    if len(children[x]) == 1:
+        return y, (1 << x) | (1 << z)
+    grands = sorted(gc for c in children[x] for gc in children[c])
+    for u, v in combinations(grands, 2):
+        if g.has_edge(u, v):
+            return u, (1 << v) | (1 << parent[u])
+    return x, G.bits_of(children[x])
+
+
+def degree_two_cycle_ref(g: G.Graph, mask: int, deg2: int) -> list[int]:
+    """The degree-2 rung's cycle as chosen with one unbounded search per
+    degree-2 vertex: the vertex, then the shortest path between its two
+    neighbors; the first strictly shortest cycle wins."""
+    best = None
+    for v in G.iter_bits(deg2):
+        a, b = G.bit_list(g.adj[v] & mask)
+        path = _ref_path(g, a, b, mask & ~(1 << v))
+        if path is None:
+            raise RuntimeError("degree-2 vertex on no cycle")
+        if best is None or len(path) + 1 < len(best):
+            best = [v] + path
+    return best

@@ -327,6 +327,16 @@ class TestProcessLevel:
         bad, good = (json.loads(line) for line in proc.stdout.decode().splitlines())
         assert bad["error"] == "graph6" and good["iota"] == 2
 
+    def test_import_does_not_load_logging(self):
+        # partition imports logging only when it has a warning to log.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, isolab.cli; print('logging' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_unknown_command_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "isolab.cli", "frobnicate"],

@@ -347,6 +347,42 @@ class TestConnectivity:
         assert parent == [-1, 0, -1, 4, 5, 0]
         assert depth == [0, 1, -1, 3, 2, 1]
 
+    def test_bfs_tree_matches_queue_bfs_on_random_masks(self):
+        rng = random.Random(41)
+        for _ in range(1500):
+            n = rng.randrange(1, G.MAX_ORDER + 1)
+            g = random_graph(rng, n, rng.choice([0.03, 0.08, 0.2, 0.5]))
+            root = rng.randrange(n)
+            mask = rng.getrandbits(n) | (1 << root)
+            assert G.bfs_tree(g, root, mask) == oracles.bfs_tree_ref(g, root, mask)
+
+    def test_bounded_bfs_tree(self):
+        # With a limit, only levels below it are reached; with a stop vertex,
+        # None exactly when it is unreachable or at least limit edges away,
+        # else the reference tree cut after the stop's level.
+        rng = random.Random(43)
+        for _ in range(3000):
+            n = rng.randrange(1, G.MAX_ORDER + 1)
+            g = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.3]))
+            root, stop = rng.randrange(n), rng.randrange(n)
+            mask = rng.getrandbits(n) | (1 << root) | (1 << stop)
+            limit = rng.choice([None, rng.randrange(1, 9)])
+            parent, depth = oracles.bfs_tree_ref(g, root, mask)
+            dist = depth[stop]
+            got = G.bfs_tree(g, root, mask, stop, limit)
+            if dist < 0 or (limit is not None and dist >= limit):
+                assert got is None
+            else:
+                assert got == tuple(
+                    [x if 0 <= d <= dist else -1 for x, d in zip(ref, depth)]
+                    for ref in (parent, depth)
+                )
+            if limit is not None:
+                assert G.bfs_tree(g, root, mask, limit=limit) == tuple(
+                    [x if 0 <= d < limit else -1 for x, d in zip(ref, depth)]
+                    for ref in (parent, depth)
+                )
+
 
 class TestCycles:
     def test_cycle_walk(self):

@@ -8,7 +8,13 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import random_connected_graph
+from conftest import (
+    random_connected_graph,
+    random_sparse_connected,
+    random_subdivision,
+    random_theta,
+    random_tree,
+)
 from isolab import _pykernels
 from isolab import family as F
 from isolab import graphs as G
@@ -532,6 +538,50 @@ class TestReducingStar:
         for _ in range(300):
             g = random_connected_graph(rng, rng.randrange(3, 15))
             lab.find_reducing_star(g)
+
+    def test_matches_three_search_star_on_orders_3_to_8(self, small_connected):
+        graphs = [g for n in range(3, 8) for g in small_connected[n]]
+        graphs += [G.parse_graph6(line) for line in lab.enumerate_connected(8)]
+        for g in graphs:
+            star = lab.find_reducing_star(g)
+            assert (star.center, star.leaves) == oracles.reducing_star_ref(g), (
+                G.write_graph6(g)
+            )
+
+    def test_matches_three_search_star_on_random_graphs(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            n = rng.randrange(9, G.MAX_ORDER + 1)
+            for g in (
+                random_connected_graph(rng, n),
+                random_tree(rng, n),
+                random_sparse_connected(rng, n),
+                random_subdivision(rng, rng.choice([4, 5]), n),
+                random_theta(rng, n),
+            ):
+                star = lab.find_reducing_star(g)
+                assert (star.center, star.leaves) == oracles.reducing_star_ref(g), (
+                    G.write_graph6(g)
+                )
+
+    def test_two_searches_per_graph(self, small_connected, monkeypatch):
+        # One search when the BFS tree from vertex 0 is a star, else two.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return G.bfs_tree(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "bfs_tree", counting)
+        rng = random.Random(53)
+        graphs = [g for n in range(3, 8) for g in small_connected[n]]
+        graphs += [random_sparse_connected(rng, rng.randrange(9, 65)) for _ in range(200)]
+        for g in graphs:
+            parent, _ = G.bfs_tree(g, 0, g.full_mask)
+            tree_degree = [int(v != 0) + parent.count(v) for v in range(g.order)]
+            calls.clear()
+            lab.find_reducing_star(g)
+            assert len(calls) == (1 if max(tree_degree) == g.order - 1 else 2)
 
 
 class TestCharacterizationSmall:

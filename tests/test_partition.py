@@ -10,8 +10,15 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import random_connected_graph
+from conftest import (
+    random_connected_graph,
+    random_sparse_connected,
+    random_subdivision,
+    random_theta,
+    random_tree,
+)
 from isolab import graphs as G
+from isolab import lab
 from isolab import partition as P
 from isolab import solvers as S
 from isolab.partition import (
@@ -178,6 +185,73 @@ class TestEngineOnCatalogs:
             assert [(s.kind, s.vertices, s.colors) for s in first[1]] == [
                 (s.kind, s.vertices, s.colors) for s in second[1]
             ]
+
+
+def _cut_vertex_free_degree_two(g):
+    deg2 = G.bits_of(v for v in range(g.order) if g.degree(v) == 2)
+    return deg2 if deg2 and not G.cut_vertices(g) else 0
+
+
+class TestReductionInputs:
+    # The degree-2 rung's bounded searches and the cut-vertex rung's reused
+    # components must give the engine exactly what it computed before.
+
+    def test_degree_two_cycle_matches_unbounded_search(self, small_connected):
+        graphs = [g for n in range(3, 8) for g in small_connected[n]]
+        graphs += [G.parse_graph6(line) for line in lab.enumerate_connected(8)]
+        rng = random.Random(59)
+        for _ in range(120):
+            n = rng.randrange(9, G.MAX_ORDER + 1)
+            graphs.append(random_subdivision(rng, rng.choice([4, 5]), n))
+            graphs.append(random_theta(rng, n))
+        checked = 0
+        for g in graphs:
+            deg2 = _cut_vertex_free_degree_two(g)
+            if deg2:
+                checked += 1
+                assert P._degree_two_cycle(g, g.full_mask, deg2) == (
+                    oracles.degree_two_cycle_ref(g, g.full_mask, deg2)
+                ), G.write_graph6(g)
+        assert checked > 2000
+
+    def test_engine_steps_on_random_graphs(self, monkeypatch):
+        masks, seen = [], {"degree-2": 0, "path": 0}
+        solve, cycle, path_reduce = P._solve, P._degree_two_cycle, P._path_reduce
+
+        def solving(g, mask):
+            masks.append(mask)
+            try:
+                return solve(g, mask)
+            finally:
+                masks.pop()
+
+        def cycling(g, mask, deg2):
+            seen["degree-2"] += 1
+            got = cycle(g, mask, deg2)
+            assert got == oracles.degree_two_cycle_ref(g, mask, deg2)
+            return got
+
+        def reducing(g, comps, path, *args, **kwargs):
+            seen["path"] += 1
+            assert comps == G.masked_components(g, masks[-1] & ~G.bits_of(path))
+            return path_reduce(g, comps, path, *args, **kwargs)
+
+        monkeypatch.setattr(P, "_solve", solving)
+        monkeypatch.setattr(P, "_degree_two_cycle", cycling)
+        monkeypatch.setattr(P, "_path_reduce", reducing)
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randrange(9, G.MAX_ORDER + 1)
+            for g in (
+                random_connected_graph(rng, n),
+                random_tree(rng, n),
+                random_sparse_connected(rng, n),
+                random_subdivision(rng, rng.choice([4, 5]), n),
+                random_theta(rng, n),
+            ):
+                tp, _ = partition3(g)
+                assert verify_partition(g, tp)[0]
+        assert seen["degree-2"] > 100 and seen["path"] > 1000
 
 
 class TestTrace:
