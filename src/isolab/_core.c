@@ -448,7 +448,10 @@ static PyMethodDef core_methods[] = {
      "and a maximum-degree vertex of the last refined root cell is labeled last.\n"
      "With 0 <= last < n, None when vertex last is outside that cell (found\n"
      "without searching), else the same tuple; last outside -1..n-1 is a ValueError,\n"
-     "and one that is not an integer a TypeError."},
+     "and one that is not an integer a TypeError. Below the root only the 96\n"
+     "recorded automorphisms prune the search, so its time grows exponentially on\n"
+     "graphs with many more: K_n and the empty graph take 0.4 s at n = 20 and 7 s\n"
+     "at n = 21."},
     {"has_isolating_set", (PyCFunction)(void (*)(void))has_isolating_set, METH_FASTCALL,
      "has_isolating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
      "isolates the graph; the search starts with covered vertices removed and never\n"

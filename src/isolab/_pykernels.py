@@ -3,6 +3,13 @@
 Semantically identical to ``isolab._core``; either module can back
 ``isolab._backend``. Graphs arrive as a sequence of per-vertex adjacency
 bitmasks, one machine word per vertex, order <= 64.
+
+``canon_form`` holds each cell of a partition as one vertex mask, whose
+bits in ascending order are the cell's members in order. It refines on
+bit-sliced neighbor counts, all vertices at once, and compares leaves by
+one integer in the order of their graph6 bodies, packing bytes only for
+the best leaf. ``_body_key`` and ``_body_bytes`` are also the graph6
+packer of ``isolab.graphs.write_graph6``.
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ BACKEND_NAME = "python"
 _AUT_CAP = 96
 
 
-def _refine(adj, cells, fresh):
+def _refine(adj, n, cells, fresh):
     """Stable neighborhood refinement of an ordered partition.
 
-    Repeatedly splits cells by the vector of neighbor counts against every
-    current cell, keeping subcells in ascending signature order, until no
-    cell splits. Deterministic and invariant under vertex relabeling.
+    Cells are vertex masks. Repeatedly splits cells by the vector of
+    neighbor counts against every current cell, keeping subcells in
+    ascending signature order, until no cell splits. Deterministic and
+    invariant under vertex relabeling.
 
     Only the counts against the cells in ``fresh`` are taken. The caller
     passes the cells its input may be uneven against, less one whose counts
@@ -33,56 +41,95 @@ def _refine(adj, cells, fresh):
     full signatures agree at every cell that is not fresh, at a split
     cell's last part once they agree at its other parts, which come first,
     and first differ at a fresh cell.
+
+    The counts against a fresh cell ``f`` are held bit-sliced, for all
+    vertices at once: bit ``v`` of plane ``k`` is bit ``k`` of
+    ``|adj[v] & f|``. The planes are the sum of the adjacency masks of
+    ``f``'s members by ripple-carry adds, and a singleton ``{w}`` has the
+    one plane ``adj[w]``. A cell splits by each plane in turn, the part
+    with the plane's bit clear first: the planes of ``fresh[0]`` from the
+    most significant down, then those of ``fresh[1]``, and so on. That
+    orders the parts by ascending signature, compared lexicographically,
+    and each part's members stay in ascending order. A round that leaves
+    all ``n`` cells singletons ends the refinement, since nothing can split.
     """
-    while fresh:
-        masks = []
-        for cell in fresh:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
+    while fresh and len(cells) < n:
+        planes = []
+        for f in fresh:
+            if f & (f - 1):
+                sums = [0] * f.bit_count().bit_length()
+                while f:
+                    x = f & -f
+                    f ^= x
+                    carry = adj[x.bit_length() - 1]
+                    k = 0
+                    while carry:
+                        s = sums[k]
+                        sums[k] = s ^ carry
+                        carry &= s
+                        k += 1
+                planes += reversed(sums)
+            else:
+                planes.append(adj[f.bit_length() - 1])
         out = []
         fresh = []
         for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            sigs = {}
-            for v in cell:
-                a = adj[v]
-                sig = tuple([(a & m).bit_count() for m in masks])
-                sigs.setdefault(sig, []).append(v)
-            if len(sigs) == 1:
-                out.append(cell)
-            else:
-                parts = [sigs[key] for key in sorted(sigs)]
-                out += parts
-                fresh += parts[:-1]
+            if cell & (cell - 1):
+                parts = [cell]
+                for p in planes:
+                    x = cell & p
+                    if x and x != cell:
+                        split = []
+                        for q in parts:
+                            y = q & p
+                            if y and y != q:
+                                split += (q ^ y, y)
+                            else:
+                                split.append(q)
+                        parts = split
+                if len(parts) > 1:
+                    out += parts
+                    fresh += parts[:-1]
+                    continue
+            out.append(cell)
         cells = out
     return cells
 
 
-def _pack_body(adj, n, pos):
-    # graph6 body of the relabeled graph: upper triangle column by column,
-    # 6-bit groups, each group + 63, last group zero-padded.
-    inv = [0] * n
-    for v in range(n):
-        inv[pos[v]] = v
-    out = bytearray()
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        aj = adj[inv[j]]
-        for i in range(j):
-            group = (group << 1) | ((aj >> inv[i]) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return bytes(out)
+def _body_key(adj, order):
+    """The graph6 body bits of the graph relabeled so that position ``i``
+    holds vertex ``order[i]``, as one integer: the upper triangle column by
+    column, the first bit highest. Keys of graphs of one order compare as
+    their bodies do."""
+    n = len(order)
+    row = [0] * n  # row[order[i]] = 1 << (n - 1 - i)
+    bit = 1 << n
+    for v in order:
+        bit >>= 1
+        row[v] = bit
+    key = 0
+    seen = 0
+    for j, v in enumerate(order):
+        # Column j is the rows of v's neighbors at positions below j; the
+        # shift leaves its j bits, row 0 highest.
+        m = adj[v] & seen
+        seen |= 1 << v
+        col = 0
+        while m:
+            x = m & -m
+            col |= row[x.bit_length() - 1]
+            m ^= x
+        key = key << j | col >> (n - j)
+    return key
+
+
+def _body_bytes(key, n):
+    """graph6 body bytes of a ``_body_key``: 6-bit groups, each + 63, the
+    last group zero-padded."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    key <<= pad
+    return bytes([(key >> s & 63) + 63 for s in range(nbits + pad - 6, -1, -6)])
 
 
 def canon_form(adj, n, last=-1):
@@ -107,6 +154,11 @@ def canon_form(adj, n, last=-1):
     is not in that cell, found after the root refinement alone; otherwise
     it is the same as without ``last``. ``last`` outside ``-1..n-1``
     raises ``ValueError``, and one that is not an integer ``TypeError``.
+
+    Below the root, a branch is pruned only by the automorphisms recorded
+    in ``auts``. So on a graph with many more than ``_AUT_CAP`` of them the
+    search tree grows exponentially with the order: K_n and the empty graph
+    take 0.05 s at n = 18, under 1 s at n = 19 and 11 to 16 s at n = 20.
     """
     if not -1 <= operator.index(last) < n:
         raise ValueError(f"last {last} outside -1..{n - 1}")
@@ -114,15 +166,21 @@ def canon_form(adj, n, last=-1):
         return [], b"", [], []
     bydeg = {}
     for v in range(n):
-        bydeg.setdefault(adj[v].bit_count(), []).append(v)
+        d = adj[v].bit_count()
+        bydeg[d] = bydeg.get(d, 0) | 1 << v
     cells0 = [bydeg[d] for d in sorted(bydeg)]
-    cells0 = _refine(adj, cells0, cells0[:-1])
-    if last >= 0 and last not in cells0[-1]:
+    cells0 = _refine(adj, n, cells0, cells0[:-1])
+    if last >= 0 and not cells0[-1] >> last & 1:
         return None
+    if len(cells0) == n:
+        order = [c.bit_length() - 1 for c in cells0]
+        return _labels(order), _body_bytes(_body_key(adj, order), n), list(range(n)), []
 
-    best = {"body": None, "pos": None, "inv": None}
+    best_key = -1
+    best_order = None
     parent = list(range(n))
     auts = []
+    fixed = []  # fixed[i]: the mask of points auts[i] fixes
 
     def find(x):
         root = x
@@ -132,66 +190,78 @@ def canon_form(adj, n, last=-1):
             parent[x], x = root, parent[x]
         return root
 
-    def union(a, b):
-        # The smaller root wins, so every root is the least vertex of its set.
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    def search(cells, prefix):
-        # cells: a refined partition
-        t = -1
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                t = idx
-                break
-        if t < 0:
-            pos = [0] * n
-            inv = [0] * n
-            for i, cell in enumerate(cells):
-                pos[cell[0]] = i
-                inv[i] = cell[0]
-            body = _pack_body(adj, n, pos)
-            if best["body"] is None or body > best["body"]:
-                best["body"] = body
-                best["pos"] = pos
-                best["inv"] = inv
-            elif body == best["body"]:
-                binv = best["inv"]
+    def search(cells, prefix, t):
+        # cells: a refined partition, singletons before index t; prefix: the
+        # mask of the vertices individualized on the way here
+        nonlocal best_key, best_order
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            key = _body_key(adj, order)
+            if key > best_key:
+                best_key = key
+                best_order = order
+            elif key == best_key:
                 gamma = [0] * n
-                for i in range(n):
-                    gamma[binv[i]] = inv[i]
+                for u, v in zip(best_order, order):
+                    gamma[u] = v
+                fix = 0
+                for v, w in enumerate(gamma):
+                    if v == w:
+                        fix |= 1 << v
+                        continue
+                    # The smaller root wins, so every root is the least
+                    # vertex of its set.
+                    rv, rw = find(v), find(w)
+                    if rv < rw:
+                        parent[rw] = rv
+                    elif rw < rv:
+                        parent[rv] = rw
                 if len(auts) < _AUT_CAP:
                     auts.append(gamma)
-                for v in range(n):
-                    union(v, gamma[v])
+                    fixed.append(fix)
             return
-        cell = cells[t]
+        while True:
+            cell = cells[t]
+            if cell & (cell - 1):
+                break
+            t += 1
         head = cells[:t]
         tail = cells[t + 1 :]
-        tried = set()
-        for v in cell:
+        tried = []  # at the root: the vertices of cell tried so far
+        done = 0  # below it: their mask
+        m = cell
+        while m:
+            x = m & -m
+            m ^= x
+            v = x.bit_length() - 1
+            # v is skipped when a known automorphism maps it to a vertex
+            # tried before: at the root any orbit merged so far counts,
+            # below it a recorded automorphism that fixes prefix pointwise.
+            skip = False
             if not prefix:
-                if any(find(v) == find(u) for u in tried):
-                    tried.add(v)
-                    continue
+                r = find(v)
+                skip = any(find(u) == r for u in tried)
+                tried.append(v)
             else:
-                skip = False
-                for gamma in auts:
-                    if gamma[v] in tried and all(gamma[p] == p for p in prefix):
+                for g, f in zip(auts, fixed):
+                    if done >> g[v] & 1 and not prefix & ~f:
                         skip = True
                         break
-                if skip:
-                    tried.add(v)
-                    continue
-            rest = [u for u in cell if u != v]
-            single = [v]
-            search(_refine(adj, head + [single, rest] + tail, [single]), prefix + (v,))
-            tried.add(v)
+                done |= x
+            if not skip:
+                search(_refine(adj, n, [*head, x, cell ^ x, *tail], [x]), prefix | x, t + 1)
 
-    search(cells0, ())
+    search(cells0, 0, 0)
 
-    return best["pos"], best["body"], [find(v) for v in range(n)], auts
+    return _labels(best_order), _body_bytes(best_key, n), [find(v) for v in range(n)], auts
+
+
+def _labels(order):
+    """labels[v] = i for the vertex v = order[i]."""
+    labels = [0] * len(order)
+    for i, v in enumerate(order):
+        labels[v] = i
+    return labels
 
 
 def _edge_vertex(adj, rem):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from isolab import _backend
-from isolab._pykernels import _pack_body
+from isolab._pykernels import _body_bytes, _body_key
 
 MAX_ORDER = 64
 
@@ -293,7 +293,7 @@ def parse_graph6(text: str) -> Graph:
 def write_graph6(g: Graph) -> str:
     """Encode a Graph as one graph6 line (inverse of parse_graph6)."""
     n = g.order
-    return (_g6_header(n) + _pack_body(g.adj, n, range(n))).decode("ascii")
+    return (_g6_header(n) + _body_bytes(_body_key(g.adj, range(n)), n)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +553,12 @@ def canonical_code(g: Graph) -> bytes:
 
     The code is exactly the graph6 line of the canonically relabeled
     graph, so catalogs sorted by code are sorted graph6 files.
+
+    The kernels' ``canon_form`` prunes its search with the first 96
+    automorphisms it finds, so on a graph with many more its time grows
+    exponentially with the order: K_n and the empty graph take about 1 s
+    at n = 19 on the pure-Python kernels and at n = 21 on the compiled core,
+    and each further vertex costs more than ten times as much.
     """
     return canonical_code_of(g.adj, g.order)
 

@@ -7,6 +7,7 @@ import sysconfig
 
 import pytest
 
+from isolab import _backend
 from isolab import graphs as G
 from isolab import lab
 
@@ -53,6 +54,15 @@ def core(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def use_backend():
+    """``_backend.use_backend``, with the module that backed the kernels
+    before the test restored after it."""
+    before = _backend.kernels
+    yield _backend.use_backend
+    _backend.use_backend(before)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> G.Graph:

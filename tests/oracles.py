@@ -3,17 +3,20 @@
 Everything here deliberately avoids the library's bitmask machinery:
 graphs are dicts of sets, subsets are frozensets, and graph6 decoding goes
 through a textual bit string. Slow and obvious beats fast and clever for
-an oracle. The last section is the exception: small helpers on isolab's
-``Graph`` that only the tests use.
+an oracle. The last two sections are the exceptions: small helpers on
+isolab's ``Graph`` that only the tests use, and the previous pure-Python
+``canon_form``, whose output the current one must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from itertools import combinations, permutations, product
 
 from isolab import _backend
 from isolab import graphs as G
+from isolab._pykernels import _AUT_CAP
 from isolab.partition import partition3
 from isolab.solvers import lex_extensions
 
@@ -328,3 +331,190 @@ def degree_two_cycle_ref(g: G.Graph, mask: int, deg2: int) -> list[int]:
         if best is None or len(path) + 1 < len(best):
             best = [v] + path
     return best
+
+
+# ---------------------------------------------------------------------------
+# the list-based canon_form of the pure-Python kernels, kept unchanged as the
+# reference for isolab._pykernels.canon_form: cells are ascending vertex
+# lists, refinement counts neighbors one vertex and one dict at a time, and
+# each leaf packs its graph6 body
+
+
+def _refine_ref(adj, cells, fresh):
+    """Stable neighborhood refinement of an ordered partition.
+
+    Repeatedly splits cells by the vector of neighbor counts against every
+    current cell, keeping subcells in ascending signature order, until no
+    cell splits. Deterministic and invariant under vertex relabeling.
+
+    Only the counts against the cells in ``fresh`` are taken. The caller
+    passes the cells its input may be uneven against, less one whose counts
+    follow from the others: ``canon_form`` passes the degree cells but the
+    last at the root, and the search the individualized singleton below
+    it. Each later round takes the subcells that the round before split
+    off, less the last of each split cell. The result is the same as
+    counting against every cell. Members of a cell have equal counts
+    against each cell of the round before, and the counts against a split
+    cell's parts add up to the count against the whole. So two members'
+    full signatures agree at every cell that is not fresh, at a split
+    cell's last part once they agree at its other parts, which come first,
+    and first differ at a fresh cell.
+    """
+    while fresh:
+        masks = []
+        for cell in fresh:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        out = []
+        fresh = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            sigs = {}
+            for v in cell:
+                a = adj[v]
+                sig = tuple([(a & m).bit_count() for m in masks])
+                sigs.setdefault(sig, []).append(v)
+            if len(sigs) == 1:
+                out.append(cell)
+            else:
+                parts = [sigs[key] for key in sorted(sigs)]
+                out += parts
+                fresh += parts[:-1]
+        cells = out
+    return cells
+
+
+def _pack_body_ref(adj, n, pos):
+    # graph6 body of the relabeled graph: upper triangle column by column,
+    # 6-bit groups, each group + 63, last group zero-padded.
+    inv = [0] * n
+    for v in range(n):
+        inv[pos[v]] = v
+    out = bytearray()
+    group = 0
+    nbits = 0
+    for j in range(1, n):
+        aj = adj[inv[j]]
+        for i in range(j):
+            group = (group << 1) | ((aj >> inv[i]) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(group + 63)
+                group = 0
+                nbits = 0
+    if nbits:
+        out.append((group << (6 - nbits)) + 63)
+    return bytes(out)
+
+
+def canon_form_ref(adj, n, last=-1):
+    """Canonical labeling by refinement plus backtracking.
+
+    Returns ``(labels, body, orbits, auts)`` where ``labels[v]`` is the
+    canonical position of vertex ``v``, ``body`` is the graph6 bit packing
+    of the relabeled adjacency (equal bodies for equal order <=>
+    isomorphic), ``auts`` lists the automorphisms discovered during the
+    search, the first ``_AUT_CAP`` of them in the order found, each as a
+    list with ``gamma[v]`` the image of ``v``, and ``orbits[v]`` is the
+    least vertex in ``v``'s orbit under every discovered automorphism (a
+    refinement of the true orbit partition, never coarser).
+
+    The search starts from cells in ascending degree, refines them, and
+    from then on refinement and individualization only split cells in
+    place, never reorder them. So positions are in nondecreasing degree,
+    and the vertex labeled last lies in the last cell of the refined root
+    partition. Canonical augmentation in ``isolab.lab`` prunes on both.
+
+    With ``0 <= last < n``, the result is ``None`` when vertex ``last``
+    is not in that cell, found after the root refinement alone; otherwise
+    it is the same as without ``last``. ``last`` outside ``-1..n-1``
+    raises ``ValueError``, and one that is not an integer ``TypeError``.
+    """
+    if not -1 <= operator.index(last) < n:
+        raise ValueError(f"last {last} outside -1..{n - 1}")
+    if n == 0:
+        return [], b"", [], []
+    bydeg = {}
+    for v in range(n):
+        bydeg.setdefault(adj[v].bit_count(), []).append(v)
+    cells0 = [bydeg[d] for d in sorted(bydeg)]
+    cells0 = _refine_ref(adj, cells0, cells0[:-1])
+    if last >= 0 and last not in cells0[-1]:
+        return None
+
+    best = {"body": None, "pos": None, "inv": None}
+    parent = list(range(n))
+    auts = []
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        # The smaller root wins, so every root is the least vertex of its set.
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    def search(cells, prefix):
+        # cells: a refined partition
+        t = -1
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                t = idx
+                break
+        if t < 0:
+            pos = [0] * n
+            inv = [0] * n
+            for i, cell in enumerate(cells):
+                pos[cell[0]] = i
+                inv[i] = cell[0]
+            body = _pack_body_ref(adj, n, pos)
+            if best["body"] is None or body > best["body"]:
+                best["body"] = body
+                best["pos"] = pos
+                best["inv"] = inv
+            elif body == best["body"]:
+                binv = best["inv"]
+                gamma = [0] * n
+                for i in range(n):
+                    gamma[binv[i]] = inv[i]
+                if len(auts) < _AUT_CAP:
+                    auts.append(gamma)
+                for v in range(n):
+                    union(v, gamma[v])
+            return
+        cell = cells[t]
+        head = cells[:t]
+        tail = cells[t + 1 :]
+        tried = set()
+        for v in cell:
+            if not prefix:
+                if any(find(v) == find(u) for u in tried):
+                    tried.add(v)
+                    continue
+            else:
+                skip = False
+                for gamma in auts:
+                    if gamma[v] in tried and all(gamma[p] == p for p in prefix):
+                        skip = True
+                        break
+                if skip:
+                    tried.add(v)
+                    continue
+            rest = [u for u in cell if u != v]
+            single = [v]
+            search(_refine_ref(adj, head + [single, rest] + tail, [single]), prefix + (v,))
+            tried.add(v)
+
+    search(cells0, ())
+
+    return best["pos"], best["body"], [find(v) for v in range(n)], auts

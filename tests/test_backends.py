@@ -1,11 +1,12 @@
 """The compiled core and the pure-Python fallback must be interchangeable."""
 
 import random
+import types
 
 import oracles
 import pytest
 
-from isolab import _pykernels
+from isolab import _backend, _pykernels
 from isolab import graphs as G
 from isolab import lab
 
@@ -92,18 +93,27 @@ def test_highly_symmetric_graphs(core):
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
-def test_order_zero_graph_solves_to_zero(request, monkeypatch, backend):
+def test_order_zero_graph_solves_to_zero(request, use_backend, backend):
     # The minimizers have no order-0 case of their own: both kernels decide
     # k = 0 on the empty graph, and the witness walk yields the empty set.
-    from isolab import _backend
     from isolab import solvers as S
 
-    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
-    for name in ("has_isolating_set", "has_dominating_set"):
-        monkeypatch.setattr(_backend, name, getattr(kernels, name))
+    use_backend(_pykernels if backend == "python" else request.getfixturevalue("core"))
     empty = G.empty_graph(0)
     assert S.domination_number(empty) == S.SolveResult(0, 0)
     assert S.isolation_number(empty) == S.SolveResult(0, 0)
+
+
+def test_use_backend_rebinds_every_kernel_and_returns_the_previous(use_backend):
+    fake = types.SimpleNamespace(
+        BACKEND_NAME="fake", canon_form=object(), has_isolating_set=object(),
+        has_dominating_set=object(),
+    )
+    before = _backend.kernels
+    assert use_backend(fake) is before
+    assert _backend.kernels is fake and _backend.backend_name() == "fake"
+    for name in ("canon_form", "has_isolating_set", "has_dominating_set"):
+        assert getattr(_backend, name) is getattr(fake, name)
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_graph
-from isolab import _backend, _pykernels
+from isolab import _pykernels
 from isolab import graphs as G
 from isolab import lab
 from isolab import solvers as S
@@ -179,9 +179,8 @@ class TestWitnessWalk:
         with pytest.raises(RuntimeError):
             S._lex_least(G.path_graph(3), decide)
 
-    def test_45_vertices_on_python_kernels(self, monkeypatch):
-        monkeypatch.setattr(_backend, "has_isolating_set", _pykernels.has_isolating_set)
-        monkeypatch.setattr(_backend, "has_dominating_set", _pykernels.has_dominating_set)
+    def test_45_vertices_on_python_kernels(self, use_backend):
+        use_backend(_pykernels)
         g = sparse_connected_graph(45, 45)
         start = time.perf_counter()
         r = S.isolation_number(g)
@@ -191,8 +190,8 @@ class TestWitnessWalk:
         assert S.is_dominating(g, d.witness) and not S.has_dominating_set(g, d.value - 1)
         assert r.witness.bit_count() == r.value and d.witness.bit_count() == d.value
 
-    def test_64_vertices_on_core(self, monkeypatch, core):
-        monkeypatch.setattr(_backend, "has_isolating_set", core.has_isolating_set)
+    def test_64_vertices_on_core(self, use_backend, core):
+        use_backend(core)
         g = sparse_connected_graph(64, 64)
         start = time.perf_counter()
         r = S.isolation_number(g)
