@@ -1,8 +1,8 @@
 /* Compiled compute kernels: canonical labeling and set-cover decisions.
  *
  * Mirrors isolab._pykernels exactly (same refined partitions, same orbit
- * pruning, same 96-automorphism cap, same tie-breaks), so the two backends
- * are interchangeable. Graphs arrive as a sequence of per-vertex adjacency
+ * pruning, same 96-automorphism cap, same tie-breaks, same packing bound in
+ * the decisions), so the two backends are interchangeable. Graphs arrive as a sequence of per-vertex adjacency
  * bitmasks, one 64-bit word per vertex, order <= 64.
  *
  * Contract relied on by canonical augmentation in isolab.lab: canon_form
@@ -352,6 +352,62 @@ fail:
     return NULL;
 }
 
+/* Packing bound, the same as _pykernels._vertices_outpack and _edges_outpack:
+ * nonzero when more than budget targets still to hit (undominated vertices,
+ * or edges inside rem) have pairwise disjoint allowed chooser sets, or one
+ * has none. Each such target needs a chosen vertex of its own, so a nonzero
+ * answer refutes the node, and a node that holds a solution never gets one:
+ * the bound changes no answer. The greedy starts from the branching target,
+ * whose choosers are cand. A target's choosers meet a kept chooser set C
+ * exactly when the target (or an end of the edge) lies in N[C], so left,
+ * rem less the closed neighborhoods of every kept chooser, is all the greedy
+ * needs; the vertex bound also stops once left has fewer vertices than
+ * targets it still needs. Nodes run it from budget BOUND_MIN_BUDGET up, the constant of the
+ * Python kernels: below it the bound rarely refutes what the search would
+ * not refute at once, and costs more than it saves there. */
+#define BOUND_MIN_BUDGET 3
+
+static int vertices_outpack(const u64 *adj, u64 rem, u64 forbidden, u64 cand, long budget) {
+    u64 left = rem, near, t;
+    while (cand) {
+        for (near = cand; cand; cand &= cand - 1)
+            near |= adj[ctz64(cand)];
+        left &= ~near;
+        if (pop64(left) < budget)
+            return 0;
+        if (--budget == 0)
+            return 1;
+        t = left & (0 - left);
+        cand = (adj[ctz64(t)] | t) & ~forbidden;
+    }
+    return 1;
+}
+
+/* For isolation the next target is the least edge inside left. No vertex
+ * below v has a neighbor in rem, and left only shrinks, so the scan for its
+ * lower end resumes where the last one stopped. */
+static int edges_outpack(const u64 *adj, u64 rem, u64 forbidden, int v, u64 cand, long budget) {
+    u64 left = rem, m = rem >> v << v, near, e = 0;
+    int a = 0;
+    while (cand) {
+        for (near = cand; cand; cand &= cand - 1)
+            near |= adj[ctz64(cand)];
+        left &= ~near;
+        for (m &= left; m; m &= m - 1) {
+            a = ctz64(m);
+            if ((e = adj[a] & left) != 0)
+                break;
+        }
+        if (m == 0)
+            return 0;
+        if (--budget == 0)
+            return 1;
+        e &= 0 - e;
+        cand = (adj[a] | adj[ctz64(e)] | ((u64)1 << a) | e) & ~forbidden;
+    }
+    return 1;
+}
+
 /* Isolation: branch on the least edge not yet touched by a chosen closed
  * neighborhood; candidates are the closed neighborhoods of its endpoints.
  * Earlier siblings are forbidden below a branch. */
@@ -372,6 +428,8 @@ static int iso_rec(const u64 *adj, u64 full, u64 covered, u64 forbidden, long bu
         return 0;
     u = ctz64(adj[v] & rem);
     cand = (adj[v] | adj[u] | ((u64)1 << v) | ((u64)1 << u)) & ~forbidden;
+    if (budget >= BOUND_MIN_BUDGET && edges_outpack(adj, rem, forbidden, v, cand, budget))
+        return 0;
     while (cand) {
         x = cand & (0 - cand);
         cand ^= x;
@@ -393,6 +451,8 @@ static int dom_rec(const u64 *adj, u64 full, u64 covered, u64 forbidden, long bu
         return 0;
     v = ctz64(rem);
     cand = (adj[v] | ((u64)1 << v)) & ~forbidden;
+    if (budget >= BOUND_MIN_BUDGET && vertices_outpack(adj, rem, forbidden, cand, budget))
+        return 0;
     while (cand) {
         x = cand & (0 - cand);
         cand ^= x;
@@ -412,7 +472,7 @@ typedef int (*decide_fn)(const u64 *, u64, u64, u64, long);
 static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fname,
                         decide_fn rec) {
     u64 a[MAXN], full, state[2] = {0, 0};
-    int n, i;
+    int n, i, overflow;
     long k;
     if (nargs != 3 && nargs != 5) {
         PyErr_Format(PyExc_TypeError, "%s() takes 3 or 5 arguments (%zd given)", fname, nargs);
@@ -420,9 +480,13 @@ static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fna
     }
     if (parse_graph(args, a, &n, &full) < 0)
         return NULL;
-    k = PyLong_AsLong(args[2]);
+    /* No set needs more than n vertices, so a k too large for a long is k = n,
+     * and one too small is a refutation, as in the Python fallback. */
+    k = PyLong_AsLongAndOverflow(args[2], &overflow);
     if (k == -1 && PyErr_Occurred())
         return NULL;
+    if (overflow)
+        k = overflow > 0 ? n : -1;
     for (i = 3; i < nargs; i++) {
         state[i - 3] = PyLong_AsUnsignedLongLongMask(args[i]);
         if (state[i - 3] == (u64)-1 && PyErr_Occurred())

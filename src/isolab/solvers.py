@@ -4,7 +4,7 @@ Minimization decides the value with the kernel, then builds the lex-least
 witness one position at a time from further decisions that start from the
 chosen prefix: at most n * k decisions for value k at order n, never a scan
 of the C(n, k) candidate sets. Everything here runs on the full 64-vertex
-range; the cost of one decision is what grows with the value.
+range.
 
 ``is_isolating`` reuses the pure-Python kernels' edge scan. Order 0 needs no
 case of its own: both kernels decide k = 0 on the empty graph.

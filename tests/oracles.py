@@ -70,6 +70,69 @@ def dominating_ref(n: int, edges: set[frozenset[int]], xs, covered=()) -> bool:
     return closed_nbhd(adj, frozenset(xs)) | set(covered) == set(range(n))
 
 
+# Each kernel decision with the predicate it decides.
+KERNEL_DECISIONS = (
+    ("has_isolating_set", isolating_ref),
+    ("has_dominating_set", dominating_ref),
+)
+
+
+def decide_ref(n: int, edges: set[frozenset[int]], k: int, covered: int,
+               forbidden: int, predicate) -> bool:
+    """A kernel decision by scan: whether some set of at most k vertices
+    outside ``forbidden`` has ``predicate`` (``isolating_ref`` or
+    ``dominating_ref``) together with the ``covered`` vertices. The masks
+    are read as the kernels read them, bits at or above n ignored, and
+    k < 0 gives False."""
+    cov = [v for v in range(n) if covered >> v & 1]
+    allowed = [v for v in range(n) if not forbidden >> v & 1]
+    return any(
+        predicate(n, edges, xs, cov)
+        for size in range(min(k, len(allowed)) + 1)
+        for xs in combinations(allowed, size)
+    )
+
+
+def tree_domination_ref(n: int, edges: set[frozenset[int]]) -> int:
+    """The domination number of a tree, by the linear-time dynamic program
+    of Cockayne, Goodman and Hedetniemi (Inform. Process. Lett. 4, 1975).
+
+    Rooted at vertex 0, each subtree T_v has three states, each the least
+    size of a set S of vertices of T_v:
+    - ``inside``: S dominates T_v and contains v;
+    - ``below``: S dominates T_v, misses v, and so holds a child of v;
+    - ``above``: S dominates T_v - v and misses v and its children, so v is
+      left for its parent to dominate.
+    A leaf has 1, no ``below`` set (infinity) and 0. Otherwise ``inside``
+    is 1 plus each child's least state; ``above`` takes each child's
+    ``below``, as no child is in S and v is not either; and ``below`` takes
+    each child's least of ``inside`` and ``below``, forcing one child in S
+    at the least extra cost. The tree's value is the least of ``inside``
+    and ``below`` at the root.
+    """
+    adj = neighbors(n, edges)
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for u in sorted(adj[v]):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    if len(order) != n or len(edges) != n - 1:
+        raise ValueError("not a tree")
+    inside, below, above = {}, {}, {}
+    for v in reversed(order):
+        children = [u for u in adj[v] if u != parent[v]]
+        inside[v] = 1 + sum(min(inside[c], below[c], above[c]) for c in children)
+        above[v] = sum(below[c] for c in children)
+        if children:
+            best = [min(inside[c], below[c]) for c in children]
+            below[v] = sum(best) + min(inside[c] - b for c, b in zip(children, best))
+        else:
+            below[v] = float("inf")
+    return min(inside[0], below[0])
+
+
 def min_param_ref(n: int, edges, predicate) -> tuple[int, tuple[int, ...]]:
     """Smallest k and the lexicographically least witness, by full scan."""
     for k in range(n + 1):

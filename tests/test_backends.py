@@ -1,5 +1,6 @@
 """The compiled core and the pure-Python fallback must be interchangeable."""
 
+import functools
 import random
 import types
 
@@ -9,6 +10,10 @@ import pytest
 from isolab import _backend, _pykernels
 from isolab import graphs as G
 from isolab import lab
+
+
+def kernels_of(request, backend):
+    return _pykernels if backend == "python" else request.getfixturevalue("core")
 
 
 def test_backend_names(core):
@@ -98,7 +103,7 @@ def test_order_zero_graph_solves_to_zero(request, use_backend, backend):
     # k = 0 on the empty graph, and the witness walk yields the empty set.
     from isolab import solvers as S
 
-    use_backend(_pykernels if backend == "python" else request.getfixturevalue("core"))
+    use_backend(kernels_of(request, backend))
     empty = G.empty_graph(0)
     assert S.domination_number(empty) == S.SolveResult(0, 0)
     assert S.isolation_number(empty) == S.SolveResult(0, 0)
@@ -118,7 +123,7 @@ def test_use_backend_rebinds_every_kernel_and_returns_the_previous(use_backend):
 
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_automorphisms_of_symmetric_graphs(request, backend):
-    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
+    kernels = kernels_of(request, backend)
     for g in SYMMETRIC:
         n = g.order
         edges = {frozenset((u, v)) for u in range(n) for v in G.iter_bits(g.adj[u])}
@@ -157,7 +162,7 @@ def test_core_rejects_inputs_it_cannot_hold(core):
 
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_canon_rejects_last_outside_the_vertices(request, backend):
-    kernels = _pykernels if backend == "python" else request.getfixturevalue("core")
+    kernels = kernels_of(request, backend)
     adj = G.path_graph(4).adj
     for last in (-2, 4, 5, 1 << 70, -(1 << 70)):
         with pytest.raises(ValueError):
@@ -196,6 +201,69 @@ def test_start_state_identical_on_random_graphs_up_to_64(core):
         g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.3]))
         for _ in range(3):
             assert_decisions_agree(core, g, *random_state(rng, n))
+
+
+def oracle_cases():
+    """(graph, covered, forbidden, largest k): every graph up to order 6 from
+    nothing and from three seeded start states, with k up to n, then seeded
+    random graphs of order 7 to 11 from two start states, with k up to 5.
+    The larger budgets are where the kernels' packing bound runs."""
+    from conftest import random_graph
+
+    rng = random.Random(66)
+    for n in range(1, 7):
+        for line in lab.enumerate_all(n):
+            g = G.parse_graph6(line)
+            yield g, 0, 0, n
+            for _ in range(3):
+                yield g, *random_state(rng, n), n
+    for _ in range(40):
+        n = rng.randrange(7, 12)
+        g = random_graph(rng, n, rng.choice([0.1, 0.15, 0.25, 0.4]))
+        yield g, 0, 0, 5
+        # about a quarter covered and an eighth forbidden, so that budgets
+        # of 3 and more still arise
+        covered = rng.getrandbits(n) & rng.getrandbits(n)
+        forbidden = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        yield g, covered, forbidden, 5
+
+
+@functools.cache
+def oracle_table():
+    table = []
+    for g, covered, forbidden, top in oracle_cases():
+        edges = {frozenset(e) for e in g.edges()}
+        for name, ref in oracles.KERNEL_DECISIONS:
+            want = [oracles.decide_ref(g.order, edges, k, covered, forbidden, ref)
+                    for k in range(-1, top + 1)]
+            table.append((g, covered, forbidden, name, want))
+    return table
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_decisions_match_the_scan_oracle(request, backend):
+    kernels = kernels_of(request, backend)
+    bad = []
+    for g, covered, forbidden, name, want in oracle_table():
+        decide = getattr(kernels, name)
+        got = [decide(g.adj, g.order, k, covered, forbidden) for k in range(-1, len(want) - 1)]
+        if got != want:
+            bad.append((name, G.write_graph6(g), covered, forbidden, got, want))
+    assert bad == []
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_decisions_take_any_integer_k(request, backend):
+    # No set needs more than n vertices, so a k past a machine word is
+    # still a k on both backends.
+    kernels = kernels_of(request, backend)
+    for name, _ in oracles.KERNEL_DECISIONS:
+        decide = getattr(kernels, name)
+        for k in (2**63, 1 << 70):
+            assert decide((2, 1), 2, k) is True
+            assert decide((2, 1), 2, k, 0, 3) is False  # every vertex forbidden
+        for k in (-(2**63) - 1, -(1 << 70)):
+            assert decide((2, 1), 2, k) is False
 
 
 def test_start_state_takes_both_masks_or_neither(core):

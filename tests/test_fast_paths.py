@@ -11,7 +11,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
 
 import oracles
 from isolab import _pykernels
@@ -106,19 +105,10 @@ def leaf_mismatches():
     for line, g, covered, forbidden in _leaf_cases():
         n = g.order
         edges = {frozenset(e) for e in g.edges()}
-        cov = {v for v in range(n) if covered >> v & 1}
-        allowed = [v for v in range(n) if not forbidden >> v & 1]
-        for name, ref in (
-            ("has_isolating_set", oracles.isolating_ref),
-            ("has_dominating_set", oracles.dominating_ref),
-        ):
+        for name, ref in oracles.KERNEL_DECISIONS:
             decide = getattr(_pykernels, name)
             for k in (0, 1, 2):
-                want = any(
-                    ref(n, edges, xs, cov)
-                    for size in range(k + 1)
-                    for xs in combinations(allowed, size)
-                )
+                want = oracles.decide_ref(n, edges, k, covered, forbidden, ref)
                 got = decide(g.adj, n, k, covered, forbidden)
                 checked += 1
                 if got != want:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import random_graph
+from conftest import random_graph, random_tree
 from isolab import _pykernels
 from isolab import graphs as G
 from isolab import lab
@@ -179,22 +179,57 @@ class TestWitnessWalk:
         with pytest.raises(RuntimeError):
             S._lex_least(G.path_graph(3), decide)
 
-    def test_45_vertices_on_python_kernels(self, use_backend):
+    def test_64_vertices_on_python_kernels(self, use_backend):
         use_backend(_pykernels)
-        g = sparse_connected_graph(45, 45)
-        start = time.perf_counter()
-        r = S.isolation_number(g)
-        d = S.domination_number(g)
-        assert time.perf_counter() - start < 30
-        assert S.is_isolating(g, r.witness) and not S.has_isolating_set(g, r.value - 1)
-        assert S.is_dominating(g, d.witness) and not S.has_dominating_set(g, d.value - 1)
-        assert r.witness.bit_count() == r.value and d.witness.bit_count() == d.value
+        assert_64_vertices_solved()
 
     def test_64_vertices_on_core(self, use_backend, core):
         use_backend(core)
-        g = sparse_connected_graph(64, 64)
-        start = time.perf_counter()
-        r = S.isolation_number(g)
-        assert time.perf_counter() - start < 30
-        assert S.is_isolating(g, r.witness) and not S.has_isolating_set(g, r.value - 1)
-        assert r.witness.bit_count() == r.value
+        assert_64_vertices_solved()
+
+
+def assert_64_vertices_solved():
+    g = sparse_connected_graph(64, 64)
+    start = time.perf_counter()
+    r = S.isolation_number(g)
+    d = S.domination_number(g)
+    assert time.perf_counter() - start < 30
+    assert (r.value, d.value) == (12, 20)
+    assert S.is_isolating(g, r.witness) and not S.has_isolating_set(g, r.value - 1)
+    assert S.is_dominating(g, d.witness) and not S.has_dominating_set(g, d.value - 1)
+    assert r.witness.bit_count() == r.value and d.witness.bit_count() == d.value
+
+
+def assert_domination_matches_tree_dp(rng, orders):
+    for n in orders:
+        g = random_tree(rng, n)
+        d = S.domination_number(g)
+        assert d.value == oracles.tree_domination_ref(n, as_edges(g))
+        assert S.is_dominating(g, d.witness) and d.witness.bit_count() == d.value
+
+
+class TestTreeDomination:
+    """Domination numbers of random trees up to order 64 against the tree
+    dynamic program, an exact value that does not come from the kernels."""
+
+    def test_dp_matches_scan_on_all_trees_up_to_8(self):
+        trees = 0
+        for n in range(1, 9):
+            for line in lab.enumerate_connected(n):
+                g = G.parse_graph6(line)
+                if g.edge_count() == n - 1:
+                    edges = as_edges(g)
+                    want, _ = oracles.min_param_ref(n, edges, oracles.dominating_ref)
+                    assert oracles.tree_domination_ref(n, edges) == want
+                    trees += 1
+        assert trees == 48  # OEIS A000055 summed over orders 1 to 8
+
+    def test_python_kernels(self, use_backend):
+        use_backend(_pykernels)
+        rng = random.Random(48)
+        assert_domination_matches_tree_dp(rng, [rng.randrange(1, 33) for _ in range(40)] + [48] * 5)
+
+    def test_core(self, use_backend, core):
+        use_backend(core)
+        rng = random.Random(64)
+        assert_domination_matches_tree_dp(rng, [rng.randrange(1, 65) for _ in range(20)] + [64] * 30)
