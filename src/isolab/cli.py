@@ -4,7 +4,10 @@ Query commands (iso, dom, partition3, recognize-g, star) read graph6 lines
 from files or stdin and print one JSON object per input line. Catalog
 commands (enum, derive-e) print graph6 lines sorted by canonical code;
 extremal and verify print JSON reports. Exit codes: 0 success, 1 domain
-error or engine gap on some input, 2 usage error.
+error or engine gap on some input, 2 usage error. A per-line error is one
+record {"graph6", "error", "detail"} (no detail for no_valid_partition),
+and the next line is still answered; an engine gap's detail names the
+graph the reduction engine failed on.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ def _for_each_graph(args) -> int:
             error = {"error": "graph6", "detail": str(exc)}
         except NoValidPartition:
             error = {"error": "no_valid_partition"}
-        except EngineGap:
-            error = {"error": "engine_gap"}
+        except EngineGap as exc:
+            error = {"error": "engine_gap", "detail": str(exc)}
         except ValueError as exc:
             error = {"error": "domain", "detail": str(exc)}
         _emit({"graph6": line, **error})

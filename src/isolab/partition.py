@@ -3,31 +3,30 @@
 For a connected graph of order at least 3 other than the 5-cycle, builds a
 partition (A1, A2, A3) of the vertices such that the union of the three
 sets V - N[Ai] is independent. The construction works by recursive
-reduction; every step is recorded in a trace, the result is re-verified
-before being returned, and a brute-force search over all 3^n colorings
-doubles as both the oracle for tests and the last-resort fallback.
+reduction and records every step in a trace; the returned partition is the
+one the trace replays to, and it is re-verified before being returned.
 
 Reductions, in the order tried: star base case, cycle base case,
 cut-vertex, degree-2 vertex, cycle of length divisible by 3. Each
 subproblem is the subgraph induced on a vertex mask, solved in place in
-the input graph's numbering, so every vertex in a trace is an input vertex;
-only the exhaustive fallback builds a relabelled copy. One pass per mask
-counts each vertex's degree inside it, and both base cases and the
-degree-2 rung are read from those counts. The verifier looks for an edge
-inside the leftover set with the decision kernels' own edge scan.
+the input graph's numbering, so every vertex in a trace is an input vertex.
+One pass per mask counts each vertex's degree inside it, and both base
+cases and the degree-2 rung are read from those counts. The verifier looks
+for an edge inside the leftover set with the decision kernels' own edge
+scan.
 
 The cycle rung is the last one: a mask that reaches it has no cut vertex
 and no degree-2 vertex, so it is 2-connected with minimum degree at least
 3, and every graph of minimum degree at least 3 has a cycle whose length
 is divisible by 3 (G. Chen and A. Saito, J. Combin. Theory Ser. B 60
-(1994) 277-292). A mask where the search finds none is a gap between the
-engine and that theorem, and goes to the loud exhaustive fallback.
+(1994) 277-292). A mask where the search finds none, a trace that does not
+replay and a result that fails verification are gaps between the engine
+and that theory; each raises EngineGap naming the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 from isolab._pykernels import _edge_vertex
@@ -48,7 +47,6 @@ from isolab.graphs import (
 )
 
 COLORS = (1, 2, 3)
-EXHAUSTIVE_MAX_ORDER = 20
 
 
 class NoValidPartition(Exception):
@@ -56,9 +54,8 @@ class NoValidPartition(Exception):
 
 
 class EngineGap(Exception):
-    """The engine needed its exhaustive fallback on a graph above the
-    fallback's order guard: a gap in the engine, not a property of the
-    graph."""
+    """The reduction engine failed on a graph the theory covers: a gap in
+    the engine, not a property of the graph. The message names the graph."""
 
 
 @dataclass
@@ -81,7 +78,7 @@ class TriPartition:
 
 
 # ---------------------------------------------------------------------------
-# verification and the exhaustive oracle
+# verification
 
 
 def compute_residual(g: Graph, classes: tuple[int, int, int]) -> int:
@@ -113,30 +110,6 @@ def verify_partition(
     res = compute_residual(g, t.classes)
     bad = _independence_violation(g, res)
     return bad is None, res, bad
-
-
-def _colors_to_partition(g: Graph, colors: dict[int, int]) -> TriPartition:
-    classes = [0, 0, 0]
-    for v, c in colors.items():
-        classes[c - 1] |= 1 << v
-    cls = (classes[0], classes[1], classes[2])
-    return TriPartition(cls, compute_residual(g, cls))
-
-
-def exhaustive_partition3(g: Graph) -> Optional[TriPartition]:
-    """Brute-force search over all 3^n colorings (guarded at n <= 20).
-
-    Independent of the reduction engine; used as the test oracle and as
-    the engine's diagnostic fallback.
-    """
-    n = g.order
-    if n > EXHAUSTIVE_MAX_ORDER:
-        raise ValueError(f"exhaustive search guarded at order {EXHAUSTIVE_MAX_ORDER}")
-    for assignment in product(COLORS, repeat=n):
-        tp = _colors_to_partition(g, dict(enumerate(assignment)))
-        if _independence_violation(g, tp.residual) is None:
-            return tp
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -414,43 +387,15 @@ def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
     else:
         cyc = find_cycle_len_mod3(g, mask)
         if cyc is None:
-            return _exhaust(g, mask)
+            sub, _ = induced_subgraph(g, mask)
+            raise EngineGap(
+                f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}: "
+                "no cycle of length divisible by 3"
+            )
         colors, steps = _cycle_reduce(g, mask, cyc)
     if len(colors) != n:
         raise RuntimeError("reduction left a vertex uncolored")
     return colors, steps
-
-
-def _warn(message: str, *args) -> None:
-    # Only a dead end or a failed self-check warns, so logging is loaded
-    # then and not on every import.
-    import logging
-
-    logging.getLogger("isolab.partition").warning(message, *args)
-
-
-def _exhaust(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
-    # Reachable only through a gap between the reduction engine and the
-    # theory; loud by design, naming the subgraph that dead-ended.
-    sub, keep = induced_subgraph(g, mask)
-    if sub.order > EXHAUSTIVE_MAX_ORDER:
-        raise EngineGap(
-            f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}; "
-            f"exhaustive fallback is guarded at order {EXHAUSTIVE_MAX_ORDER}"
-        )
-    _warn(
-        "reduction dead-end on %d-vertex graph %s; running exhaustive fallback",
-        sub.order,
-        write_graph6(sub),
-    )
-    tp = exhaustive_partition3(sub)
-    if tp is None:
-        raise NoValidPartition("exhaustive fallback found no valid partition")
-    colors = {}
-    for i, cls in enumerate(tp.classes):
-        for v in iter_bits(cls):
-            colors[keep[v]] = i + 1
-    return colors, [TraceStep("exhaustive-fallback", keep, dict(colors))]
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +403,13 @@ def _exhaust(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
 
 
 def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
-    """Verified tri-partition with independent leftover, plus its trace.
+    """Verified tri-partition with independent leftover, plus the trace that
+    replays to it.
 
     Raises ValueError for graphs of order below 3 or disconnected input,
-    NoValidPartition for the 5-cycle, EngineGap when the reductions need the
-    exhaustive fallback above its order guard, and RuntimeError when an
-    engine invariant breaks or even the fallback's result fails verification.
+    NoValidPartition for the 5-cycle, RuntimeError when an invariant of a
+    reduction step breaks, and EngineGap when the cycle rung finds no cycle,
+    the trace does not replay, or the replayed partition fails verification.
     """
     if g.order < 3:
         raise ValueError("partition requires order at least 3")
@@ -471,32 +417,40 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
         raise ValueError("partition requires a connected graph")
     if is_c5(g):
         raise NoValidPartition("the 5-cycle admits no valid partition")
-    colors, steps = _solve(g, g.full_mask)
-    tp = _colors_to_partition(g, colors)
+    _, steps = _solve(g, g.full_mask)
+    try:
+        tp = replay_trace(g, steps)
+    except ValueError as exc:
+        raise EngineGap(f"trace of graph {write_graph6(g)} does not replay: {exc}") from None
     ok, _, bad = verify_partition(g, tp)
     if not ok:
-        _warn("self-verification failed (edge %s); falling back", bad)
-        colors, steps = _exhaust(g, g.full_mask)
-        tp = _colors_to_partition(g, colors)
-        ok, _, _ = verify_partition(g, tp)
-        if not ok:
-            raise RuntimeError("exhaustive fallback result failed verification")
-    if not all(tp.classes):
-        raise RuntimeError("top-level partition must use all three classes")
+        raise EngineGap(f"result on graph {write_graph6(g)} fails verification: edge {bad}")
+    # A verified partition uses all three classes: an empty one would leave
+    # all of V, which holds an edge, in the leftover set.
     return tp, steps
 
 
 def replay_trace(g: Graph, steps: list[TraceStep]) -> TriPartition:
     """Re-apply a recorded trace; reproduces the engine's partition.
 
-    Raises ValueError when the trace colors a vertex twice or misses one.
+    Raises ValueError when the trace uses a color outside 1..3, colors a
+    vertex outside 0..n-1, colors a vertex twice or misses one.
     """
-    colors: dict[int, int] = {}
-    for step in steps:
-        for v, c in step.colors.items():
-            if v in colors:
-                raise ValueError("trace colors a vertex twice")
-            colors[v] = c
-    if len(colors) != g.order:
+    classes = {1: 0, 2: 0, 3: 0}
+    count = 0
+    try:
+        for step in steps:
+            for v, c in step.colors.items():
+                classes[c] |= 1 << v  # a negative v raises ValueError here
+            count += len(step.colors)
+    except KeyError as exc:
+        raise ValueError(f"trace uses color {exc.args[0]}") from None
+    cls = (classes[1], classes[2], classes[3])
+    colored = cls[0] | cls[1] | cls[2]
+    if colored >> g.order:
+        raise ValueError(f"trace colors vertex {colored.bit_length() - 1} of a {g.order}-vertex graph")
+    if colored.bit_count() != count:
+        raise ValueError("trace colors a vertex twice")
+    if colored != g.full_mask:
         raise ValueError("trace does not color every vertex")
-    return _colors_to_partition(g, colors)
+    return TriPartition(cls, compute_residual(g, cls))

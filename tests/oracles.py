@@ -17,7 +17,7 @@ from itertools import combinations, permutations, product
 from isolab import _backend
 from isolab import graphs as G
 from isolab._pykernels import _AUT_CAP
-from isolab.partition import partition3
+from isolab.partition import TriPartition, partition3, verify_partition
 from isolab.solvers import lex_extensions
 
 
@@ -315,6 +315,32 @@ def disjoint_isolating_sets(g: G.Graph) -> tuple[int, int, int]:
     """
     tp, _ = partition3(g)
     return tp.classes
+
+
+# The step kinds of the reduction engine's six rungs, the only kinds a
+# trace may hold.
+RUNGS = frozenset({
+    "base-star", "base-cycle", "cut-vertex", "degree-2", "separating-path",
+    "cycle-mod-3",
+})
+EXHAUSTIVE_MAX_ORDER = 20
+
+
+def exhaustive_partition3(g: G.Graph) -> TriPartition | None:
+    """The first of all 3^n colorings, in product order, whose leftover is
+    independent, or None (guarded at n <= 20). Independent of the reduction
+    engine."""
+    n = g.order
+    if n > EXHAUSTIVE_MAX_ORDER:
+        raise ValueError(f"exhaustive search guarded at order {EXHAUSTIVE_MAX_ORDER}")
+    for assignment in product((1, 2, 3), repeat=n):
+        classes = [0, 0, 0]
+        for v, c in enumerate(assignment):
+            classes[c - 1] |= 1 << v
+        ok, res, _ = verify_partition(g, TriPartition(tuple(classes), 0))
+        if ok:
+            return TriPartition(tuple(classes), res)
+    return None
 
 
 def bfs_tree_ref(g: G.Graph, root: int, mask: int) -> tuple[list[int], list[int]]:

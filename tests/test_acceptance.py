@@ -15,12 +15,7 @@ from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
 from isolab import solvers as S
-from isolab.partition import (
-    exhaustive_partition3,
-    is_c5,
-    partition3,
-    verify_partition,
-)
+from isolab.partition import is_c5, partition3, verify_partition
 
 THREADS = 2
 
@@ -110,10 +105,10 @@ def test_criterion_04_partition_engine_complete(corpus_3_to_8):
             tp, steps = partition3(g)
             valid, _, bad = verify_partition(g, tp)
             assert valid, (G.write_graph6(g), bad)
-            assert not any(s.kind == "exhaustive-fallback" for s in steps)
+            assert {s.kind for s in steps} <= oracles.RUNGS
             checked += 1
     assert checked == 12110
-    assert exhaustive_partition3(G.cycle_graph(5)) is None
+    assert oracles.exhaustive_partition3(G.cycle_graph(5)) is None
     ok(4, f"partition succeeded with verified output on all {checked} graphs; C5 refuted by the 243-coloring oracle")
 
 

@@ -64,15 +64,20 @@ class TestQueries:
         assert len(colors) == 6
 
     def test_partition3_engine_gap(self, capsys, monkeypatch):
-        # A reduction dead-end above the exhaustive fallback's order guard
-        # is the engine's gap, not a domain error in the input.
+        # A cycle rung that finds no cycle is the engine's gap, not a domain
+        # error in the input; its record names the graph, and the next line
+        # is still answered.
         from isolab import partition
 
-        monkeypatch.setattr(partition, "_solve", partition._exhaust)
-        p21 = G.write_graph6(G.path_graph(21))
-        code, out, _ = run_cli(capsys, ["partition3", "-"], p21 + "\n", monkeypatch)
+        monkeypatch.setattr(partition, "find_cycle_len_mod3", lambda g, mask: None)
+        k4 = G.write_graph6(G.complete_graph(4))
+        code, out, _ = run_cli(capsys, ["partition3", "-"], f"{k4}\n{C6}\n", monkeypatch)
         assert code == 1
-        assert json.loads(out) == {"graph6": p21, "error": "engine_gap"}
+        gap, answer = (json.loads(line) for line in out.splitlines())
+        assert gap.keys() == {"graph6", "error", "detail"}
+        assert gap["graph6"] == k4 and gap["error"] == "engine_gap"
+        assert f"4-vertex graph {k4}" in gap["detail"]
+        assert answer["graph6"] == C6 and answer["residual"] == []
 
     def test_broken_star_check_is_not_a_domain_error(self, capsys, monkeypatch):
         # A star that fails its own self-check is the engine's fault: it
@@ -328,7 +333,7 @@ class TestProcessLevel:
         assert bad["error"] == "graph6" and good["iota"] == 2
 
     def test_import_does_not_load_logging(self):
-        # partition imports logging only when it has a warning to log.
+        # No module of the package imports logging.
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, isolab.cli; print('logging' in sys.modules)"],
             capture_output=True,

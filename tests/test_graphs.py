@@ -2,8 +2,6 @@ import random
 from itertools import chain, combinations, islice
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from conftest import random_connected_graph, random_graph
@@ -240,17 +238,12 @@ class TestGraph6:
         assert g == bitwise_parse_graph6(line)
         assert G.bit_list(g.adj[63]) == list(range(57, 63))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 10), st.randoms(use_true_random=False))
-    def test_roundtrip_random(self, n, rnd):
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rnd.random() < 0.5:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        g = G.Graph(n, tuple(adj))
-        assert G.parse_graph6(G.write_graph6(g)) == g
+    def test_roundtrip_random(self):
+        # 154 graphs, 14 at each order 0..10.
+        rng = random.Random(243)
+        for i in range(154):
+            g = random_graph(rng, i % 11, 0.5)
+            assert G.parse_graph6(G.write_graph6(g)) == g
 
 
 class TestNeighborhoods:
@@ -273,19 +266,15 @@ class TestNeighborhoods:
                     nv = G.closed_neighborhood(g, 1 << v)
                     assert bool((nu >> v) & 1) == bool((nv >> u) & 1)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 8), st.randoms(use_true_random=False))
-    def test_monotone(self, n, rnd):
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rnd.random() < 0.4:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        g = G.Graph(n, tuple(adj))
-        x = rnd.randrange(1 << n)
-        y = x | rnd.randrange(1 << n)
-        assert G.closed_neighborhood(g, x) & ~G.closed_neighborhood(g, y) == 0
+    def test_monotone(self):
+        # 104 cases, 13 at each order 1..8.
+        rng = random.Random(288)
+        for i in range(104):
+            n = 1 + i % 8
+            g = random_graph(rng, n, 0.4)
+            x = rng.randrange(1 << n)
+            y = x | rng.randrange(1 << n)
+            assert G.closed_neighborhood(g, x) & ~G.closed_neighborhood(g, y) == 0
 
 
 class TestConnectivity:

@@ -1,5 +1,4 @@
 import hashlib
-import logging
 import os
 import random
 import re
@@ -26,7 +25,6 @@ from isolab.partition import (
     TraceStep,
     NoValidPartition,
     TriPartition,
-    exhaustive_partition3,
     is_c5,
     partition3,
     replay_trace,
@@ -38,13 +36,22 @@ from isolab.partition import (
 # sha256 of the engine output over the graphs of test_trace_bytes_pinned.
 PINNED_TRACE_SHA256 = "18d19cc129a9388a4d4a4b2dea7c6a266fe50a98e1a8f5eda3397d066a03c23c"
 
+# 2-connected graphs of minimum degree at least 3, whose cycles of length
+# divisible by 3 the engine's cycle rung must find.
+CUBE = G.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+SQUARE_OF_C21 = G.from_edges(21, [(v, (v + d) % 21) for v in range(21) for d in (1, 2)])
+
 
 class TestOracleAgreement:
     def test_c5_has_no_partition_all_243(self):
         c5 = G.cycle_graph(5)
         edges = {frozenset(e) for e in c5.edges()}
         assert not oracles.has_valid_tripartition_ref(5, edges)
-        assert exhaustive_partition3(c5) is None
+        assert oracles.exhaustive_partition3(c5) is None
+
+    def test_exhaustive_oracle_guard(self):
+        with pytest.raises(ValueError):
+            oracles.exhaustive_partition3(G.empty_graph(21))
 
     def test_c5_raises(self):
         with pytest.raises(NoValidPartition):
@@ -56,7 +63,7 @@ class TestOracleAgreement:
         # among connected graphs of orders 3..7 exactly C5 fails
         for n in range(3, 8):
             for g in small_connected[n]:
-                has = exhaustive_partition3(g) is not None
+                has = oracles.exhaustive_partition3(g) is not None
                 assert has == (not is_c5(g)), G.write_graph6(g)
 
 
@@ -142,7 +149,7 @@ class TestEngineOnCatalogs:
                 ok, res, bad = verify_partition(g, tp)
                 assert ok, (G.write_graph6(g), bad)
                 assert res == tp.residual
-                assert not any(s.kind == "exhaustive-fallback" for s in steps)
+                assert {s.kind for s in steps} <= oracles.RUNGS
                 assert all(tp.classes)
                 coloring = {}
                 for i, cls in enumerate(tp.classes):
@@ -159,7 +166,7 @@ class TestEngineOnCatalogs:
             tp, steps = partition3(g)
             ok, _, bad = verify_partition(g, tp)
             assert ok, (G.write_graph6(g), bad)
-            assert not any(s.kind == "exhaustive-fallback" for s in steps)
+            assert {s.kind for s in steps} <= oracles.RUNGS
 
     def test_trace_bytes_pinned(self, small_connected):
         # Every choice the engine makes is a minimum or an ascending order,
@@ -266,12 +273,7 @@ class TestTrace:
 
     def test_step_kinds_named(self):
         rng = random.Random(7)
-        # Every rung of the reduction ladder; the exhaustive fallback is a
-        # gap in the engine and must not show up.
-        rungs = {
-            "base-star", "base-cycle", "cycle-mod-3", "separating-path",
-            "cut-vertex", "degree-2",
-        }
+        # Every rung of the reduction ladder shows up.
         seen = set()
         for _ in range(300):
             g = random_connected_graph(rng, rng.randrange(3, 13))
@@ -279,7 +281,7 @@ class TestTrace:
                 continue
             _, steps = partition3(g)
             seen.update(s.kind for s in steps)
-        assert seen == rungs
+        assert seen == oracles.RUNGS
 
     def test_replay_rejects_bad_traces(self):
         g = G.path_graph(3)
@@ -288,6 +290,15 @@ class TestTrace:
             replay_trace(g, twice)
         with pytest.raises(ValueError, match="every vertex"):
             replay_trace(g, [TraceStep("x", (0,), {0: 1, 1: 2})])
+
+    @pytest.mark.parametrize("colors, message", [
+        ({0: 0, 1: 2, 2: 1}, "color 0"),
+        ({0: 4, 1: 2, 2: 1}, "color 4"),
+        ({0: 1, 1: 2, 3: 3}, "vertex 3 of a 3-vertex graph"),
+    ], ids=["color-0", "color-4", "vertex-n"])
+    def test_replay_rejects_out_of_range(self, colors, message):
+        with pytest.raises(ValueError, match=message):
+            replay_trace(G.path_graph(3), [TraceStep("x", (0,), colors)])
 
     def test_replay_rejects_bad_trace_under_python_O(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
@@ -311,8 +322,10 @@ class TestTrace:
         # 2-connected theta graph: a "cut vertex" that is none, a
         # shortest-path search that finds nothing, and a 5-cycle handed to
         # the solver. The engine must say so rather than run on. The last
-        # probe hides every cycle of length divisible by 3 from K4, which
-        # must reach the exhaustive fallback and announce it.
+        # probes hide every cycle of length divisible by 3 from K4, the
+        # 3-cube and the square of the 21-cycle: an engine gap naming the
+        # graph at every order.
+        gaps = [G.complete_graph(4), CUBE, SQUARE_OF_C21]
         src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         code = (
@@ -321,7 +334,7 @@ class TestTrace:
             "def probe(call):\n"
             "    try:\n"
             "        call()\n"
-            "    except RuntimeError as exc:\n"
+            "    except (RuntimeError, partition.EngineGap) as exc:\n"
             "        print('raised', exc)\n"
             "cut_vertices = partition.cut_vertices\n"
             "partition.cut_vertices = lambda g, mask: 1\n"
@@ -332,9 +345,8 @@ class TestTrace:
             "c5 = graphs.cycle_graph(5)\n"
             "probe(lambda: partition._solve(c5, c5.full_mask))\n"
             "partition.find_cycle_len_mod3 = lambda g, mask: None\n"
-            "k4 = graphs.complete_graph(4)\n"
-            "tp, steps = partition.partition3(k4)\n"
-            "print([s.kind for s in steps], partition.verify_partition(k4, tp)[0])\n"
+            f"for line in {[G.write_graph6(g) for g in gaps]!r}:\n"
+            "    probe(lambda: partition.partition3(graphs.parse_graph6(line)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -345,82 +357,56 @@ class TestTrace:
             "raised cut-vertex reduction needs a cut vertex",
             "raised degree-2 reduction requires 2-connectivity",
             "raised reduction needs order at least 3 and no 5-cycle",
-            "['exhaustive-fallback'] True",
+        ] + [
+            f"raised reduction dead-end on {g.order}-vertex graph {G.write_graph6(g)}: "
+            "no cycle of length divisible by 3"
+            for g in gaps
         ]
-        k4 = G.write_graph6(G.complete_graph(4))
-        assert f"reduction dead-end on 4-vertex graph {k4}" in proc.stderr
 
 
 class TestRarePaths:
-    @pytest.mark.parametrize("g", [
-        G.complete_graph(4),
-        G.from_edges(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]),
-    ], ids=["K4", "3-cube"])
-    def test_no_cycle_mod3_falls_back_loudly(self, g, monkeypatch, caplog):
+    @pytest.mark.parametrize("g", [G.complete_graph(4), CUBE], ids=["K4", "3-cube"])
+    def test_no_cycle_mod3_is_engine_gap(self, g, monkeypatch):
         # The cycle-mod-3 rung is the last; on a 2-connected graph of
         # minimum degree 3 a search that finds no cycle is an engine gap.
         monkeypatch.setattr(P, "find_cycle_len_mod3", lambda g, mask: None)
-        with caplog.at_level(logging.WARNING, logger="isolab.partition"):
-            tp, steps = partition3(g)
-        ok, _, bad = verify_partition(g, tp)
-        assert ok, bad
-        assert [s.kind for s in steps] == ["exhaustive-fallback"]
-        assert any(G.write_graph6(g) in r.getMessage() for r in caplog.records)
+        with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g))):
+            partition3(g)
 
-    def test_exhaustive_fallback_directly(self):
-        from isolab.partition import _colors_to_partition, _exhaust
+    def test_dead_end_names_the_subgraph(self, monkeypatch):
+        # The cut-vertex step at 0 (path 0-1) leaves the K4 on 3..6 to a
+        # recursive solve, and the dead end names that K4, not the input.
+        monkeypatch.setattr(P, "find_cycle_len_mod3", lambda g, mask: None)
+        k4 = [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+        host = G.from_edges(7, [(0, 1), (1, 2), (0, 3)] + k4)
+        k4_line = G.write_graph6(G.complete_graph(4))
+        with pytest.raises(EngineGap, match=re.escape(f"4-vertex graph {k4_line}")):
+            partition3(host)
 
-        g = G.cycle_graph(6)
-        colors, steps = _exhaust(g, g.full_mask)
-        assert steps[0].kind == "exhaustive-fallback"
-        ok, _, _ = verify_partition(g, _colors_to_partition(g, colors))
-        assert ok
-        # On a proper mask it colors the induced subgraph in h's numbering.
-        h = G.disjoint_union(G.path_graph(3), g)
-        colors_h, steps_h = _exhaust(h, h.full_mask & ~0b111)
-        assert colors_h == {v + 3: c for v, c in colors.items()}
-        assert steps_h[0].vertices == tuple(range(3, 9))
-
-    def test_exhaustive_fallback_warning_names_the_graph(self, caplog):
-        g = G.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-        # The same subgraph, alone and inside a graph with a pendant vertex.
-        h = G.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 4)])
-        for host in (g, h):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="isolab.partition"):
-                P._exhaust(host, 0b1111)
-            assert any(G.write_graph6(g) in r.getMessage() for r in caplog.records)
-
-    def test_failed_fallback_raises(self, monkeypatch):
-        # Both the engine and the fallback return a monochrome coloring,
-        # which never verifies; the result must not be returned.
+    def test_unverified_result_is_engine_gap(self, monkeypatch):
+        # A monochrome coloring replays, but its leftover is all of V.
         def mono(g, mask):
-            return {v: 1 for v in G.iter_bits(mask)}, []
+            colors = {v: 1 for v in G.iter_bits(mask)}
+            return colors, [TraceStep("base-cycle", tuple(colors), dict(colors))]
 
         monkeypatch.setattr(P, "_solve", mono)
-        monkeypatch.setattr(P, "_exhaust", mono)
-        with pytest.raises(RuntimeError):
-            partition3(G.cycle_graph(6))
+        g = G.cycle_graph(6)
+        with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g)) + r".*edge \(0, 1\)"):
+            partition3(g)
 
-    def test_exhaustive_fallback_raises_on_c5(self):
-        from isolab.partition import _exhaust
+    def test_trace_that_does_not_replay_is_engine_gap(self, monkeypatch):
+        # Not a ValueError, which the CLI would print as a domain error.
+        monkeypatch.setattr(P, "_solve", lambda g, mask: ({}, []))
+        g = G.cycle_graph(6)
+        with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g)) + ".*every vertex"):
+            partition3(g)
 
-        with pytest.raises(NoValidPartition):
-            c5 = G.cycle_graph(5)
-            _exhaust(c5, c5.full_mask)
-
-    def test_dead_end_above_fallback_guard_is_engine_gap(self, monkeypatch, caplog):
-        g = G.path_graph(P.EXHAUSTIVE_MAX_ORDER + 1)
-        monkeypatch.setattr(P, "_solve", P._exhaust)
-        with caplog.at_level(logging.WARNING, logger="isolab.partition"):
+    def test_dead_end_above_fallback_guard_is_engine_gap(self, monkeypatch):
+        # K4 and a 21-vertex graph alike: the dead end raises at every order.
+        monkeypatch.setattr(P, "find_cycle_len_mod3", lambda g, mask: None)
+        for g in (G.complete_graph(4), SQUARE_OF_C21):
             with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g))):
                 partition3(g)
-        # No fallback runs, so none is announced.
-        assert not any("running exhaustive fallback" in r.getMessage() for r in caplog.records)
-
-    def test_exhaustive_oracle_guard(self):
-        with pytest.raises(ValueError):
-            exhaustive_partition3(G.empty_graph(21))
 
 
 class TestVerifier:
