@@ -156,6 +156,8 @@ def _cmd_gen_g(args) -> int:
 
 
 def _cmd_rand_g(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must be at least 0, not {args.count}")
     if args.order % 3 != 0 or not 3 <= args.order <= MAX_ORDER:
         _emit({"error": "infeasible_order", "order": args.order})
         return 1

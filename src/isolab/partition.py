@@ -3,8 +3,10 @@
 For a connected graph of order at least 3 other than the 5-cycle, builds a
 partition (A1, A2, A3) of the vertices such that the union of the three
 sets V - N[Ai] is independent. The construction works by recursive
-reduction and records every step in a trace; the returned partition is the
-one the trace replays to, and it is re-verified before being returned.
+reduction and records every step in a trace. Each color is written once,
+in the trace step that made it, and nowhere else: the returned partition
+is the one the trace replays to, and it is re-verified before being
+returned.
 
 Reductions, in the order tried: star base case, cycle base case,
 cut-vertex, degree-2 vertex, cycle of length divisible by 3. Each
@@ -147,7 +149,7 @@ def _bfs_shortest_path(
 
 
 def separating_path_reduce(
-    g: Graph, path: list[int], x: int, y: int
+    path: list[int], x: int, y: int
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Periodic coloring of a separating path plus the forced endpoint colors.
 
@@ -166,19 +168,21 @@ def separating_path_reduce(
 def _color_components(
     g: Graph,
     comps: list[int],
-    colors: dict[int, int],
     anchors: dict[int, tuple[int, int]],
-    parent_step: TraceStep,
+    step: TraceStep,
     steps: list[TraceStep],
 ) -> None:
-    """Color the components ``comps`` left after a path/cycle step: those of
-    the reduced mask without the vertices ``colors`` holds, by least vertex.
+    """Color the components ``comps`` left after a path/cycle ``step``: those
+    of the reduced mask without the vertices ``step.colors`` holds, by least
+    vertex.
 
     ``anchors`` maps a forced vertex to (its colored neighbor, its forced
     color). Small components get the fixed two-vertex and five-cycle
-    patterns; larger ones recurse, then have their colors permuted to meet
-    the forced color.
+    patterns, written into ``step.colors``; larger ones recurse, then have
+    the colors of their own steps permuted to meet the forced color, and
+    those steps join ``steps``.
     """
+    colors = step.colors
     colored_mask = bits_of(colors)
     for comp in comps:
         forced = [(v, av, fc) for v, (av, fc) in anchors.items() if (comp >> v) & 1]
@@ -188,12 +192,10 @@ def _color_components(
         if size == 1:
             v = comp.bit_length() - 1
             if forced:
-                c = forced[0][2]
+                colors[v] = forced[0][2]
             else:
                 nb = [colors[u] for u in iter_bits(g.adj[v] & colored_mask)]
-                c = min((nb.count(col), col) for col in COLORS)[1]
-            colors[v] = c
-            parent_step.colors[v] = c
+                colors[v] = min((nb.count(col), col) for col in COLORS)[1]
         elif size == 2 or is_c5(g, comp):
             verts = bit_list(comp)
             if size == 2 and not g.has_edge(verts[0], verts[1]):
@@ -213,23 +215,21 @@ def _color_components(
             second = 6 - f - vcol
             if size == 2:
                 u = verts[1] if w == verts[0] else verts[0]
-                assign = {w: f, u: second}
+                colors.update({w: f, u: second})
             else:
                 x1, x2, x3, x4, x5 = cycle_walk(g, comp, w)
-                assign = {x3: vcol, x2: second, x5: second, x1: f, x4: f}
-            colors.update(assign)
-            parent_step.colors.update(assign)
+                colors.update({x3: vcol, x2: second, x5: second, x1: f, x4: f})
         else:
-            sub_colors, sub_steps = _solve(g, comp)
+            sub_steps = _solve(g, comp)
             if forced:
                 w, _, f = forced[0]
-                cur = sub_colors[w]
+                # A w no sub-step colors is left for replay_trace to reject.
+                cur = next((s.colors[w] for s in sub_steps if w in s.colors), f)
                 if cur != f:
                     swap = {cur: f, f: cur}
-                    for d in [sub_colors] + [s.colors for s in sub_steps]:
-                        for v, c in d.items():
-                            d[v] = swap.get(c, c)
-            colors.update(sub_colors)
+                    for s in sub_steps:
+                        for v, c in s.colors.items():
+                            s.colors[v] = swap.get(c, c)
             steps.extend(sub_steps)
 
 
@@ -240,27 +240,23 @@ def _path_reduce(
     x: int,
     y: int,
     pre_steps: list[TraceStep],
-) -> tuple[dict[int, int], list[TraceStep]]:
+) -> list[TraceStep]:
     """Color ``path`` periodically, then the components ``comps`` of the
     reduced mask without it."""
-    path_colors, forced = separating_path_reduce(g, path, x, y)
-    step = TraceStep("separating-path", tuple(path), dict(path_colors))
-    colors = dict(path_colors)
+    path_colors, forced = separating_path_reduce(path, x, y)
+    step = TraceStep("separating-path", tuple(path), path_colors)
     steps = pre_steps + [step]
     anchors = {x: (path[0], forced[x]), y: (path[-1], forced[y])}
-    _color_components(g, comps, colors, anchors, step, steps)
-    return colors, steps
+    _color_components(g, comps, anchors, step, steps)
+    return steps
 
 
-def _cycle_reduce(
-    g: Graph, mask: int, cyc: tuple[int, ...]
-) -> tuple[dict[int, int], list[TraceStep]]:
-    colors = {v: (i % 3) + 1 for i, v in enumerate(cyc)}
-    step = TraceStep("cycle-mod-3", cyc, dict(colors))
+def _cycle_reduce(g: Graph, mask: int, cyc: tuple[int, ...]) -> list[TraceStep]:
+    step = TraceStep("cycle-mod-3", cyc, {v: (i % 3) + 1 for i, v in enumerate(cyc)})
     steps = [step]
     comps = masked_components(g, mask & ~bits_of(cyc))
-    _color_components(g, comps, colors, {}, step, steps)
-    return colors, steps
+    _color_components(g, comps, {}, step, steps)
+    return steps
 
 
 def _cycle_base_coloring(order: list[int]) -> dict[int, int]:
@@ -275,9 +271,7 @@ def _cycle_base_coloring(order: list[int]) -> dict[int, int]:
     return {v: pat[i] for i, v in enumerate(order)}
 
 
-def _reduce_cut_vertex(
-    g: Graph, mask: int, cvs: int
-) -> tuple[dict[int, int], list[TraceStep]]:
+def _reduce_cut_vertex(g: Graph, mask: int, cvs: int) -> list[TraceStep]:
     v = (cvs & -cvs).bit_length() - 1
     comps_v = masked_components(g, mask & ~(1 << v))
     if len(comps_v) < 2:
@@ -319,9 +313,7 @@ def _degree_two_cycle(g: Graph, mask: int, deg2: int) -> list[int]:
     return best
 
 
-def _reduce_degree_two(
-    g: Graph, mask: int, deg2: int
-) -> tuple[dict[int, int], list[TraceStep]]:
+def _reduce_degree_two(g: Graph, mask: int, deg2: int) -> list[TraceStep]:
     """``deg2`` holds the vertices of degree 2 inside ``mask``, one bit each."""
     cyc = _degree_two_cycle(g, mask, deg2)
     rest = mask & ~bits_of(cyc)
@@ -346,9 +338,10 @@ def _reduce_degree_two(
     return _path_reduce(g, comps, path, x=u, y=y, pre_steps=[pre])
 
 
-def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
-    """Color the connected subgraph induced on ``mask``, in ``g``'s own
-    vertex numbering."""
+def _solve(g: Graph, mask: int) -> list[TraceStep]:
+    """The trace that colors the connected subgraph induced on ``mask``, in
+    ``g``'s own vertex numbering; each color lives only in the step that
+    made it, and partition3's replay checks that every vertex got one."""
     adj = g.adj
     n = mask.bit_count()
     ones = deg2 = 0
@@ -371,31 +364,26 @@ def _solve(g: Graph, mask: int) -> tuple[dict[int, int], list[TraceStep]]:
         colors = {center: 1, leaves[0]: 2, leaves[1]: 3}
         for u in leaves[2:]:
             colors[u] = 1
-        return colors, [TraceStep("base-star", (center,), dict(colors))]
+        return [TraceStep("base-star", (center,), colors)]
 
     if deg2 == mask:
         # Connected with every degree 2: one cycle.
         cyc = cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
-        colors = _cycle_base_coloring(cyc)
-        return colors, [TraceStep("base-cycle", tuple(cyc), dict(colors))]
+        return [TraceStep("base-cycle", tuple(cyc), _cycle_base_coloring(cyc))]
 
     cvs = cut_vertices(g, mask)
     if cvs:
-        colors, steps = _reduce_cut_vertex(g, mask, cvs)
-    elif deg2:
-        colors, steps = _reduce_degree_two(g, mask, deg2)
-    else:
-        cyc = find_cycle_len_mod3(g, mask)
-        if cyc is None:
-            sub, _ = induced_subgraph(g, mask)
-            raise EngineGap(
-                f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}: "
-                "no cycle of length divisible by 3"
-            )
-        colors, steps = _cycle_reduce(g, mask, cyc)
-    if len(colors) != n:
-        raise RuntimeError("reduction left a vertex uncolored")
-    return colors, steps
+        return _reduce_cut_vertex(g, mask, cvs)
+    if deg2:
+        return _reduce_degree_two(g, mask, deg2)
+    cyc = find_cycle_len_mod3(g, mask)
+    if cyc is None:
+        sub, _ = induced_subgraph(g, mask)
+        raise EngineGap(
+            f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}: "
+            "no cycle of length divisible by 3"
+        )
+    return _cycle_reduce(g, mask, cyc)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +397,8 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
     Raises ValueError for graphs of order below 3 or disconnected input,
     NoValidPartition for the 5-cycle, RuntimeError when an invariant of a
     reduction step breaks, and EngineGap when the cycle rung finds no cycle,
-    the trace does not replay, or the replayed partition fails verification.
+    the trace does not replay (a rung left a vertex uncolored, say), or the
+    replayed partition fails verification.
     """
     if g.order < 3:
         raise ValueError("partition requires order at least 3")
@@ -417,7 +406,7 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
         raise ValueError("partition requires a connected graph")
     if is_c5(g):
         raise NoValidPartition("the 5-cycle admits no valid partition")
-    _, steps = _solve(g, g.full_mask)
+    steps = _solve(g, g.full_mask)
     try:
         tp = replay_trace(g, steps)
     except ValueError as exc:

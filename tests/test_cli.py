@@ -79,6 +79,24 @@ class TestQueries:
         assert f"4-vertex graph {k4}" in gap["detail"]
         assert answer["graph6"] == C6 and answer["residual"] == []
 
+    def test_partition3_uncolored_vertex_is_engine_gap(self, capsys, monkeypatch):
+        # A rung that leaves a vertex uncolored (here the last component of
+        # P4's cut-vertex step) is an engine gap record, not a traceback.
+        from isolab import partition
+
+        color = partition._color_components
+        monkeypatch.setattr(
+            partition, "_color_components",
+            lambda g, comps, *rest: color(g, comps[:-1], *rest),
+        )
+        p4 = G.write_graph6(G.path_graph(4))
+        code, out, _ = run_cli(capsys, ["partition3", "-"], f"{p4}\n{C6}\n", monkeypatch)
+        assert code == 1
+        gap, answer = (json.loads(line) for line in out.splitlines())
+        assert gap["graph6"] == p4 and gap["error"] == "engine_gap"
+        assert p4 in gap["detail"] and "every vertex" in gap["detail"]
+        assert answer["graph6"] == C6 and answer["residual"] == []
+
     def test_broken_star_check_is_not_a_domain_error(self, capsys, monkeypatch):
         # A star that fails its own self-check is the engine's fault: it
         # escapes as RuntimeError instead of an "error":"domain" record.
@@ -179,6 +197,13 @@ class TestHostileInput:
         entry = tmp_path / "connected_n5.g6"
         assert err == f"isolab: error: cannot write cache file {entry}: Permission denied\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_rand_g_count_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["rand-g", "--order", "9", "--seed", "1", "--count", "-2"])
+        assert code == 2 and out == ""
+        assert err == "isolab: error: --count must be at least 0, not -2\n"
+        code, out, err = run_cli(capsys, ["rand-g", "--order", "9", "--seed", "1", "--count", "0"])
+        assert (code, out, err) == (0, "", "")
 
     @pytest.mark.parametrize("text", [
         '{"base": "@", "pendants": [',

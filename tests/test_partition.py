@@ -113,17 +113,15 @@ class TestBaseCases:
 class TestSeparatingPath:
     def test_rejects_single_vertex_path(self):
         with pytest.raises(ValueError):
-            separating_path_reduce(G.path_graph(3), [1], 0, 2)
+            separating_path_reduce([1], 0, 2)
 
     def test_single_edge_forces_both_to_three(self):
-        g = G.path_graph(4)
-        colors, forced = separating_path_reduce(g, [1, 2], 0, 3)
+        colors, forced = separating_path_reduce([1, 2], 0, 3)
         assert colors == {1: 1, 2: 2}
         assert forced == {0: 3, 3: 3}
 
     def test_three_vertex_path_forces_missing_color(self):
-        g = G.path_graph(5)
-        colors, forced = separating_path_reduce(g, [1, 2, 3], 0, 4)
+        colors, forced = separating_path_reduce([1, 2, 3], 0, 4)
         assert colors == {1: 1, 2: 2, 3: 3}
         assert forced == {0: 3, 4: 1}
 
@@ -321,10 +319,12 @@ class TestTrace:
         # Each probe breaks one invariant of the reduction engine on a
         # 2-connected theta graph: a "cut vertex" that is none, a
         # shortest-path search that finds nothing, and a 5-cycle handed to
-        # the solver. The engine must say so rather than run on. The last
-        # probes hide every cycle of length divisible by 3 from K4, the
+        # the solver. The engine must say so rather than run on. A rung that
+        # leaves a vertex of P4 uncolored is an engine gap naming P4. The
+        # last probes hide every cycle of length divisible by 3 from K4, the
         # 3-cube and the square of the 21-cycle: an engine gap naming the
         # graph at every order.
+        p4 = G.write_graph6(G.path_graph(4))
         gaps = [G.complete_graph(4), CUBE, SQUARE_OF_C21]
         src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -344,6 +344,10 @@ class TestTrace:
             "probe(lambda: partition.partition3(theta))\n"
             "c5 = graphs.cycle_graph(5)\n"
             "probe(lambda: partition._solve(c5, c5.full_mask))\n"
+            "color = partition._color_components\n"
+            "partition._color_components = lambda g, comps, *rest: color(g, comps[:-1], *rest)\n"
+            f"probe(lambda: partition.partition3(graphs.parse_graph6({p4!r})))\n"
+            "partition._color_components = color\n"
             "partition.find_cycle_len_mod3 = lambda g, mask: None\n"
             f"for line in {[G.write_graph6(g) for g in gaps]!r}:\n"
             "    probe(lambda: partition.partition3(graphs.parse_graph6(line)))\n"
@@ -357,6 +361,7 @@ class TestTrace:
             "raised cut-vertex reduction needs a cut vertex",
             "raised degree-2 reduction requires 2-connectivity",
             "raised reduction needs order at least 3 and no 5-cycle",
+            f"raised trace of graph {p4} does not replay: trace does not color every vertex",
         ] + [
             f"raised reduction dead-end on {g.order}-vertex graph {G.write_graph6(g)}: "
             "no cycle of length divisible by 3"
@@ -387,7 +392,7 @@ class TestRarePaths:
         # A monochrome coloring replays, but its leftover is all of V.
         def mono(g, mask):
             colors = {v: 1 for v in G.iter_bits(mask)}
-            return colors, [TraceStep("base-cycle", tuple(colors), dict(colors))]
+            return [TraceStep("base-cycle", tuple(colors), colors)]
 
         monkeypatch.setattr(P, "_solve", mono)
         g = G.cycle_graph(6)
@@ -396,8 +401,20 @@ class TestRarePaths:
 
     def test_trace_that_does_not_replay_is_engine_gap(self, monkeypatch):
         # Not a ValueError, which the CLI would print as a domain error.
-        monkeypatch.setattr(P, "_solve", lambda g, mask: ({}, []))
+        monkeypatch.setattr(P, "_solve", lambda g, mask: [])
         g = G.cycle_graph(6)
+        with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g)) + ".*every vertex"):
+            partition3(g)
+
+    def test_uncolored_vertex_is_engine_gap(self, monkeypatch):
+        # The cut-vertex step at 1 on P4 (path 1-2) leaves the components
+        # {0} and {3}; a rung that drops the last leaves vertex 3 uncolored,
+        # and replay rejects the trace with the input graph named.
+        color = P._color_components
+        monkeypatch.setattr(
+            P, "_color_components", lambda g, comps, *rest: color(g, comps[:-1], *rest)
+        )
+        g = G.path_graph(4)
         with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g)) + ".*every vertex"):
             partition3(g)
 
