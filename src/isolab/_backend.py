@@ -20,18 +20,24 @@ else:
 canon_form = kernels.canon_form
 has_isolating_set = kernels.has_isolating_set
 has_dominating_set = kernels.has_dominating_set
+first_isolating_set = kernels.first_isolating_set
+first_dominating_set = kernels.first_dominating_set
 
 
 def use_backend(module):
-    """Back ``canon_form``, ``has_isolating_set`` and ``has_dominating_set``
-    with the kernel module ``module`` (``isolab._pykernels`` or
-    ``isolab._core``) and return the module that backed them before."""
+    """Back ``canon_form``, ``has_isolating_set``, ``has_dominating_set``,
+    ``first_isolating_set`` and ``first_dominating_set`` with the kernel
+    module ``module`` (``isolab._pykernels`` or ``isolab._core``) and
+    return the module that backed them before."""
     global kernels, canon_form, has_isolating_set, has_dominating_set
+    global first_isolating_set, first_dominating_set
     previous = kernels
     kernels = module
     canon_form = module.canon_form
     has_isolating_set = module.has_isolating_set
     has_dominating_set = module.has_dominating_set
+    first_isolating_set = module.first_isolating_set
+    first_dominating_set = module.first_dominating_set
     return previous
 
 

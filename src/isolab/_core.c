@@ -14,6 +14,10 @@
  * its range of positions. canon_form(adj, n, last) with 0 <= last < n returns
  * None when vertex last is outside that last cell, after the root refinement
  * alone, and otherwise searches on from the refined cells.
+ *
+ * The decisions has_isolating_set and has_dominating_set run iso_rec or
+ * dom_rec from a start state; first_isolating_set and first_dominating_set
+ * run first(), the walk of _pykernels._first, over the same searches.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -466,33 +470,79 @@ static int dom_rec(const u64 *adj, u64 full, u64 covered, u64 forbidden, long bu
 
 typedef int (*decide_fn)(const u64 *, u64, u64, u64, long);
 
-/* (adj, n, k[, covered, forbidden]): the search starts from the given state.
- * Only the low 64 bits of a mask are read, and bits at or above n never
- * matter, as in the Python fallback. */
-static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fname,
-                        decide_fn rec) {
-    u64 a[MAXN], full, state[2] = {0, 0};
-    int n, i, overflow;
-    long k;
+/* Parse (adj, n, k[, covered, forbidden]). Only the low 64 bits of a mask are
+ * read, and bits at or above n never matter, as in the Python fallback.
+ * *overflow is set as by PyLong_AsLongAndOverflow when k does not fit. */
+static int parse_query(PyObject *const *args, Py_ssize_t nargs, const char *fname, u64 *a,
+                       int *n, u64 *full, long *k, int *overflow, u64 *state) {
+    int i;
     if (nargs != 3 && nargs != 5) {
         PyErr_Format(PyExc_TypeError, "%s() takes 3 or 5 arguments (%zd given)", fname, nargs);
-        return NULL;
+        return -1;
     }
-    if (parse_graph(args, a, &n, &full) < 0)
-        return NULL;
-    /* No set needs more than n vertices, so a k too large for a long is k = n,
-     * and one too small is a refutation, as in the Python fallback. */
-    k = PyLong_AsLongAndOverflow(args[2], &overflow);
-    if (k == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow)
-        k = overflow > 0 ? n : -1;
+    if (parse_graph(args, a, n, full) < 0)
+        return -1;
+    *k = PyLong_AsLongAndOverflow(args[2], overflow);
+    if (*k == -1 && PyErr_Occurred())
+        return -1;
+    state[0] = state[1] = 0;
     for (i = 3; i < nargs; i++) {
         state[i - 3] = PyLong_AsUnsignedLongLongMask(args[i]);
         if (state[i - 3] == (u64)-1 && PyErr_Occurred())
-            return NULL;
+            return -1;
     }
+    return 0;
+}
+
+static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fname,
+                        decide_fn rec) {
+    u64 a[MAXN], full, state[2];
+    int n, overflow;
+    long k;
+    if (parse_query(args, nargs, fname, a, &n, &full, &k, &overflow, state) < 0)
+        return NULL;
+    /* No set needs more than n vertices, so a k too large for a long is k = n,
+     * and one too small is a refutation, as in the Python fallback. */
+    if (overflow)
+        k = overflow > 0 ? n : -1;
     return PyBool_FromLong(k >= 0 && rec(a, full, state[0], state[1], k));
+}
+
+/* The walk of _pykernels._first: the lex-least set of exactly k allowed
+ * vertices that completes the start state, as a mask, or -1. Vertex v is taken
+ * at the next position when rec finds a completion of at most one vertex
+ * fewer with every vertex up to v forbidden, and enough allowed vertices lie
+ * above v to pad it to exact size; a taken vertex always completes, so the
+ * walk never backtracks and makes at most n decisions. Unlike decide, a k
+ * outside 0..n (too large for a long included) has no answer. */
+static PyObject *first(PyObject *const *args, Py_ssize_t nargs, const char *fname,
+                       decide_fn rec) {
+    u64 a[MAXN], full, state[2], covered, forbidden, rest, found = 0, bit, c = 0, f = 0;
+    int n, overflow;
+    long k;
+    if (parse_query(args, nargs, fname, a, &n, &full, &k, &overflow, state) < 0)
+        return NULL;
+    if (overflow || k < 0 || k > n)
+        return PyLong_FromLong(-1);
+    covered = state[0];
+    forbidden = state[1];
+    if (k == 0)
+        return PyLong_FromLong(rec(a, full, covered, forbidden, 0) ? 0 : -1);
+    rest = full & ~forbidden;
+    while (k-- > 0) {
+        do {
+            if (pop64(rest) <= k)
+                return PyLong_FromLong(-1);
+            bit = rest & (0 - rest);
+            rest ^= bit;
+            c = covered | a[ctz64(bit)] | bit;
+            f = forbidden | bit | (bit - 1);
+        } while (!rec(a, full, c, f, k));
+        found |= bit;
+        covered = c;
+        forbidden = f;
+    }
+    return PyLong_FromUnsignedLongLong(found);
 }
 
 static PyObject *has_isolating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
@@ -503,6 +553,16 @@ static PyObject *has_isolating_set(PyObject *self, PyObject *const *args, Py_ssi
 static PyObject *has_dominating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     (void)self;
     return decide(args, nargs, "has_dominating_set", dom_rec);
+}
+
+static PyObject *first_isolating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    return first(args, nargs, "first_isolating_set", iso_rec);
+}
+
+static PyObject *first_dominating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    return first(args, nargs, "first_dominating_set", dom_rec);
 }
 
 static PyMethodDef core_methods[] = {
@@ -524,6 +584,14 @@ static PyMethodDef core_methods[] = {
      "has_dominating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
      "dominates the graph; the search starts with covered vertices dominated and never\n"
      "chooses a forbidden one (both default 0; bits at or above n are ignored)."},
+    {"first_isolating_set", (PyCFunction)(void (*)(void))first_isolating_set, METH_FASTCALL,
+     "first_isolating_set(adj, n, k[, covered, forbidden]) -> the lex-least isolating set of\n"
+     "exactly k vertices from the start state of has_isolating_set, as a mask, or -1 when\n"
+     "there is none (always for k < 0 or k > n); at most n decisions in one call."},
+    {"first_dominating_set", (PyCFunction)(void (*)(void))first_dominating_set, METH_FASTCALL,
+     "first_dominating_set(adj, n, k[, covered, forbidden]) -> the lex-least dominating set of\n"
+     "exactly k vertices from the start state of has_dominating_set, as a mask, or -1 when\n"
+     "there is none (always for k < 0 or k > n); at most n decisions in one call."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -16,6 +16,10 @@ Grandoni and Kratsch (J. ACM 2009) and van Rooij and Bodlaender (Discrete
 Appl. Math. 2011) analyze: each branches on the least target still to hit,
 and prunes with a greedy packing bound, since targets whose allowed chooser
 sets are pairwise disjoint each need a chosen vertex of their own.
+``_isolating_search`` and ``_dominating_search`` build each search once per
+call. The ``has_*`` decisions run it from the start state, and the
+``first_*`` kernels run ``_first``, the walk that builds the lex-least set
+of exactly k vertices from at most n of its decisions.
 """
 
 from __future__ import annotations
@@ -368,35 +372,27 @@ def _edges_outpack(adj, rem, forbidden, v, cand, budget):
     return True
 
 
-def has_isolating_set(adj, n, k, covered=0, forbidden=0):
-    """Decide whether some vertex set of size <= k isolates the graph.
+def _isolating_search(adj, n):
+    """The isolation search of ``has_isolating_set``, as ``rec(covered,
+    forbidden, budget)``: whether some set of at most ``budget`` vertices
+    outside ``forbidden`` isolates the graph with ``covered`` removed.
 
     Branches on the least edge not yet touched by chosen closed
     neighborhoods; candidates are the closed neighborhoods of the edge's
     endpoints. Earlier siblings are forbidden below a branch, so no vertex
-    set is explored twice. False for k < 0.
-
-    The search may start from a state: ``covered`` vertices count as
-    already removed (the closed neighborhood of a set chosen so far) and
-    ``forbidden`` vertices may not be chosen. Mask bits at or above n are
-    ignored.
-
-    A node with budget ``BOUND_MIN_BUDGET`` or more is refuted without
-    branching when ``_edges_outpack`` finds more edges with pairwise
-    disjoint choosers than the budget. Such a node holds no solution, so
-    the bound changes no answer, only how soon a refutation ends.
+    set is explored twice. A node with budget ``BOUND_MIN_BUDGET`` or more
+    is refuted without branching when ``_edges_outpack`` finds more edges
+    with pairwise disjoint choosers than the budget.
     """
-    if k < 0:
-        return False
     full = (1 << n) - 1
-    if k == 0:
-        return _edge_vertex(adj, full & ~covered) < 0
 
     def rec(covered, forbidden, budget):
         rem = full & ~covered
         v = _edge_vertex(adj, rem)
         if v < 0:
             return True
+        if not budget:
+            return False
         e = adj[v] & rem
         u = (e & -e).bit_length() - 1
         cand = (adj[v] | adj[u] | (1 << v) | (1 << u)) & ~forbidden
@@ -429,29 +425,26 @@ def has_isolating_set(adj, n, k, covered=0, forbidden=0):
             tried |= x
         return False
 
-    return rec(covered, forbidden, k)
+    return rec
 
 
-def has_dominating_set(adj, n, k, covered=0, forbidden=0):
-    """Decide whether some vertex set of size <= k dominates every vertex
-    (False for k < 0), starting from ``covered`` vertices already dominated
-    and with ``forbidden`` vertices never chosen, as in has_isolating_set.
+def _dominating_search(adj, n):
+    """The domination search of ``has_dominating_set``, as ``rec(covered,
+    forbidden, budget)``, in the manner of ``_isolating_search``.
 
     Branches on the least undominated vertex's closed neighborhood, and
     refutes a node with budget ``BOUND_MIN_BUDGET`` or more early when
     ``_vertices_outpack`` finds more undominated vertices with pairwise
-    disjoint allowed closed neighborhoods than the budget, which changes no
-    answer."""
-    if k < 0:
-        return False
+    disjoint allowed closed neighborhoods than the budget.
+    """
     full = (1 << n) - 1
-    if k == 0:
-        return not full & ~covered
 
     def rec(covered, forbidden, budget):
         rem = full & ~covered
         if not rem:
             return True
+        if not budget:
+            return False
         x = rem & -rem
         v = x.bit_length() - 1
         cand = (adj[v] | x) & ~forbidden
@@ -475,4 +468,81 @@ def has_dominating_set(adj, n, k, covered=0, forbidden=0):
             tried |= y
         return False
 
-    return rec(covered, forbidden, k)
+    return rec
+
+
+def _first(rec, adj, n, k, covered, forbidden):
+    """The lex-least set of exactly ``k`` vertices outside ``forbidden``
+    that ``rec`` (a search from ``_isolating_search`` or
+    ``_dominating_search``) accepts from the start state, as a mask, or -1.
+
+    A vertex v is taken at the next position when a completion of at most
+    one vertex fewer exists with every vertex up to v forbidden, and enough
+    allowed vertices lie above v to pad it to exact size. Both properties
+    are kept by supersets, so a taken vertex always completes, and the walk
+    never backtracks: at most n decisions in all.
+    """
+    if not 0 <= k <= n:
+        return -1
+    if not k:
+        return 0 if rec(covered, forbidden, 0) else -1
+    rest = ((1 << n) - 1) & ~forbidden
+    found = 0
+    while k:
+        k -= 1
+        while True:
+            if rest.bit_count() <= k:
+                return -1
+            bit = rest & -rest
+            rest ^= bit
+            c = covered | adj[bit.bit_length() - 1] | bit
+            f = forbidden | bit | (bit - 1)
+            if rec(c, f, k):
+                break
+        found |= bit
+        covered, forbidden = c, f
+    return found
+
+
+def has_isolating_set(adj, n, k, covered=0, forbidden=0):
+    """Decide whether some vertex set of size <= k isolates the graph
+    (False for k < 0), by the search of ``_isolating_search``.
+
+    The search may start from a state: ``covered`` vertices count as
+    already removed (the closed neighborhood of a set chosen so far) and
+    ``forbidden`` vertices may not be chosen. Mask bits at or above n are
+    ignored.
+
+    The packing bound refutes only nodes that hold no solution, so it
+    changes no answer, only how soon a refutation ends.
+    """
+    if k < 0:
+        return False
+    if k == 0:
+        return _edge_vertex(adj, ((1 << n) - 1) & ~covered) < 0
+    return _isolating_search(adj, n)(covered, forbidden, k)
+
+
+def has_dominating_set(adj, n, k, covered=0, forbidden=0):
+    """Decide whether some vertex set of size <= k dominates every vertex
+    (False for k < 0), starting from ``covered`` vertices already dominated
+    and with ``forbidden`` vertices never chosen, as in has_isolating_set,
+    by the search of ``_dominating_search``."""
+    if k < 0:
+        return False
+    if k == 0:
+        return not ((1 << n) - 1) & ~covered
+    return _dominating_search(adj, n)(covered, forbidden, k)
+
+
+def first_isolating_set(adj, n, k, covered=0, forbidden=0):
+    """The lex-least isolating set of exactly k vertices outside
+    ``forbidden``, from the start state of ``has_isolating_set``, as a
+    mask; -1 when there is none (always for k < 0 or k > n)."""
+    return _first(_isolating_search(adj, n), adj, n, k, covered, forbidden)
+
+
+def first_dominating_set(adj, n, k, covered=0, forbidden=0):
+    """The lex-least dominating set of exactly k vertices, as
+    ``first_isolating_set``."""
+    return _first(_dominating_search(adj, n), adj, n, k, covered, forbidden)

@@ -140,7 +140,7 @@ def _cmd_gen_g(args) -> int:
             _emit({"error": "invalid_spec", "problems": problems})
             return 1
         g = family.build_family_graph(spec)
-    except (ValueError, KeyError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the decoder's stack allows.
         _emit({"error": "invalid_spec", "detail": str(exc)})
         return 1

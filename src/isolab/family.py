@@ -191,25 +191,35 @@ def spec_to_json(spec: FamilySpec) -> dict:
 
 
 def spec_from_json(data) -> FamilySpec:
-    """Parse the wire format; ValueError or KeyError when it is malformed.
+    """Parse the wire format; ValueError when it is malformed, naming a
+    missing key as ``missing key 'base'``.
 
     Only the JSON shape is checked here; validate_spec judges the values.
     """
     if not isinstance(data, dict):
         raise ValueError("spec must be a JSON object")
-    if not isinstance(data["base"], str):
+    base = _field(data, "base")
+    if not isinstance(base, str):
         raise ValueError("base must be a graph6 string")
-    if not isinstance(data["pendants"], list):
+    items = _field(data, "pendants")
+    if not isinstance(items, list):
         raise ValueError("pendants must be a list")
     pendants = []
-    for i, p in enumerate(data["pendants"]):
-        if not isinstance(p, dict) or not isinstance(p["kind"], str):
+    for i, p in enumerate(items):
+        if not isinstance(p, dict) or not isinstance(kind := _field(p, "kind"), str):
             raise ValueError(f"pendant {i}: must be an object with a string kind")
-        attach = p["attach"]
+        attach = _field(p, "attach")
         if not isinstance(attach, list) or any(type(a) is not int for a in attach):
             raise ValueError(f"pendant {i}: attach must be a list of integers")
-        pendants.append(PendantAttachment(p["kind"], tuple(sorted(attach))))
-    return FamilySpec(parse_graph6(data["base"]), tuple(pendants))
+        pendants.append(PendantAttachment(kind, tuple(sorted(attach))))
+    return FamilySpec(parse_graph6(base), tuple(pendants))
+
+
+def _field(obj: dict, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
 
 
 # ---------------------------------------------------------------------------

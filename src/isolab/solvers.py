@@ -1,10 +1,13 @@
 """Exact decision procedures and minimizers for isolation and domination.
 
-Minimization decides the value with the kernel, then builds the lex-least
-witness one position at a time from further decisions that start from the
-chosen prefix: at most n * k decisions for value k at order n, never a scan
-of the C(n, k) candidate sets. Everything here runs on the full 64-vertex
-range.
+Minimization decides the value with the kernel, then takes the lex-least
+witness from one kernel call, ``first_isolating_set`` or
+``first_dominating_set``. Inside that call the kernel builds the witness
+one position at a time from decisions that start from the chosen prefix:
+at most n decisions at order n, never a scan of the C(n, k) candidate
+sets. The witness is then checked with ``is_isolating`` or
+``is_dominating``, which do not use the kernels' searches. Everything here
+runs on the full 64-vertex range.
 
 ``is_isolating`` reuses the pure-Python kernels' edge scan. Order 0 needs no
 case of its own: both kernels decide k = 0 on the empty graph.
@@ -17,7 +20,7 @@ from typing import Iterator
 
 from isolab import _backend
 from isolab._pykernels import _edge_vertex
-from isolab.graphs import Graph, closed_neighborhood, is_connected
+from isolab.graphs import Graph, bit_list, closed_neighborhood, is_connected, write_graph6
 
 
 @dataclass(frozen=True)
@@ -51,50 +54,46 @@ def has_dominating_set(g: Graph, k: int) -> bool:
     return _backend.has_dominating_set(g.adj, g.order, k)
 
 
-def lex_extensions(g: Graph, decide, size: int, chosen: int = 0) -> Iterator[int]:
+def lex_extensions(g: Graph, first, size: int, chosen: int = 0) -> Iterator[int]:
     """Every set X of exactly ``size`` vertices outside ``chosen`` such that
-    ``chosen | X`` has the property ``decide`` tests, in ascending
+    ``chosen | X`` has the property ``first`` finds, in ascending
     lexicographic order of their sorted vertex tuples.
 
-    ``decide`` is a kernel decision, ``decide(adj, n, k, covered, forbidden)``,
-    of a property kept by supersets (isolating, dominating). A vertex v is
-    taken at the next position only when a completion exists with every
-    vertex up to v forbidden, and at least ``size - 1`` allowed vertices lie
-    above v to pad it to exact size, so the search never enters a dead branch
-    and the first set costs at most ``n * size`` decisions.
+    ``first`` is a kernel walk, ``first(adj, n, k, covered, forbidden)``
+    (``first_isolating_set`` or ``first_dominating_set``), for a property
+    kept by supersets. After X = {x1 < ... < xk}, the next set keeps the
+    longest prefix x1..x(i-1) that has a completion above xi: it is that
+    prefix plus the first walk of size k - i + 1 from the prefix's closed
+    neighborhood, with every vertex up to xi forbidden. So each set costs
+    at most ``size`` kernel calls.
     """
-    return _walk(g, decide, size, closed_neighborhood(g, chosen), chosen)
-
-
-def _walk(g: Graph, decide, size: int, covered: int, forbidden: int) -> Iterator[int]:
-    if size == 0:
-        if decide(g.adj, g.order, 0, covered, forbidden):
-            yield 0
-        return
     adj, n = g.adj, g.order
-    rest = g.full_mask & ~forbidden
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        if rest.bit_count() < size - 1:
-            return
-        state = (covered | adj[bit.bit_length() - 1] | bit, forbidden | ((bit << 1) - 1))
-        if not decide(adj, n, size - 1, *state):
-            continue
-        if size == 1:
-            yield bit
+    x = first(adj, n, size, closed_neighborhood(g, chosen), chosen)
+    while x >= 0:
+        yield x
+        # xi is the depth-th vertex of X from the top
+        for depth, xi in enumerate(reversed(bit_list(x)), 1):
+            prefix = x & ((1 << xi) - 1)
+            covered = closed_neighborhood(g, chosen | prefix)
+            tail = first(adj, n, depth, covered, chosen | ((2 << xi) - 1))
+            if tail >= 0:
+                x = prefix | tail
+                break
         else:
-            for tail in _walk(g, decide, size - 1, *state):
-                yield bit | tail
+            return
 
 
-def _lex_least(g: Graph, decide) -> SolveResult:
+def _lex_least(g: Graph, decide, first, check) -> SolveResult:
+    """The least k that ``decide`` accepts, with the witness ``first``
+    returns for it, once ``check(g, witness)`` and its size confirm it."""
+    adj, n = g.adj, g.order
     value = 0
-    while not decide(g.adj, g.order, value):
+    while not decide(adj, n, value):
         value += 1
-    for x in lex_extensions(g, decide, value):
-        return SolveResult(value, x)
-    raise RuntimeError("decision procedure and witness walk disagree")
+    x = first(adj, n, value)
+    if x < 0 or x.bit_count() != value or not check(g, x):
+        raise RuntimeError(f"kernel witness {x} fails the size-{value} check on {write_graph6(g)}")
+    return SolveResult(value, x)
 
 
 def isolation_number(g: Graph) -> SolveResult:
@@ -102,12 +101,12 @@ def isolation_number(g: Graph) -> SolveResult:
 
     Disconnected and empty graphs are fine; edgeless graphs solve to 0.
     """
-    return _lex_least(g, _backend.has_isolating_set)
+    return _lex_least(g, _backend.has_isolating_set, _backend.first_isolating_set, is_isolating)
 
 
 def domination_number(g: Graph) -> SolveResult:
     """Minimum size of a dominating set, with the lex-least witness."""
-    return _lex_least(g, _backend.has_dominating_set)
+    return _lex_least(g, _backend.has_dominating_set, _backend.first_dominating_set, is_dominating)
 
 
 def is_extremal(g: Graph) -> bool:
@@ -124,4 +123,4 @@ def is_extremal(g: Graph) -> bool:
 
 def isolating_sets_of_size(g: Graph, k: int) -> Iterator[int]:
     """All isolating sets of exactly size k, ascending lexicographically."""
-    return lex_extensions(g, _backend.has_isolating_set, k)
+    return lex_extensions(g, _backend.first_isolating_set, k)

@@ -93,6 +93,29 @@ def decide_ref(n: int, edges: set[frozenset[int]], k: int, covered: int,
     )
 
 
+# Each kernel walk with the predicate its sets have.
+KERNEL_WALKS = (
+    ("first_isolating_set", isolating_ref),
+    ("first_dominating_set", dominating_ref),
+)
+
+
+def first_ref(n: int, edges: set[frozenset[int]], k: int, covered: int,
+              forbidden: int, predicate) -> int:
+    """A kernel walk by scan: the first set of exactly k vertices outside
+    ``forbidden``, in the lex order of ``combinations``, that has
+    ``predicate`` together with the ``covered`` vertices, as a mask, or -1.
+    The masks are read as in ``decide_ref``."""
+    if k < 0:
+        return -1
+    cov = [v for v in range(n) if covered >> v & 1]
+    allowed = [v for v in range(n) if not forbidden >> v & 1]
+    for xs in combinations(allowed, k):
+        if predicate(n, edges, xs, cov):
+            return sum(1 << v for v in xs)
+    return -1
+
+
 def tree_domination_ref(n: int, edges: set[frozenset[int]]) -> int:
     """The domination number of a tree, by the linear-time dynamic program
     of Cockayne, Goodman and Hedetniemi (Inform. Process. Lett. 4, 1975).
@@ -300,7 +323,7 @@ def extend_pair_check(h: G.Graph, k: int) -> dict[tuple[int, int], int | None]:
         base = (1 << z1) | (1 << z2)
         witness = None
         if k >= 2:
-            for extra in lex_extensions(h, _backend.has_isolating_set, k - 2, base):
+            for extra in lex_extensions(h, _backend.first_isolating_set, k - 2, base):
                 witness = base | extra
                 break
         out[(z1, z2)] = witness

@@ -48,10 +48,15 @@ def test_canon_identical_on_all_graphs_of_order(core, n):
     assert_canon_agrees_in_two_labelings(core, random.Random(n), n, lines)
 
 
+KERNEL_QUERIES = tuple(name for name, _ in oracles.KERNEL_DECISIONS + oracles.KERNEL_WALKS)
+
+
 def assert_decisions_agree(core, g, *state):
-    for k in range(-1, 4):
-        assert _pykernels.has_isolating_set(g.adj, g.order, k, *state) == core.has_isolating_set(g.adj, g.order, k, *state)
-        assert _pykernels.has_dominating_set(g.adj, g.order, k, *state) == core.has_dominating_set(g.adj, g.order, k, *state)
+    # The decisions and the walks, for k = -1..3.
+    for name in KERNEL_QUERIES:
+        ours, theirs = getattr(_pykernels, name), getattr(core, name)
+        for k in range(-1, 4):
+            assert ours(g.adj, g.order, k, *state) == theirs(g.adj, g.order, k, *state), (name, k)
 
 
 def random_state(rng, n):
@@ -110,14 +115,13 @@ def test_order_zero_graph_solves_to_zero(request, use_backend, backend):
 
 
 def test_use_backend_rebinds_every_kernel_and_returns_the_previous(use_backend):
-    fake = types.SimpleNamespace(
-        BACKEND_NAME="fake", canon_form=object(), has_isolating_set=object(),
-        has_dominating_set=object(),
-    )
+    names = ("canon_form",) + KERNEL_QUERIES
+    assert len(names) == 5
+    fake = types.SimpleNamespace(BACKEND_NAME="fake", **{name: object() for name in names})
     before = _backend.kernels
     assert use_backend(fake) is before
     assert _backend.kernels is fake and _backend.backend_name() == "fake"
-    for name in ("canon_form", "has_isolating_set", "has_dominating_set"):
+    for name in names:
         assert getattr(_backend, name) is getattr(fake, name)
 
 
@@ -149,9 +153,30 @@ def test_identical_on_random_graphs_up_to_64(core):
     assert top_bit_used
 
 
+def test_walks_identical_at_the_value_on_random_graphs_up_to_64(core):
+    # The lex-least witness at the least k with one, and from a start state
+    # at the least k the state leaves, where the walks take every position.
+    rng = random.Random(640)
+    from conftest import random_graph
+
+    values = set()
+    for n in [64, 64] + [rng.randrange(12, 65) for _ in range(14)]:
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.5]))
+        for state in ((), random_state(rng, n)):
+            for (name, _), (walk, _) in zip(oracles.KERNEL_DECISIONS, oracles.KERNEL_WALKS):
+                k = 0
+                while not getattr(core, name)(g.adj, n, k, *state) and k <= n:
+                    k += 1
+                values.add(k)
+                want = getattr(core, walk)(g.adj, n, k, *state)
+                assert (want >= 0) == (k <= n)
+                assert getattr(_pykernels, walk)(g.adj, n, k, *state) == want, (walk, n, k, state)
+    assert max(values) >= 6
+
+
 def test_core_rejects_inputs_it_cannot_hold(core):
-    for fn, extra in ((core.canon_form, ()), (core.has_isolating_set, (1,)),
-                      (core.has_dominating_set, (1,))):
+    queries = [(getattr(core, name), (1,)) for name in KERNEL_QUERIES]
+    for fn, extra in [(core.canon_form, ())] + queries:
         with pytest.raises(ValueError):
             fn((0,) * 65, 65, *extra)
         with pytest.raises(IndexError):
@@ -203,20 +228,27 @@ def test_start_state_identical_on_random_graphs_up_to_64(core):
             assert_decisions_agree(core, g, *random_state(rng, n))
 
 
-def oracle_cases():
-    """(graph, covered, forbidden, largest k): every graph up to order 6 from
-    nothing and from three seeded start states, with k up to n, then seeded
-    random graphs of order 7 to 11 from two start states, with k up to 5.
-    The larger budgets are where the kernels' packing bound runs."""
-    from conftest import random_graph
-
-    rng = random.Random(66)
+def small_oracle_cases(rng):
+    """(graph, covered, forbidden): every graph up to order 6 from nothing
+    and from three start states drawn from ``rng``."""
     for n in range(1, 7):
         for line in lab.enumerate_all(n):
             g = G.parse_graph6(line)
-            yield g, 0, 0, n
+            yield g, 0, 0
             for _ in range(3):
-                yield g, *random_state(rng, n), n
+                yield g, *random_state(rng, n)
+
+
+def oracle_cases():
+    """(graph, covered, forbidden, largest k): ``small_oracle_cases`` with k
+    up to n, then seeded random graphs of order 7 to 11 from two start
+    states, with k up to 5. The larger budgets are where the kernels'
+    packing bound runs."""
+    from conftest import random_graph
+
+    rng = random.Random(66)
+    for g, covered, forbidden in small_oracle_cases(rng):
+        yield g, covered, forbidden, g.order
     for _ in range(40):
         n = rng.randrange(7, 12)
         g = random_graph(rng, n, rng.choice([0.1, 0.15, 0.25, 0.4]))
@@ -252,6 +284,64 @@ def test_decisions_match_the_scan_oracle(request, backend):
     assert bad == []
 
 
+@functools.cache
+def walk_table():
+    """(graph, covered, forbidden, walk, [first_ref at k = 0..n+1]) for the
+    graphs and start states up to order 6 that ``oracle_table`` holds."""
+    table = []
+    for g, covered, forbidden in small_oracle_cases(random.Random(66)):
+        edges = {frozenset(e) for e in g.edges()}
+        for name, ref in oracles.KERNEL_WALKS:
+            want = [oracles.first_ref(g.order, edges, k, covered, forbidden, ref)
+                    for k in range(g.order + 2)]
+            table.append((g, covered, forbidden, name, want))
+    return table
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_walks_match_the_lex_oracle(request, backend):
+    kernels = kernels_of(request, backend)
+    bad = []
+    found = 0
+    for g, covered, forbidden, name, want in walk_table():
+        walk = getattr(kernels, name)
+        got = [walk(g.adj, g.order, k, covered, forbidden) for k in range(len(want))]
+        found += sum(x >= 0 for x in want)
+        if got != want:
+            bad.append((name, G.write_graph6(g), covered, forbidden, got, want))
+    assert bad == []
+    assert 0 < found < sum(len(want) for *_, want in walk_table())
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_walks_refuse_k_outside_the_order(request, backend):
+    # An exact-size walk has no answer below 0 or above n, however large k.
+    kernels = kernels_of(request, backend)
+    adj = G.path_graph(3).adj
+    for name, _ in oracles.KERNEL_WALKS:
+        walk = getattr(kernels, name)
+        assert walk(adj, 3, 3) == 0b111
+        assert walk(adj, 3, 2, 0, 0b001) == 0b110
+        assert walk(adj, 3, 3, 0, 0b001) == -1  # too few allowed vertices
+        for k in (-1, 4, 2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 1 << 70, -(1 << 70)):
+            assert walk(adj, 3, k) == -1
+            assert walk(adj, 3, k, 0, 0) == -1
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_walks_ignore_mask_bits_at_or_above_n(request, backend):
+    kernels = kernels_of(request, backend)
+    g = G.cycle_graph(6)
+    high = (1 << 6) | (1 << 40) | (1 << 63)
+    for name, _ in oracles.KERNEL_WALKS:
+        walk = getattr(kernels, name)
+        for covered, forbidden in ((0, 0), (0b000011, 0b100000), (0b001000, 0b000101)):
+            for k in range(-1, 8):
+                want = walk(g.adj, 6, k, covered, forbidden)
+                assert walk(g.adj, 6, k, covered | high, forbidden | high) == want
+                assert walk(g.adj, 6, k, covered | high, forbidden) == want
+
+
 @pytest.mark.parametrize("backend", ["python", "c"])
 def test_decisions_take_any_integer_k(request, backend):
     # No set needs more than n vertices, so a k past a machine word is
@@ -268,7 +358,7 @@ def test_decisions_take_any_integer_k(request, backend):
 
 def test_start_state_takes_both_masks_or_neither(core):
     g = G.path_graph(4)
-    for fn in (core.has_isolating_set, core.has_dominating_set):
+    for fn in (getattr(core, name) for name in KERNEL_QUERIES):
         assert fn(g.adj, 4, 1) == fn(g.adj, 4, 1, 0, 0)
         with pytest.raises(TypeError):
             fn(g.adj, 4, 1, 0)

@@ -66,3 +66,6 @@ def test_query_spans_record_calls(capsys, monkeypatch, workload):
         calls[name] = calls.get(name, 0) + count
     empty = [name for name in _expected_spans()[workload] if not calls.get(name)]
     assert not empty, f"spans without calls: {empty}"
+    # iso and dom check each witness with the predicates the benchmark counts
+    assert tracer.counts["solvers.is_isolating"] > 0
+    assert tracer.counts["solvers.is_dominating"] > 0

@@ -205,13 +205,19 @@ class TestHostileInput:
         code, out, err = run_cli(capsys, ["rand-g", "--order", "9", "--seed", "1", "--count", "0"])
         assert (code, out, err) == (0, "", "")
 
-    @pytest.mark.parametrize("text", [
-        '{"base": "@", "pendants": [',
-        "[1]",
-        '{"base": "@", "pendants": [{"kind": "K2", "attach": 1}]}',
-        "[" * 200000,
-    ], ids=["malformed", "not-an-object", "attach-not-a-list", "nested-too-deep"])
-    def test_bad_spec_is_invalid_spec(self, capsys, tmp_path, text):
+    @pytest.mark.parametrize("text, detail", [
+        ('{"base": "@", "pendants": [', None),
+        ("[1]", "spec must be a JSON object"),
+        ('{"base": "@", "pendants": [{"kind": "K2", "attach": 1}]}',
+         "pendant 0: attach must be a list of integers"),
+        ("[" * 200000, None),
+        ('{"pendants": []}', "missing key 'base'"),
+        ('{"base": "@"}', "missing key 'pendants'"),
+        ('{"base": "@", "pendants": [{"attach": [0]}]}', "missing key 'kind'"),
+        ('{"base": "@", "pendants": [{"kind": "K2"}]}', "missing key 'attach'"),
+    ], ids=["malformed", "not-an-object", "attach-not-a-list", "nested-too-deep",
+            "no-base", "no-pendants", "no-kind", "no-attach"])
+    def test_bad_spec_is_invalid_spec(self, capsys, tmp_path, text, detail):
         path = tmp_path / "spec.json"
         path.write_text(text)
         code, out, err = run_cli(capsys, ["gen-g", "--spec", str(path)])
@@ -220,6 +226,8 @@ class TestHostileInput:
         data = json.loads(out)
         assert set(data) == {"error", "detail"}
         assert data["error"] == "invalid_spec"
+        if detail is not None:
+            assert data["detail"] == detail
 
 
     def test_non_ascii_input_is_graph6_error(self, capsys, monkeypatch):

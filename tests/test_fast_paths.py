@@ -1,5 +1,6 @@
-"""The word-level ``Graph`` validation and the pure-Python decision leaf,
-each against a per-bit or brute-force oracle.
+"""The word-level ``Graph`` validation, the pure-Python decision leaf and
+witness walks, each against a per-bit or brute-force oracle, and the
+minimizers' check of a forged witness.
 
 The checks are plain functions that return what they checked and what
 disagreed, with no ``assert`` inside, so that the same checks also run
@@ -13,9 +14,10 @@ import subprocess
 import sys
 
 import oracles
-from isolab import _pykernels
+from isolab import _backend, _pykernels
 from isolab import graphs as G
 from isolab import lab
+from isolab import solvers as S
 
 # Orders on both sides of each packing width (8, 16, 32, 64 bits a row).
 WIDTH_EDGE_ORDERS = (0, 1, 8, 9, 16, 17, 32, 33, 63, 64)
@@ -116,6 +118,55 @@ def leaf_mismatches():
     return checked, bad
 
 
+def walk_mismatches():
+    """(walks checked, list of disagreements with the lex-order scan) for
+    the pure-Python kernels at k = -1..n+1."""
+    checked = 0
+    bad = []
+    for line, g, covered, forbidden in _leaf_cases():
+        n = g.order
+        edges = {frozenset(e) for e in g.edges()}
+        for name, ref in oracles.KERNEL_WALKS:
+            walk = getattr(_pykernels, name)
+            for k in range(-1, n + 2):
+                want = oracles.first_ref(n, edges, k, covered, forbidden, ref)
+                got = walk(g.adj, n, k, covered, forbidden)
+                checked += 1
+                if got != want:
+                    bad.append(f"{name} {line} k={k} {covered:#x}/{forbidden:#x}: {got}")
+    return checked, bad
+
+
+# Every graph up to order 6 (1, 2, 4, 11, 34 and 156 of orders 1 to 6), from
+# four start states, by two walks at n + 3 values of k.
+WALKS_CHECKED = 8 * sum(c * (n + 3) for n, c in enumerate((1, 2, 4, 11, 34, 156), 1))
+
+
+def forged_witness_outcomes():
+    """What ``solvers._lex_least`` does with forged walk results on C6
+    (ι = γ = 2): for each, the exception's type and message, or None when
+    it returned. Only the first forgery is a true witness."""
+    c6 = G.cycle_graph(6)
+    iso = (_backend.has_isolating_set, S.is_isolating)
+    dom = (_backend.has_dominating_set, S.is_dominating)
+    forgeries = (
+        ("true", iso, 0b001001),
+        ("not-isolating", iso, 0b000011),
+        ("not-dominating", dom, 0b000011),
+        ("too-large", iso, 0b000111),
+        ("none", dom, -1),
+    )
+    out = {}
+    for case, (decide, check), x in forgeries:
+        try:
+            S._lex_least(c6, decide, lambda adj, n, k, x=x: x, check)
+        except RuntimeError as exc:
+            out[case] = ["RuntimeError", str(exc)]
+        else:
+            out[case] = None
+    return out
+
+
 def test_validation_matches_per_bit_oracle():
     checked, bad = validation_mismatches()
     assert checked > 1000
@@ -149,6 +200,25 @@ def test_pykernels_leaf_matches_brute_force():
     assert bad == []
 
 
+def test_pykernels_walks_match_lex_scan():
+    checked, bad = walk_mismatches()
+    assert checked == WALKS_CHECKED
+    assert bad == []
+
+
+FORGED = {
+    "true": None,
+    "not-isolating": ["RuntimeError", "kernel witness 3 fails the size-2 check on EhEG"],
+    "not-dominating": ["RuntimeError", "kernel witness 3 fails the size-2 check on EhEG"],
+    "too-large": ["RuntimeError", "kernel witness 7 fails the size-2 check on EhEG"],
+    "none": ["RuntimeError", "kernel witness -1 fails the size-2 check on EhEG"],
+}
+
+
+def test_forged_witness_raises():
+    assert forged_witness_outcomes() == FORGED
+
+
 def test_checks_hold_under_python_O():
     # Under -O every assert is stripped, so a check that leaned on one
     # would accept bad rows or let a wrong answer through here.
@@ -157,12 +227,15 @@ def test_checks_hold_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     code = (
         "import json, test_fast_paths as T\n"
-        "print(json.dumps([T.validation_mismatches(), T.leaf_mismatches()]))\n"
+        "print(json.dumps([T.validation_mismatches(), T.leaf_mismatches(),\n"
+        "                  T.walk_mismatches(), T.forged_witness_outcomes()]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    (v_checked, v_bad), (l_checked, l_bad) = json.loads(proc.stdout)
+    (v_checked, v_bad), (l_checked, l_bad), (w_checked, w_bad), forged = json.loads(proc.stdout)
     assert v_checked > 1000 and v_bad == []
     assert l_checked == 208 * 4 * 2 * 3 and l_bad == []
+    assert w_checked == WALKS_CHECKED and w_bad == []
+    assert forged == FORGED

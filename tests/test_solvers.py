@@ -172,12 +172,16 @@ class TestWitnessWalk:
         assert above_iota > 0
 
     def test_walk_that_finds_nothing_raises(self):
-        def decide(adj, n, k, covered=None, forbidden=None):
-            # claims a set of size 1 exists, then refutes every completion
-            return covered is None and k >= 1
+        def decide(adj, n, k):
+            # claims a set of size 1 exists
+            return k >= 1
+
+        def first(adj, n, k, covered=0, forbidden=0):
+            # and finds none
+            return -1
 
         with pytest.raises(RuntimeError):
-            S._lex_least(G.path_graph(3), decide)
+            S._lex_least(G.path_graph(3), decide, first, S.is_isolating)
 
     def test_64_vertices_on_python_kernels(self, use_backend):
         use_backend(_pykernels)
