@@ -1,9 +1,15 @@
 /* Compiled compute kernels: canonical labeling and set-cover decisions.
  *
- * Mirrors isolab._pykernels exactly (same refined partitions, same orbit
- * pruning, same 96-automorphism cap, same tie-breaks, same packing bound in
- * the decisions), so the two backends are interchangeable. Graphs arrive as a sequence of per-vertex adjacency
- * bitmasks, one 64-bit word per vertex, order <= 64.
+ * Interchangeable with isolab._pykernels, which gives the same answer to
+ * every call. canon_form shares its algorithm with the Python canon_form:
+ * the same refined partitions, orbit pruning, 96-automorphism cap and
+ * tie-breaks, though the Python refinement counts only against the cells that
+ * just split. The decisions share the search order, the packing bound and its
+ * gate BOUND_MIN_BUDGET with the Python searches. Here one search, rec, and
+ * one bound, outpack, serve both decisions, told apart by a target row; the
+ * Python kernels share the bound but keep a search for each decision, which
+ * tests its last choice in place. Graphs arrive as a sequence of per-vertex
+ * adjacency bitmasks, one 64-bit word per vertex, order <= 64.
  *
  * Contract relied on by canonical augmentation in isolab.lab: canon_form
  * labels a vertex of maximum degree last, and that vertex lies in the last
@@ -15,9 +21,9 @@
  * None when vertex last is outside that last cell, after the root refinement
  * alone, and otherwise searches on from the refined cells.
  *
- * The decisions has_isolating_set and has_dominating_set run iso_rec or
- * dom_rec from a start state; first_isolating_set and first_dominating_set
- * run first(), the walk of _pykernels._first, over the same searches.
+ * The decisions has_isolating_set and has_dominating_set run rec from a start
+ * state; first_isolating_set and first_dominating_set run first(), the walk
+ * of _pykernels._first, over the same search.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -356,119 +362,103 @@ fail:
     return NULL;
 }
 
-/* Packing bound, the same as _pykernels._vertices_outpack and _edges_outpack:
- * nonzero when more than budget targets still to hit (undominated vertices,
- * or edges inside rem) have pairwise disjoint allowed chooser sets, or one
- * has none. Each such target needs a chosen vertex of its own, so a nonzero
- * answer refutes the node, and a node that holds a solution never gets one:
- * the bound changes no answer. The greedy starts from the branching target,
- * whose choosers are cand. A target's choosers meet a kept chooser set C
- * exactly when the target (or an end of the edge) lies in N[C], so left,
- * rem less the closed neighborhoods of every kept chooser, is all the greedy
- * needs; the vertex bound also stops once left has fewer vertices than
- * targets it still needs. Nodes run it from budget BOUND_MIN_BUDGET up, the constant of the
- * Python kernels: below it the bound rarely refutes what the search would
- * not refute at once, and costs more than it saves there. */
+/* Both decisions search for at most budget allowed vertices whose closed
+ * neighborhoods hit every target inside rem, the vertices not yet covered.
+ * The target row tgt, one mask per vertex, names the targets: vertex v is the
+ * low end of a target still to hit when tgt[v] & rem is nonzero, and the
+ * least bit of that mask is the other end. For isolation tgt is adj, and the
+ * targets are the edges inside rem; for domination tgt is self_rows, and the
+ * targets are the vertices of rem. Either way a target's choosers are the
+ * closed neighborhoods of its ends less forbidden. */
+#define B1(i) ((u64)1 << (i))
+#define B8(i) B1(i), B1(i + 1), B1(i + 2), B1(i + 3), B1(i + 4), B1(i + 5), B1(i + 6), B1(i + 7)
+static const u64 self_rows[MAXN] = {B8(0), B8(8), B8(16), B8(24), B8(32), B8(40), B8(48), B8(56)};
+
+/* The closed neighborhoods of the ends of the target at a, whose other end is
+ * the least bit of e: the target's choosers before forbidden is taken out. A
+ * vertex target is its own other end (e is a alone), and skipping the second
+ * load for it keeps domination as fast as a search of its own. */
+static inline u64 choosers(const u64 *adj, int a, u64 e) {
+    u64 c = adj[a] | ((u64)1 << a);
+    if (e != ((u64)1 << a)) {
+        e &= 0 - e;
+        c |= adj[ctz64(e)] | e;
+    }
+    return c;
+}
+
+/* Packing bound, the same as _pykernels._outpack: nonzero when more than
+ * budget targets have pairwise disjoint chooser sets, or one has none. Each
+ * such target needs a chosen vertex of its own, so a nonzero answer refutes
+ * the node, and a node that holds a solution never gets one: the bound changes
+ * no answer. The greedy starts from the branching target at v, whose choosers
+ * are cand. A target's choosers meet a kept chooser set C exactly when one of
+ * its ends lies in N[C], so the next target is the least one inside left, rem
+ * less the closed neighborhoods of every kept chooser. Both target rows are
+ * symmetric, so a vertex that is the low end of no target inside left is an
+ * end of none, and never becomes one, since left only shrinks: the scan drops
+ * it from left for good, and left starts at v, as no vertex below v is the
+ * low end of a target in rem. Each further target lies inside left, and
+ * keeping it takes at least one of its ends out of left, so the greedy gives
+ * up once left has fewer vertices than targets it still needs. Nodes run
+ * it from budget BOUND_MIN_BUDGET up, the constant of the Python kernels: below
+ * it the bound rarely refutes what the search would not refute at once, and
+ * costs more than it saves there. */
 #define BOUND_MIN_BUDGET 3
 
-static int vertices_outpack(const u64 *adj, u64 rem, u64 forbidden, u64 cand, long budget) {
-    u64 left = rem, near, t;
+static int outpack(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, int v, u64 cand,
+                   long budget) {
+    u64 left = rem >> v << v, near, e = 0;
+    int a = 0;
     while (cand) {
         for (near = cand; cand; cand &= cand - 1)
             near |= adj[ctz64(cand)];
         left &= ~near;
         if (pop64(left) < budget)
             return 0;
-        if (--budget == 0)
-            return 1;
-        t = left & (0 - left);
-        cand = (adj[ctz64(t)] | t) & ~forbidden;
-    }
-    return 1;
-}
-
-/* For isolation the next target is the least edge inside left. No vertex
- * below v has a neighbor in rem, and left only shrinks, so the scan for its
- * lower end resumes where the last one stopped. */
-static int edges_outpack(const u64 *adj, u64 rem, u64 forbidden, int v, u64 cand, long budget) {
-    u64 left = rem, m = rem >> v << v, near, e = 0;
-    int a = 0;
-    while (cand) {
-        for (near = cand; cand; cand &= cand - 1)
-            near |= adj[ctz64(cand)];
-        left &= ~near;
-        for (m &= left; m; m &= m - 1) {
-            a = ctz64(m);
-            if ((e = adj[a] & left) != 0)
+        for (; left; left &= left - 1) {
+            a = ctz64(left);
+            if ((e = tgt[a] & left) != 0)
                 break;
         }
-        if (m == 0)
+        if (left == 0)
             return 0;
         if (--budget == 0)
             return 1;
-        e &= 0 - e;
-        cand = (adj[a] | adj[ctz64(e)] | ((u64)1 << a) | e) & ~forbidden;
+        cand = choosers(adj, a, e) & ~forbidden;
     }
     return 1;
 }
 
-/* Isolation: branch on the least edge not yet touched by a chosen closed
- * neighborhood; candidates are the closed neighborhoods of its endpoints.
- * Earlier siblings are forbidden below a branch. */
-static int iso_rec(const u64 *adj, u64 full, u64 covered, u64 forbidden, long budget) {
-    u64 rem = full & ~covered, m = rem, cand, tried = 0, x;
-    int v = -1, u, w;
-    while (m) {
-        int i = ctz64(m);
-        if (adj[i] & rem) {
-            v = i;
+/* Whether at most budget vertices outside forbidden hit every target inside
+ * rem. Branch on the least target still to hit, one branch per chooser in
+ * ascending order. Earlier siblings are forbidden below a branch, so no
+ * vertex set is explored twice. */
+static int rec(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, long budget) {
+    u64 m, e = 0, cand, tried = 0, x;
+    int v = 0, w;
+    for (m = rem; m; m &= m - 1) {
+        v = ctz64(m);
+        if ((e = tgt[v] & rem) != 0)
             break;
-        }
-        m &= m - 1;
     }
-    if (v < 0)
+    if (m == 0)
         return 1;
     if (budget == 0)
         return 0;
-    u = ctz64(adj[v] & rem);
-    cand = (adj[v] | adj[u] | ((u64)1 << v) | ((u64)1 << u)) & ~forbidden;
-    if (budget >= BOUND_MIN_BUDGET && edges_outpack(adj, rem, forbidden, v, cand, budget))
+    cand = choosers(adj, v, e) & ~forbidden;
+    if (budget >= BOUND_MIN_BUDGET && outpack(adj, tgt, rem, forbidden, v, cand, budget))
         return 0;
     while (cand) {
         x = cand & (0 - cand);
         cand ^= x;
         w = ctz64(x);
-        if (iso_rec(adj, full, covered | adj[w] | x, forbidden | tried, budget - 1))
+        if (rec(adj, tgt, rem & ~(adj[w] | x), forbidden | tried, budget - 1))
             return 1;
         tried |= x;
     }
     return 0;
 }
-
-/* Domination: branch on the least undominated vertex's closed neighborhood. */
-static int dom_rec(const u64 *adj, u64 full, u64 covered, u64 forbidden, long budget) {
-    u64 rem = full & ~covered, cand, tried = 0, x;
-    int v, w;
-    if (rem == 0)
-        return 1;
-    if (budget == 0)
-        return 0;
-    v = ctz64(rem);
-    cand = (adj[v] | ((u64)1 << v)) & ~forbidden;
-    if (budget >= BOUND_MIN_BUDGET && vertices_outpack(adj, rem, forbidden, cand, budget))
-        return 0;
-    while (cand) {
-        x = cand & (0 - cand);
-        cand ^= x;
-        w = ctz64(x);
-        if (dom_rec(adj, full, covered | adj[w] | x, forbidden | tried, budget - 1))
-            return 1;
-        tried |= x;
-    }
-    return 0;
-}
-
-typedef int (*decide_fn)(const u64 *, u64, u64, u64, long);
 
 /* Parse (adj, n, k[, covered, forbidden]). Only the low 64 bits of a mask are
  * read, and bits at or above n never matter, as in the Python fallback.
@@ -494,8 +484,10 @@ static int parse_query(PyObject *const *args, Py_ssize_t nargs, const char *fnam
     return 0;
 }
 
+/* tgt is the target row of rec, or NULL for the adjacency rows (isolation),
+ * as in first. */
 static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fname,
-                        decide_fn rec) {
+                        const u64 *tgt) {
     u64 a[MAXN], full, state[2];
     int n, overflow;
     long k;
@@ -505,7 +497,7 @@ static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fna
      * and one too small is a refutation, as in the Python fallback. */
     if (overflow)
         k = overflow > 0 ? n : -1;
-    return PyBool_FromLong(k >= 0 && rec(a, full, state[0], state[1], k));
+    return PyBool_FromLong(k >= 0 && rec(a, tgt ? tgt : a, full & ~state[0], state[1], k));
 }
 
 /* The walk of _pykernels._first: the lex-least set of exactly k allowed
@@ -516,18 +508,20 @@ static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fna
  * walk never backtracks and makes at most n decisions. Unlike decide, a k
  * outside 0..n (too large for a long included) has no answer. */
 static PyObject *first(PyObject *const *args, Py_ssize_t nargs, const char *fname,
-                       decide_fn rec) {
-    u64 a[MAXN], full, state[2], covered, forbidden, rest, found = 0, bit, c = 0, f = 0;
+                       const u64 *tgt) {
+    u64 a[MAXN], full, state[2], rem, forbidden, rest, found = 0, bit, r = 0, f = 0;
     int n, overflow;
     long k;
     if (parse_query(args, nargs, fname, a, &n, &full, &k, &overflow, state) < 0)
         return NULL;
     if (overflow || k < 0 || k > n)
         return PyLong_FromLong(-1);
-    covered = state[0];
+    if (tgt == NULL)
+        tgt = a;
+    rem = full & ~state[0];
     forbidden = state[1];
     if (k == 0)
-        return PyLong_FromLong(rec(a, full, covered, forbidden, 0) ? 0 : -1);
+        return PyLong_FromLong(rec(a, tgt, rem, forbidden, 0) ? 0 : -1);
     rest = full & ~forbidden;
     while (k-- > 0) {
         do {
@@ -535,11 +529,11 @@ static PyObject *first(PyObject *const *args, Py_ssize_t nargs, const char *fnam
                 return PyLong_FromLong(-1);
             bit = rest & (0 - rest);
             rest ^= bit;
-            c = covered | a[ctz64(bit)] | bit;
+            r = rem & ~(a[ctz64(bit)] | bit);
             f = forbidden | bit | (bit - 1);
-        } while (!rec(a, full, c, f, k));
+        } while (!rec(a, tgt, r, f, k));
         found |= bit;
-        covered = c;
+        rem = r;
         forbidden = f;
     }
     return PyLong_FromUnsignedLongLong(found);
@@ -547,22 +541,22 @@ static PyObject *first(PyObject *const *args, Py_ssize_t nargs, const char *fnam
 
 static PyObject *has_isolating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     (void)self;
-    return decide(args, nargs, "has_isolating_set", iso_rec);
+    return decide(args, nargs, "has_isolating_set", NULL);
 }
 
 static PyObject *has_dominating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     (void)self;
-    return decide(args, nargs, "has_dominating_set", dom_rec);
+    return decide(args, nargs, "has_dominating_set", self_rows);
 }
 
 static PyObject *first_isolating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     (void)self;
-    return first(args, nargs, "first_isolating_set", iso_rec);
+    return first(args, nargs, "first_isolating_set", NULL);
 }
 
 static PyObject *first_dominating_set(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     (void)self;
-    return first(args, nargs, "first_dominating_set", dom_rec);
+    return first(args, nargs, "first_dominating_set", self_rows);
 }
 
 static PyMethodDef core_methods[] = {

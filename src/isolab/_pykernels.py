@@ -14,12 +14,15 @@ packer of ``isolab.graphs.write_graph6``.
 The decisions are set-cover searches, the view of domination that Fomin,
 Grandoni and Kratsch (J. ACM 2009) and van Rooij and Bodlaender (Discrete
 Appl. Math. 2011) analyze: each branches on the least target still to hit,
-and prunes with a greedy packing bound, since targets whose allowed chooser
-sets are pairwise disjoint each need a chosen vertex of their own.
-``_isolating_search`` and ``_dominating_search`` build each search once per
-call. The ``has_*`` decisions run it from the start state, and the
-``first_*`` kernels run ``_first``, the walk that builds the lex-least set
-of exactly k vertices from at most n of its decisions.
+an edge for isolation and a vertex for domination, and prunes with a greedy
+packing bound, since targets whose allowed chooser sets are pairwise
+disjoint each need a chosen vertex of their own. The bound, ``_outpack``,
+is written once for both, told which targets to pack by a target row.
+``_isolating_search`` and ``_dominating_search`` stay apart, each testing
+its last choice in place, and each is built once per call. The ``has_*``
+decisions run it from the start state, and the ``first_*`` kernels run
+``_first``, the walk that builds the lex-least set of exactly k vertices
+from at most n of its decisions.
 """
 
 from __future__ import annotations
@@ -286,34 +289,49 @@ def _edge_vertex(adj, rem):
     return -1
 
 
-# Search nodes with at least this budget run the packing bound
-# (``_vertices_outpack``, ``_edges_outpack``); ``_core.c`` uses the same
-# constant. Lower budgets leave the bound little to cut: at budget 1 the last
-# choice is tested in place, and below a budget-2 node lie only such tests.
-# Over 6000 connected graphs of order 9 to 14, gates 2, 3 and 4 made
-# ``solvers.domination_number`` on these kernels about 20 %, 5 % and 2 %
-# slower; over 40 sparse graphs of order 16 to 24 they cut its search nodes
-# by 78 %, 66 % and 44 %.
+# Search nodes with at least this budget run the packing bound ``_outpack``;
+# ``_core.c`` uses the same constant. Lower budgets leave the bound little to
+# cut: at budget 1 the last choice is tested in place, and below a budget-2
+# node lie only such tests. Over 6000 connected graphs of order 9 to 14, gates
+# 2, 3 and 4 made ``solvers.domination_number`` on these kernels about 20 %,
+# 5 % and 2 % slower; over 40 sparse graphs of order 16 to 24 they cut its
+# search nodes by 78 %, 66 % and 44 %.
 BOUND_MIN_BUDGET = 3
 
+# Domination's target row: every vertex is its own target.
+_SELF_ROWS = tuple(1 << v for v in range(64))
 
-def _vertices_outpack(adj, rem, forbidden, cand, budget):
-    """Packing bound for domination: True when more than ``budget``
-    vertices of ``rem`` have pairwise disjoint allowed closed
-    neighborhoods, or one of them has none allowed.
 
-    Each such vertex needs a chosen vertex of its own, so a True answer
+def _outpack(adj, tgt, rem, forbidden, v, cand, budget):
+    """Packing bound of both searches: True when more than ``budget``
+    targets still to hit have pairwise disjoint allowed choosers, or one
+    of them has none allowed.
+
+    ``tgt`` names the targets, one mask per vertex: a vertex ``a`` of
+    ``rem`` is the low end of a target when ``tgt[a] & rem`` is nonzero,
+    and the least bit of that mask is the other end. With ``tgt = adj``
+    the targets are the edges inside ``rem`` (isolation), and with
+    ``_SELF_ROWS`` the vertices of ``rem`` (domination). A target's
+    choosers are the closed neighborhoods of its ends less ``forbidden``.
+
+    Each such target needs a chosen vertex of its own, so a True answer
     refutes the node, and a node that holds a solution always gets False:
     the bound never changes an answer. The greedy starts from the
-    branching target, whose allowed neighborhood is ``cand``, and keeps
-    the least vertex not yet excluded. ``N[t] & ~forbidden`` meets a kept
-    chooser set ``C`` exactly when ``t`` lies in ``N[C]``, so ``left``,
-    ``rem`` less the closed neighborhoods of every kept chooser, holds the
-    vertices the greedy may keep next, and each kept vertex costs one
-    union per chooser. Each further vertex kept is one of ``left``, so the
-    greedy stops once ``left`` has fewer vertices than it still needs.
+    branching target, whose low end is ``v`` and whose choosers are
+    ``cand``. A target's choosers meet a kept chooser set ``C`` exactly
+    when one of its ends lies in ``N[C]``, so the next target is the least
+    one inside ``left``, ``rem`` less the closed neighborhoods of every
+    kept chooser, and each kept target costs one union per chooser. Both
+    target rows are symmetric, so a vertex that is the low end of no
+    target inside ``left`` is an end of none, and never becomes one, since
+    ``left`` only shrinks: the scan drops it from ``left`` for good, and
+    ``left`` starts at ``v``, as no vertex below ``v`` is the low end of a
+    target in ``rem``. Each further target lies inside ``left``, and
+    keeping it takes at least one of its ends out of ``left``, so the
+    greedy gives up once ``left`` has fewer vertices than targets it still
+    needs.
     """
-    left = rem
+    left = rem >> v << v
     while cand:
         near = cand
         while cand:
@@ -323,52 +341,23 @@ def _vertices_outpack(adj, rem, forbidden, cand, budget):
         left &= ~near
         if left.bit_count() < budget:
             return False
-        budget -= 1
-        if not budget:
-            return True
-        t = left & -left
-        cand = (adj[t.bit_length() - 1] | t) & ~forbidden
-    return True
-
-
-def _edges_outpack(adj, rem, forbidden, v, cand, budget):
-    """Packing bound for isolation: True when more than ``budget`` edges
-    inside ``rem`` have pairwise disjoint allowed choosers (the union of
-    their ends' closed neighborhoods, less ``forbidden``), or one of them
-    has none allowed.
-
-    As in ``_vertices_outpack``, a True answer refutes the node and no
-    node that holds a solution gets one. The greedy starts from the
-    branching edge at ``v``, whose choosers are ``cand``. An edge's
-    choosers meet a kept chooser set ``C`` exactly when an end lies in
-    ``N[C]``, so the next edge is the one ``_edge_vertex`` finds in
-    ``left``, ``rem`` less those neighborhoods. No vertex below ``v`` has a
-    neighbor in ``rem``, and ``left`` only shrinks, so the scan for it
-    resumes where the last one stopped.
-    """
-    left = rem
-    m = rem >> v << v
-    while cand:
-        near = cand
-        while cand:
-            y = cand & -cand
-            cand ^= y
-            near |= adj[y.bit_length() - 1]
-        left &= ~near
-        m &= left
-        while m:
-            x = m & -m
-            e = adj[x.bit_length() - 1] & left
+        while left:
+            x = left & -left
+            a = x.bit_length() - 1
+            e = tgt[a] & left
             if e:
                 break
-            m ^= x
+            left ^= x
         else:
             return False
         budget -= 1
         if not budget:
             return True
-        y = e & -e
-        cand = (adj[x.bit_length() - 1] | adj[y.bit_length() - 1] | x | y) & ~forbidden
+        cand = adj[a] | x
+        if e != x:  # a vertex target is its own other end
+            y = e & -e
+            cand |= adj[y.bit_length() - 1] | y
+        cand &= ~forbidden
     return True
 
 
@@ -381,8 +370,9 @@ def _isolating_search(adj, n):
     neighborhoods; candidates are the closed neighborhoods of the edge's
     endpoints. Earlier siblings are forbidden below a branch, so no vertex
     set is explored twice. A node with budget ``BOUND_MIN_BUDGET`` or more
-    is refuted without branching when ``_edges_outpack`` finds more edges
-    with pairwise disjoint choosers than the budget.
+    is refuted without branching when ``_outpack``, on the target row
+    ``adj``, finds more edges with pairwise disjoint choosers than the
+    budget.
     """
     full = (1 << n) - 1
 
@@ -413,7 +403,7 @@ def _isolating_search(adj, n):
                 else:
                     return True
             return False
-        if budget >= BOUND_MIN_BUDGET and _edges_outpack(adj, rem, forbidden, v, cand, budget):
+        if budget >= BOUND_MIN_BUDGET and _outpack(adj, adj, rem, forbidden, v, cand, budget):
             return False
         tried = 0
         while cand:
@@ -434,8 +424,9 @@ def _dominating_search(adj, n):
 
     Branches on the least undominated vertex's closed neighborhood, and
     refutes a node with budget ``BOUND_MIN_BUDGET`` or more early when
-    ``_vertices_outpack`` finds more undominated vertices with pairwise
-    disjoint allowed closed neighborhoods than the budget.
+    ``_outpack``, on the target row ``_SELF_ROWS``, finds more undominated
+    vertices with pairwise disjoint allowed closed neighborhoods than the
+    budget.
     """
     full = (1 << n) - 1
 
@@ -456,7 +447,9 @@ def _dominating_search(adj, n):
                     return True
                 cand ^= y
             return False
-        if budget >= BOUND_MIN_BUDGET and _vertices_outpack(adj, rem, forbidden, cand, budget):
+        if budget >= BOUND_MIN_BUDGET and _outpack(
+            adj, _SELF_ROWS, rem, forbidden, v, cand, budget
+        ):
             return False
         tried = 0
         while cand:

@@ -554,11 +554,9 @@ def canonical_code(g: Graph) -> bytes:
     The code is exactly the graph6 line of the canonically relabeled
     graph, so catalogs sorted by code are sorted graph6 files.
 
-    The kernels' ``canon_form`` prunes its search with the first 96
-    automorphisms it finds, so on a graph with many more its time grows
-    exponentially with the order: K_n and the empty graph take about 1 s
-    at n = 19 on the pure-Python kernels and at n = 21 on the compiled core,
-    and each further vertex costs more than ten times as much.
+    Its cost is that of the kernels' ``canon_form``, exponential in the
+    order on graphs with many automorphisms; the docstring of
+    ``isolab._pykernels.canon_form`` says when.
     """
     return canonical_code_of(g.adj, g.order)
 

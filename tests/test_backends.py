@@ -1,7 +1,9 @@
 """The compiled core and the pure-Python fallback must be interchangeable."""
 
 import functools
+import os
 import random
+import re
 import types
 
 import oracles
@@ -364,3 +366,50 @@ def test_start_state_takes_both_masks_or_neither(core):
             fn(g.adj, 4, 1, 0)
         with pytest.raises(TypeError):
             fn(g.adj, 4, 1, 0, 0, 0)
+
+
+def test_core_constants_match_the_python_kernels():
+    # A drift in BOUND_MIN_BUDGET changes no answer, only where the bound
+    # runs, so no parity test could see it.
+    source = os.path.join(os.path.dirname(lab.__file__), "_core.c")
+    with open(source) as f:
+        defines = dict(re.findall(r"^#define (\w+) (\d+)\b", f.read(), re.M))
+    assert int(defines["BOUND_MIN_BUDGET"]) == _pykernels.BOUND_MIN_BUDGET
+    assert int(defines["AUT_CAP"]) == _pykernels._AUT_CAP
+
+
+def independent_free_state(rng, g):
+    """(covered, forbidden): about a quarter of the vertices covered and an
+    eighth forbidden, but never a vertex of one random maximal independent
+    set, which both isolates and dominates, so that both decisions have a
+    value of at most n."""
+    n = g.order
+    covered = rng.getrandbits(n) & rng.getrandbits(n)
+    forbidden = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+    free = (1 << n) - 1
+    for v in rng.sample(range(n), n):
+        if free >> v & 1:
+            forbidden &= ~(1 << v)
+            free &= ~(g.adj[v] | 1 << v)
+    return covered, forbidden
+
+
+def test_decisions_identical_around_the_value_on_sparse_graphs_up_to_64(core):
+    # The decision corpora above stop at k = 3 on large graphs, but the
+    # packing bound and the target scan do most of their work at high
+    # budgets: here the value and one below, from two start states.
+    from test_solvers import sparse_connected_graph
+
+    rng = random.Random(2064)
+    values = set()
+    for n in [64] + [rng.randrange(20, 65) for _ in range(7)]:
+        g = sparse_connected_graph(n, rng.randrange(1 << 16))
+        for state in ((0, 0), independent_free_state(rng, g)):
+            for name, _ in oracles.KERNEL_DECISIONS:
+                theirs = getattr(core, name)
+                k = next(k for k in range(n + 1) if theirs(g.adj, n, k, *state))
+                values.add(k)
+                for j in (k - 1, k):
+                    got = getattr(_pykernels, name)(g.adj, n, j, *state)
+                    assert got == (j == k), (name, G.write_graph6(g), state, j)
+    assert max(values) >= 20

@@ -1,6 +1,6 @@
-"""The word-level ``Graph`` validation, the pure-Python decision leaf and
-witness walks, each against a per-bit or brute-force oracle, and the
-minimizers' check of a forged witness.
+"""The word-level ``Graph`` validation, the pure-Python decision leaf,
+packing bound and witness walks, each against a per-bit or brute-force
+oracle, and the minimizers' check of a forged witness.
 
 The checks are plain functions that return what they checked and what
 disagreed, with no ``assert`` inside, so that the same checks also run
@@ -137,6 +137,37 @@ def walk_mismatches():
     return checked, bad
 
 
+def bound_mismatches():
+    """(bound calls checked, refutations per decision, list of wrong
+    refutations) for ``_pykernels._outpack`` on both target rows, at every
+    budget from 1 to n: every graph up to order 6 from the start states of
+    the leaf sweep, each with the least target still to hit as the
+    branching one. A True answer claims that no set of at most that budget
+    completes the state, and the scan oracle checks the claim."""
+    checked = 0
+    refuted = {}
+    bad = []
+    for line, g, covered, forbidden in _leaf_cases():
+        n = g.order
+        edges = {frozenset(e) for e in g.edges()}
+        rem = ((1 << n) - 1) & ~covered
+        rows = (g.adj, _pykernels._SELF_ROWS)
+        for (name, ref), tgt in zip(oracles.KERNEL_DECISIONS, rows):
+            ends = [(v, u) for v in range(n) for u in range(n)
+                    if rem >> v & 1 and (tgt[v] & rem) >> u & 1]
+            if not ends:
+                continue  # nothing left to hit: the searches never run the bound
+            v, u = ends[0]
+            cand = (g.adj[v] | g.adj[u] | 1 << v | 1 << u) & ~forbidden
+            for budget in range(1, n + 1):
+                checked += 1
+                if _pykernels._outpack(g.adj, tgt, rem, forbidden, v, cand, budget):
+                    refuted[name] = refuted.get(name, 0) + 1
+                    if oracles.decide_ref(n, edges, budget, covered, forbidden, ref):
+                        bad.append(f"{name} {line} k={budget} {covered:#x}/{forbidden:#x}")
+    return checked, refuted, bad
+
+
 # Every graph up to order 6 (1, 2, 4, 11, 34 and 156 of orders 1 to 6), from
 # four start states, by two walks at n + 3 values of k.
 WALKS_CHECKED = 8 * sum(c * (n + 3) for n, c in enumerate((1, 2, 4, 11, 34, 156), 1))
@@ -200,6 +231,18 @@ def test_pykernels_leaf_matches_brute_force():
     assert bad == []
 
 
+# Bound calls of ``bound_mismatches``: the states with a target to hit,
+# times n budgets.
+BOUNDS_CHECKED = 8154
+
+
+def test_pykernels_bound_refutes_only_unsolvable_states():
+    checked, refuted, bad = bound_mismatches()
+    assert checked == BOUNDS_CHECKED
+    assert sorted(refuted) == ["has_dominating_set", "has_isolating_set"]
+    assert bad == []
+
+
 def test_pykernels_walks_match_lex_scan():
     checked, bad = walk_mismatches()
     assert checked == WALKS_CHECKED
@@ -228,14 +271,19 @@ def test_checks_hold_under_python_O():
     code = (
         "import json, test_fast_paths as T\n"
         "print(json.dumps([T.validation_mismatches(), T.leaf_mismatches(),\n"
-        "                  T.walk_mismatches(), T.forged_witness_outcomes()]))\n"
+        "                  T.walk_mismatches(), T.forged_witness_outcomes(),\n"
+        "                  T.bound_mismatches()]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    (v_checked, v_bad), (l_checked, l_bad), (w_checked, w_bad), forged = json.loads(proc.stdout)
+    (v_checked, v_bad), (l_checked, l_bad), (w_checked, w_bad), forged, bound = json.loads(
+        proc.stdout
+    )
     assert v_checked > 1000 and v_bad == []
     assert l_checked == 208 * 4 * 2 * 3 and l_bad == []
     assert w_checked == WALKS_CHECKED and w_bad == []
     assert forged == FORGED
+    b_checked, b_refuted, b_bad = bound
+    assert b_checked == BOUNDS_CHECKED and len(b_refuted) == 2 and b_bad == []
