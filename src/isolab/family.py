@@ -110,7 +110,7 @@ def build_family_graph(spec: FamilySpec) -> Graph:
     """Realize a spec: base edges, pendant edges, hook-to-attachment edges."""
     problems = validate_spec(spec)
     if problems:
-        if "disconnected" in problems[0] or "empty" in problems[0]:
+        if spec.base.order < 1 or not is_connected(spec.base):
             raise DisconnectedBase(problems[0])
         raise InvalidAttachment(problems[0])
     b = spec.base.order

@@ -86,11 +86,10 @@ from isolab.graphs import (
     canonical_code_of,
     components,
     is_connected,
-    iter_bits,
     masked_components,
     parse_graph6,
 )
-from isolab.solvers import is_extremal, isolating_sets_of_size
+from isolab.solvers import is_extremal
 
 MAX_ENUM_ORDER = 10
 # Connected classes on n = 1..MAX_ENUM_ORDER vertices (OEIS A001349).
@@ -150,9 +149,7 @@ def _orbit_heads(subsets, k: int, auts) -> list[int]:
 
 
 def _children_of(
-    parent: _Entry,
-    connected_final: bool,
-    descending: bool = False,
+    parent: _Entry, connected_final: bool
 ) -> list[tuple[tuple[int, ...], bytes, Optional[tuple[bytes, ...]]]]:
     """Accepted augmentations ``(child, code, auts)`` of one parent
     ``(adj, code, auts)``, deduped within the parent. A child's ``auts`` are
@@ -167,7 +164,7 @@ def _children_of(
     # docstring), and must touch every parent component to connect it.
     subsets = [
         s
-        for s in (range((1 << k) - 1, -1, -1) if descending else range(1 << k))
+        for s in range(1 << k)
         if s.bit_count() >= top + (1 if s & topmask else 0)
         and all(s & comp for comp in comps)
     ]
@@ -406,17 +403,28 @@ def _star_attachment_survivors(h: Graph, k: int) -> list[tuple[int, int]]:
 
     If some size-k isolating set of the host meets both attachment sets, it
     already isolates the extended graph, so the extension cannot be
-    extremal; only the surviving pairs need the full decision. A pair
-    survives exactly when S2 misses the union of the size-k isolating sets
-    that meet S1. Pairs come with S1 ascending, then S2 ascending.
+    extremal; only the surviving pairs need the full decision. Such a set
+    exists exactly when some v in S1 and some w in S2 lie in one, that is,
+    when the pair {v, w} extends: at most k - |{v, w}| more vertices isolate
+    the host together with it. With k <= n, a smaller isolating superset of
+    {v, w} pads up to size k, since supersets of an isolating set isolate;
+    with k > n there is no size-k set at all. So a pair survives exactly
+    when S2 misses the union of through[v] over v in S1. Pairs come with S1
+    ascending, then S2 ascending.
     """
-    through = [0] * h.order  # union of the size-k isolating sets holding v
-    for x in isolating_sets_of_size(h, k):
-        for v in iter_bits(x):
-            through[v] |= x
-    hit = [0] * (1 << h.order)  # hit[S1]: union of the sets meeting S1
+    adj, n = h.adj, h.order
+    through = [0] * n  # through[v]: the w such that {v, w} extends
+    if k <= n:
+        for v in range(n):
+            for w in range(v, n):
+                pair = (1 << v) | (1 << w)
+                covered = adj[v] | adj[w] | pair
+                if _backend.has_isolating_set(adj, n, k - pair.bit_count(), covered, 0):
+                    through[v] |= 1 << w
+                    through[w] |= 1 << v
+    hit = [0] * (1 << n)  # hit[S1]: union of through[v] over v in S1
     out = []
-    for s1 in range(1, 1 << h.order):
+    for s1 in range(1, 1 << n):
         low = s1 & -s1
         hit[s1] = hit[s1 ^ low] | through[low.bit_length() - 1]
         free = h.full_mask & ~hit[s1]

@@ -16,11 +16,10 @@ case of its own: both kernels decide k = 0 on the empty graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from isolab import _backend
 from isolab._pykernels import _edge_vertex
-from isolab.graphs import Graph, bit_list, closed_neighborhood, is_connected, write_graph6
+from isolab.graphs import Graph, closed_neighborhood, is_connected, write_graph6
 
 
 @dataclass(frozen=True)
@@ -52,35 +51,6 @@ def has_isolating_set(g: Graph, k: int) -> bool:
 
 def has_dominating_set(g: Graph, k: int) -> bool:
     return _backend.has_dominating_set(g.adj, g.order, k)
-
-
-def lex_extensions(g: Graph, first, size: int, chosen: int = 0) -> Iterator[int]:
-    """Every set X of exactly ``size`` vertices outside ``chosen`` such that
-    ``chosen | X`` has the property ``first`` finds, in ascending
-    lexicographic order of their sorted vertex tuples.
-
-    ``first`` is a kernel walk, ``first(adj, n, k, covered, forbidden)``
-    (``first_isolating_set`` or ``first_dominating_set``), for a property
-    kept by supersets. After X = {x1 < ... < xk}, the next set keeps the
-    longest prefix x1..x(i-1) that has a completion above xi: it is that
-    prefix plus the first walk of size k - i + 1 from the prefix's closed
-    neighborhood, with every vertex up to xi forbidden. So each set costs
-    at most ``size`` kernel calls.
-    """
-    adj, n = g.adj, g.order
-    x = first(adj, n, size, closed_neighborhood(g, chosen), chosen)
-    while x >= 0:
-        yield x
-        # xi is the depth-th vertex of X from the top
-        for depth, xi in enumerate(reversed(bit_list(x)), 1):
-            prefix = x & ((1 << xi) - 1)
-            covered = closed_neighborhood(g, chosen | prefix)
-            tail = first(adj, n, depth, covered, chosen | ((2 << xi) - 1))
-            if tail >= 0:
-                x = prefix | tail
-                break
-        else:
-            return
 
 
 def _lex_least(g: Graph, decide, first, check) -> SolveResult:
@@ -119,8 +89,3 @@ def is_extremal(g: Graph) -> bool:
     if n == 0 or n % 3 != 0 or not is_connected(g):
         return False
     return not has_isolating_set(g, n // 3 - 1)
-
-
-def isolating_sets_of_size(g: Graph, k: int) -> Iterator[int]:
-    """All isolating sets of exactly size k, ascending lexicographically."""
-    return lex_extensions(g, _backend.first_isolating_set, k)

@@ -18,7 +18,6 @@ from isolab import _backend
 from isolab import graphs as G
 from isolab._pykernels import _AUT_CAP
 from isolab.partition import TriPartition, partition3, verify_partition
-from isolab.solvers import lex_extensions
 
 
 def decode_graph6_reference(line: str) -> tuple[int, set[frozenset[int]]]:
@@ -321,12 +320,9 @@ def extend_pair_check(h: G.Graph, k: int) -> dict[tuple[int, int], int | None]:
     out = {}
     for z1, z2 in combinations(range(h.order), 2):
         base = (1 << z1) | (1 << z2)
-        witness = None
-        if k >= 2:
-            for extra in lex_extensions(h, _backend.first_isolating_set, k - 2, base):
-                witness = base | extra
-                break
-        out[(z1, z2)] = witness
+        covered = G.closed_neighborhood(h, base)
+        extra = _backend.first_isolating_set(h.adj, h.order, k - 2, covered, base)
+        out[(z1, z2)] = None if extra < 0 else base | extra
     return out
 
 

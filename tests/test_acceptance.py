@@ -64,6 +64,30 @@ def test_supporting_order9_catalog_bytes(report9):
     assert hashlib.sha256((text + "\n").encode()).hexdigest() == ORDER9_OUTPUT_SHA256
 
 
+# sha256 of each derived catalog, its lines joined by newlines with a final
+# newline: the exceptional graphs at orders 6, 9 and 12, and the 344
+# extremal order-15 star extensions of criterion 10.
+EXCEPTIONAL_SHA256 = {
+    6: "ec74e94e05c4adc6257bbab09cc5d4f0576b5517bbbfaf87e38ab9eb1fbf5bb1",
+    9: "499f52ec8c08e75d3e619e350e1e42ab691f1f73a4f571fdb9e0cea18b21f15d",
+    12: "e479b3dc358fdcf28a84d5b856bfdebf7c88448c1d23d9bcc0352a3eced2811a",
+}
+ORDER15_EXTREMAL_SHA256 = "5f2fab6f6999cb175a1a10e176fc44e53f1e89347cf7a8fcde0bb6830d60c42d"
+
+
+def _lines_sha256(lines: list[str]) -> str:
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+def test_supporting_derived_catalog_bytes(exceptional):
+    for order, want in EXCEPTIONAL_SHA256.items():
+        assert _lines_sha256(exceptional[order]) == want, order
+    hosts = {code for code, _ in lab.enumerate_family_members(12)}
+    extremal = lab._extremal_star_extensions(sorted(hosts | set(exceptional[12])), THREADS)[1]
+    assert len(extremal) == 344
+    assert _lines_sha256(extremal) == ORDER15_EXTREMAL_SHA256
+
+
 def test_criterion_02_exceptional_counts(exceptional):
     assert len(exceptional[6]) == 3
     assert len(exceptional[9]) == 8

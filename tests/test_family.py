@@ -115,6 +115,11 @@ class TestBuild:
         with pytest.raises(F.InvalidAttachment):
             F.build_family_graph(spec)
 
+    def test_empty_attachment_on_a_connected_base_raises_invalid_attachment(self):
+        spec = F.FamilySpec(k1(), (F.PendantAttachment("K2", ()),))
+        with pytest.raises(F.InvalidAttachment, match="empty attachment"):
+            F.build_family_graph(spec)
+
     def test_disconnected_base_raises(self):
         base = G.empty_graph(2)
         spec = F.FamilySpec(

@@ -58,14 +58,24 @@ class TestEnumeration:
             assert G.canonical_code(g).decode() == line
             assert G.is_connected(g)
 
-    def test_two_augmentation_orders_agree(self):
-        for n in (5, 6, 7):
-            descending = sorted(
-                code.decode()
-                for parent in lab._all_graphs_level(n - 1)
-                for _, code, _ in lab._children_of(parent, True, descending=True)
-            )
-            assert descending == lab.enumerate_connected(n)
+    def test_relabeled_parents_give_the_same_children(self):
+        # A relabeled parent walks the same subsets in another order. It
+        # carries the automorphisms of its own canon_form call, as a level
+        # entry does.
+        rng = random.Random(21)
+        parents = 0
+        for k in range(1, 7):
+            for padj, pcode, auts in lab._all_graphs_level(k):
+                perm = list(range(k))
+                rng.shuffle(perm)
+                radj = oracles.relabel(G.Graph(k, padj), perm).adj
+                rauts = tuple(map(bytes, lab._backend.canon_form(radj, k)[3]))
+                for connected_final in (False, True):
+                    want = lab._children_of((padj, pcode, auts), connected_final)
+                    got = lab._children_of((radj, pcode, rauts), connected_final)
+                    assert sorted(c[1] for c in got) == sorted(c[1] for c in want)
+                parents += 1
+        assert parents == 208
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -199,15 +209,14 @@ def _reference_accepts(parent, connected_final):
     return out
 
 
-def _reference_children(verdicts, descending, connected_final, root_cell=True):
-    """The first child of each accepted class, in the given order. With
+def _reference_children(verdicts, connected_final, root_cell=True):
+    """The first child of each accepted class, in subset order. With
     ``root_cell``, a subset whose new vertex is outside the last root cell
     is skipped before the dedupe. Each child carries the automorphisms of
     its own canon_form call, or None on a connected final level."""
-    order = reversed(verdicts) if descending else verdicts
     out = []
     seen = set()
-    for item in order:
+    for item in verdicts:
         if item is None:
             continue
         child, code, accepted, in_last_cell = item
@@ -230,10 +239,9 @@ def test_pruned_augmentation_matches_unpruned(connected_final):
     for k in range(1, 7):
         for parent in lab._all_graphs_level(k):
             verdicts = _reference_accepts(parent, connected_final)
-            for descending in (False, True):
-                assert lab._children_of(
-                    parent, connected_final, descending
-                ) == _reference_children(verdicts, descending, connected_final)
+            assert lab._children_of(parent, connected_final) == _reference_children(
+                verdicts, connected_final
+            )
 
 
 def test_levels_carry_each_parents_automorphisms():
@@ -285,10 +293,9 @@ def test_orbit_pruned_children_on_symmetric_parents(connected_final):
     verdicts = [_reference_accepts(p, connected_final) for p in parents]
     for cut in (None, 1):
         for (padj, pcode, auts), verdict in zip(parents, verdicts):
-            for descending in (False, True):
-                assert lab._children_of(
-                    (padj, pcode, auts[:cut]), connected_final, descending
-                ) == _reference_children(verdict, descending, connected_final)
+            assert lab._children_of(
+                (padj, pcode, auts[:cut]), connected_final
+            ) == _reference_children(verdict, connected_final)
 
 
 def test_children_accepted_through_the_deletion_test():
@@ -302,11 +309,10 @@ def test_children_accepted_through_the_deletion_test():
         verdicts = _reference_accepts(parent, True)
         skipped_accepts = [v for v in verdicts if v and v[2] and not v[3]]
         assert len(skipped_accepts) == 1
-        for descending in (False, True):
-            children = lab._children_of(parent, True, descending)
-            assert children == _reference_children(verdicts, descending, True)
-            unfiltered = _reference_children(verdicts, descending, True, False)
-            assert {c[1] for c in children} == {c[1] for c in unfiltered}
+        children = lab._children_of(parent, True)
+        assert children == _reference_children(verdicts, True)
+        unfiltered = _reference_children(verdicts, True, False)
+        assert {c[1] for c in children} == {c[1] for c in unfiltered}
 
 
 @pytest.mark.parametrize("connected_final", [False, True])
@@ -320,9 +326,8 @@ def test_children_unchanged_with_the_finest_orbits(monkeypatch, connected_final)
     parents += [level[c] for c in (b"E@N?", b"EFzg", b"F@Tkw", b"F@YQw", b"F@U^?")]
     parents += _most_symmetric_parents(5)
     want = [
-        _reference_children(_reference_accepts(p, connected_final), d, connected_final)
+        _reference_children(_reference_accepts(p, connected_final), connected_final)
         for p in parents
-        for d in (False, True)
     ]
     canon_form = lab._backend.canon_form
 
@@ -345,10 +350,9 @@ def test_children_unchanged_with_the_finest_orbits(monkeypatch, connected_final)
     got = []
     verdicts = set()
     for parent in parents:
-        for descending in (False, True):
-            deletions.clear()
-            got.append(lab._children_of(parent, connected_final, descending))
-            verdicts |= {code == parent[1] for code in deletions}
+        deletions.clear()
+        got.append(lab._children_of(parent, connected_final))
+        verdicts |= {code == parent[1] for code in deletions}
     assert got == want
     # the deletion test both accepts and rejects children
     assert verdicts == {False, True}
@@ -373,7 +377,7 @@ def _reference_survivors(h, k):
     ]
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_star_attachment_survivors_match_reference(small_connected, k):
     without_sets = 0
     for n in range(1, 7):
@@ -382,6 +386,15 @@ def test_star_attachment_survivors_match_reference(small_connected, k):
             assert lab._star_attachment_survivors(h, k) == want
             without_sets += not _brute_isolating_sets(h, k)
     assert without_sets > 0
+
+
+def test_star_attachment_survivors_on_the_compiled_core(core, use_backend, small_connected):
+    # The pair questions start from a state, which the core takes only as
+    # both masks together.
+    use_backend(core)
+    for n in range(1, 7):
+        for h in small_connected[n]:
+            assert lab._star_attachment_survivors(h, 3) == _reference_survivors(h, 3)
 
 
 @pytest.mark.parametrize("count", [0, 1, 17])

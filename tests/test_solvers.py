@@ -156,21 +156,6 @@ class TestWitnessWalk:
                 random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
             )
 
-    def test_isolating_sets_of_size_match_brute_force(self, small_connected):
-        above_iota = 0
-        for n in range(1, 7):
-            for g in small_connected[n]:
-                iota = S.isolation_number(g).value
-                for k in range(4):
-                    want = [
-                        G.bits_of(c)
-                        for c in combinations(range(n), k)
-                        if S.is_isolating(g, G.bits_of(c))
-                    ]
-                    assert list(S.isolating_sets_of_size(g, k)) == want
-                    above_iota += k > iota and bool(want)
-        assert above_iota > 0
-
     def test_walk_that_finds_nothing_raises(self):
         def decide(adj, n, k):
             # claims a set of size 1 exists
