@@ -460,14 +460,15 @@ static int rec(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, long budg
     return 0;
 }
 
-/* Parse (adj, n, k[, covered, forbidden]). Only the low 64 bits of a mask are
- * read, and bits at or above n never matter, as in the Python fallback.
+/* Parse (adj, n, k[, covered[, forbidden]]), all positional, as in the Python
+ * fallback. Only the low 64 bits of a mask are read, and bits at or above n
+ * never matter.
  * *overflow is set as by PyLong_AsLongAndOverflow when k does not fit. */
 static int parse_query(PyObject *const *args, Py_ssize_t nargs, const char *fname, u64 *a,
                        int *n, u64 *full, long *k, int *overflow, u64 *state) {
     int i;
-    if (nargs != 3 && nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 3 or 5 arguments (%zd given)", fname, nargs);
+    if (nargs < 3 || nargs > 5) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 3 to 5 arguments (%zd given)", fname, nargs);
         return -1;
     }
     if (parse_graph(args, a, n, full) < 0)
@@ -571,19 +572,19 @@ static PyMethodDef core_methods[] = {
      "graphs with many more: K_n and the empty graph take 0.4 s at n = 20 and 7 s\n"
      "at n = 21."},
     {"has_isolating_set", (PyCFunction)(void (*)(void))has_isolating_set, METH_FASTCALL,
-     "has_isolating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
+     "has_isolating_set(adj, n, k[, covered[, forbidden]]) -> whether a set of <= k vertices\n"
      "isolates the graph; the search starts with covered vertices removed and never\n"
      "chooses a forbidden one (both default 0; bits at or above n are ignored)."},
     {"has_dominating_set", (PyCFunction)(void (*)(void))has_dominating_set, METH_FASTCALL,
-     "has_dominating_set(adj, n, k[, covered, forbidden]) -> whether a set of <= k vertices\n"
+     "has_dominating_set(adj, n, k[, covered[, forbidden]]) -> whether a set of <= k vertices\n"
      "dominates the graph; the search starts with covered vertices dominated and never\n"
      "chooses a forbidden one (both default 0; bits at or above n are ignored)."},
     {"first_isolating_set", (PyCFunction)(void (*)(void))first_isolating_set, METH_FASTCALL,
-     "first_isolating_set(adj, n, k[, covered, forbidden]) -> the lex-least isolating set of\n"
+     "first_isolating_set(adj, n, k[, covered[, forbidden]]) -> the lex-least isolating set of\n"
      "exactly k vertices from the start state of has_isolating_set, as a mask, or -1 when\n"
      "there is none (always for k < 0 or k > n); at most n decisions in one call."},
     {"first_dominating_set", (PyCFunction)(void (*)(void))first_dominating_set, METH_FASTCALL,
-     "first_dominating_set(adj, n, k[, covered, forbidden]) -> the lex-least dominating set of\n"
+     "first_dominating_set(adj, n, k[, covered[, forbidden]]) -> the lex-least dominating set of\n"
      "exactly k vertices from the start state of has_dominating_set, as a mask, or -1 when\n"
      "there is none (always for k < 0 or k > n); at most n decisions in one call."},
     {NULL, NULL, 0, NULL},

@@ -497,7 +497,7 @@ def _first(rec, adj, n, k, covered, forbidden):
     return found
 
 
-def has_isolating_set(adj, n, k, covered=0, forbidden=0):
+def has_isolating_set(adj, n, k, covered=0, forbidden=0, /):
     """Decide whether some vertex set of size <= k isolates the graph
     (False for k < 0), by the search of ``_isolating_search``.
 
@@ -516,7 +516,7 @@ def has_isolating_set(adj, n, k, covered=0, forbidden=0):
     return _isolating_search(adj, n)(covered, forbidden, k)
 
 
-def has_dominating_set(adj, n, k, covered=0, forbidden=0):
+def has_dominating_set(adj, n, k, covered=0, forbidden=0, /):
     """Decide whether some vertex set of size <= k dominates every vertex
     (False for k < 0), starting from ``covered`` vertices already dominated
     and with ``forbidden`` vertices never chosen, as in has_isolating_set,
@@ -528,14 +528,14 @@ def has_dominating_set(adj, n, k, covered=0, forbidden=0):
     return _dominating_search(adj, n)(covered, forbidden, k)
 
 
-def first_isolating_set(adj, n, k, covered=0, forbidden=0):
+def first_isolating_set(adj, n, k, covered=0, forbidden=0, /):
     """The lex-least isolating set of exactly k vertices outside
     ``forbidden``, from the start state of ``has_isolating_set``, as a
     mask; -1 when there is none (always for k < 0 or k > n)."""
     return _first(_isolating_search(adj, n), adj, n, k, covered, forbidden)
 
 
-def first_dominating_set(adj, n, k, covered=0, forbidden=0):
+def first_dominating_set(adj, n, k, covered=0, forbidden=0, /):
     """The lex-least dominating set of exactly k vertices, as
     ``first_isolating_set``."""
     return _first(_dominating_search(adj, n), adj, n, k, covered, forbidden)

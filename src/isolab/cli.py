@@ -71,11 +71,14 @@ def _input_lines(paths: list[str]) -> Iterable[str]:
 
 
 def _for_each_graph(args) -> int:
+    # An answer is the fixed-shape rest of its record as JSON text. The line
+    # needs only its backslashes escaped, because parse_graph6 accepted it
+    # and so every character is in ?..~; an error's detail may hold lone
+    # surrogates from undecodable input, so error records go through _emit.
     status = 0
     for line in _input_lines(args.inputs):
         try:
-            _emit({"graph6": line, **args.answer(parse_graph6(line), args)})
-            continue
+            rest = args.answer(parse_graph6(line), args)
         except Graph6Error as exc:
             error = {"error": "graph6", "detail": str(exc)}
         except NoValidPartition:
@@ -84,50 +87,58 @@ def _for_each_graph(args) -> int:
             error = {"error": "engine_gap", "detail": str(exc)}
         except ValueError as exc:
             error = {"error": "domain", "detail": str(exc)}
+        else:
+            sys.stdout.write('{"graph6":"' + line.replace("\\", "\\\\") + '",' + rest + "}\n")
+            continue
         _emit({"graph6": line, **error})
         status = 1
     return status
 
 
+def _ints(mask: int) -> str:
+    """The vertices of a set as a JSON array."""
+    return "[" + ",".join(map(str, bit_list(mask))) + "]"
+
+
 # The query commands' answers look the solvers up by name at each call, so
 # that a wrapper installed on those names sees every call.
-def _iso(g, args) -> dict:
+def _iso(g, args) -> str:
     r = isolation_number(g)
-    return {"n": g.order, "iota": r.value, "witness": bit_list(r.witness)}
+    return f'"n":{g.order},"iota":{r.value},"witness":{_ints(r.witness)}'
 
 
-def _dom(g, args) -> dict:
+def _dom(g, args) -> str:
     r = domination_number(g)
-    return {"n": g.order, "gamma": r.value, "witness": bit_list(r.witness)}
+    return f'"n":{g.order},"gamma":{r.value},"witness":{_ints(r.witness)}'
 
 
-def _partition3(g, args) -> dict:
+def _partition3(g, args) -> str:
     tp, steps = partition3(g)
-    out = {
-        "n": g.order,
-        "classes": [bit_list(c) for c in tp.classes],
-        "residual": bit_list(tp.residual),
-    }
+    classes = ",".join(map(_ints, tp.classes))
+    out = f'"n":{g.order},"classes":[{classes}],"residual":{_ints(tp.residual)}'
     if args.trace:
-        out["trace"] = [
-            {
-                "kind": s.kind,
-                "vertices": list(s.vertices),
-                "colors": {str(v): c for v, c in sorted(s.colors.items())},
-            }
+        # Rule names are plain identifiers; colors are keyed by vertex, in
+        # vertex order, with the keys as decimal strings.
+        trace = ",".join(
+            '{"kind":"' + s.kind + '","vertices":[' + ",".join(map(str, s.vertices))
+            + '],"colors":{' + ",".join(f'"{v}":{c}' for v, c in sorted(s.colors.items()))
+            + "}}"
             for s in steps
-        ]
+        )
+        out += f',"trace":[{trace}]'
     return out
 
 
-def _recognize(g, args) -> dict:
+def _recognize(g, args) -> str:
     spec = family.recognize_family(g)
-    return {"member": spec is not None, "spec": family.spec_to_json(spec) if spec else None}
+    if spec is None:
+        return '"member":false,"spec":null'
+    return '"member":true,"spec":' + _encode(family.spec_to_json(spec))
 
 
-def _star(g, args) -> dict:
+def _star(g, args) -> str:
     star = lab.find_reducing_star(g)
-    return {"n": g.order, "center": star.center, "leaves": bit_list(star.leaves)}
+    return f'"n":{g.order},"center":{star.center},"leaves":{_ints(star.leaves)}'
 
 
 def _cmd_gen_g(args) -> int:

@@ -235,6 +235,16 @@ _G6_COLUMNS = {
 }
 
 
+def _decoded_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph built without ``__post_init__``'s checks, for rows that
+    parse_graph6 made valid by construction; every other caller goes
+    through ``Graph(...)``."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "order", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a Graph.
 
@@ -287,7 +297,9 @@ def parse_graph6(text: str) -> Graph:
         lower |= ((body >> at) & run) << row
     m = lower | _transpose(lower, swaps)
     rows = array(code, m.to_bytes(width * n // 8, sys.byteorder))
-    return Graph(n, tuple(rows))
+    # Symmetric by the transpose, loop-free and inside the order because the
+    # runs sit below the diagonal: nothing for __post_init__ to check.
+    return _decoded_graph(n, tuple(rows))
 
 
 def write_graph6(g: Graph) -> str:

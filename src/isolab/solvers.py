@@ -26,8 +26,8 @@ from isolab.graphs import Graph, closed_neighborhood, is_connected, write_graph6
 class SolveResult:
     """Optimal parameter value plus a witness attaining it.
 
-    The witness is the lexicographically least optimal set (as a sorted
-    vertex tuple), so repeated solves are byte-identical.
+    The witness is the lexicographically least optimal set, as a vertex
+    mask, so repeated solves are byte-identical.
     """
 
     value: int

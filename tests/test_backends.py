@@ -358,14 +358,26 @@ def test_decisions_take_any_integer_k(request, backend):
             assert decide((2, 1), 2, k) is False
 
 
-def test_start_state_takes_both_masks_or_neither(core):
-    g = G.path_graph(4)
-    for fn in (getattr(core, name) for name in KERNEL_QUERIES):
-        assert fn(g.adj, 4, 1) == fn(g.adj, 4, 1, 0, 0)
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_start_state_takes_three_to_five_positional_arguments(request, backend):
+    # covered alone means forbidden = 0 on both backends, and a keyword
+    # call fails on both, so a call that runs on one runs on the other.
+    kernels = kernels_of(request, backend)
+    g = G.cycle_graph(6)
+    for name in KERNEL_QUERIES:
+        fn = getattr(kernels, name)
+        for k in range(-1, 5):
+            assert fn(g.adj, 6, k) == fn(g.adj, 6, k, 0, 0), (name, k)
+            for covered in (0b000001, 0b000110, 0b101010, 0b111111):
+                assert fn(g.adj, 6, k, covered) == fn(g.adj, 6, k, covered, 0), (name, k)
         with pytest.raises(TypeError):
-            fn(g.adj, 4, 1, 0)
+            fn(g.adj, 6, 1, covered=1)
         with pytest.raises(TypeError):
-            fn(g.adj, 4, 1, 0, 0, 0)
+            fn(g.adj, 6, 1, covered=1, forbidden=0)
+        with pytest.raises(TypeError):
+            fn(g.adj, 6)
+        with pytest.raises(TypeError):
+            fn(g.adj, 6, 1, 0, 0, 0)
 
 
 def test_core_constants_match_the_python_kernels():

@@ -406,6 +406,17 @@ class TestProcessLevel:
         assert outs[0] == outs[1]
 
 
+def test_answer_record_escapes_backslashes(capsys, monkeypatch):
+    # A backslash is the one graph6 character that JSON escapes; it heads
+    # every line of order 29.
+    line = G.write_graph6(G.path_graph(29))
+    assert line[0] == "\\"
+    code, out, _ = run_cli(capsys, ["star", "-"], line + "\n", monkeypatch)
+    assert code == 0
+    assert out.startswith('{"graph6":' + json.dumps(line) + ",")
+    assert json.loads(out)["graph6"] == line
+
+
 # sha256 of each query command's stdout over the query corpus: any changed
 # output byte on the query path changes one of them.
 QUERY_SHA256 = {

@@ -202,11 +202,16 @@ class TestGraph6:
             G.parse_graph6("~~????")
 
     def test_matches_bitwise_decoder_at_every_order(self):
+        # The empty and complete graphs set no bit and every bit of each
+        # packing width; the validating constructor accepts what the
+        # decoder builds unchecked.
         rng = random.Random(6)
         for n in range(G.MAX_ORDER + 1):
-            for p in (0.1, 0.5, 0.9):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
                 line = G.write_graph6(random_graph(rng, n, p))
-                assert G.parse_graph6(line) == bitwise_parse_graph6(line)
+                g = G.parse_graph6(line)
+                assert g == bitwise_parse_graph6(line)
+                assert G.Graph(g.order, g.adj) == g
 
     @pytest.mark.parametrize("line, offset", [
         ("", 0),
