@@ -19,7 +19,11 @@
  * in nondecreasing degree and every cell of the refined root partition keeps
  * its range of positions. canon_form(adj, n, last) with 0 <= last < n returns
  * None when vertex last is outside that last cell, after the root refinement
- * alone, and otherwise searches on from the refined cells.
+ * alone, and otherwise searches on from the refined cells. The automorphisms
+ * of the parent that fix the new vertex's neighborhood come in as known:
+ * canon_form(adj, n, last, known) merges them into the orbits and records
+ * them before the search, so they prune it as found ones do, and the labels
+ * and body are those of the call without known.
  *
  * The decisions has_isolating_set and has_dominating_set run rec from a start
  * state; first_isolating_set and first_dominating_set run first(), the walk
@@ -74,6 +78,15 @@ static void uf_union(CS *s, int a, int b) {
         s->uf[rb] = ra;
     else if (rb < ra)
         s->uf[ra] = rb;
+}
+
+/* Merge gamma's cycles into the orbits and record gamma while under the cap. */
+static void add_aut(CS *s, const signed char *gamma) {
+    int i;
+    for (i = 0; i < s->n; i++)
+        uf_union(s, i, gamma[i]);
+    if (s->naut < AUT_CAP)
+        memcpy(s->auts[s->naut++], gamma, (size_t)s->n);
 }
 
 /* graph6 body of the graph relabeled so that position i holds vertex vx[i]:
@@ -162,12 +175,12 @@ static int refine(const CS *s, int *vx, int *cstart, int ncells) {
 /* On a refined partition, either record a leaf (keeping the greatest body,
  * collecting automorphisms from equal ones) or individualize each member of
  * the first non-singleton cell in turn, refine, and recurse, skipping members
- * that a known automorphism maps onto one already tried. */
+ * that a given or found automorphism maps onto one already tried. */
 static void search(CS *s, int *vx, int *cstart, int ncells) {
     unsigned char body[MAX_BODY];
     int pos[MAXN], members[MAXN], tried[MAXN], cvx[MAXN], ccs[MAXN + 1];
     int t = -1, c, i, j, mi, v, skip, ntried, cmp, cellsz, w;
-    signed char *gamma;
+    signed char found[MAXN], *gamma;
 
     for (c = 0; c < ncells && t < 0; c++)
         if (cstart[c + 1] - cstart[c] > 1)
@@ -185,12 +198,8 @@ static void search(CS *s, int *vx, int *cstart, int ncells) {
         } else if (cmp == 0) {
             /* best_inv[i] -> vx[i] is an automorphism */
             for (i = 0; i < s->n; i++)
-                uf_union(s, s->best_inv[i], vx[i]);
-            if (s->naut < AUT_CAP) {
-                gamma = s->auts[s->naut++];
-                for (i = 0; i < s->n; i++)
-                    gamma[s->best_inv[i]] = (signed char)vx[i];
-            }
+                found[s->best_inv[i]] = (signed char)vx[i];
+            add_aut(s, found);
         }
         return;
     }
@@ -272,6 +281,61 @@ fail:
     return -1;
 }
 
+/* Merge each entry of known, the automorphisms the caller already has, into
+ * the orbits and record the first ones, as add_aut does for found ones. Every
+ * entry must be a sequence of n integers that permutes 0..n-1, checked
+ * before it is used; that it is an automorphism is the caller's contract.
+ * bytes entries, as isolab.lab passes them, are read without conversion. */
+static int load_known(CS *s, PyObject *known) {
+    PyObject *seq, *e, *g;
+    signed char gamma[MAXN];
+    long img[MAXN];
+    Py_ssize_t j, len;
+    int i, overflow;
+    u64 seen;
+    seq = PySequence_Fast(known, "known must be a sequence of permutations");
+    if (seq == NULL)
+        return -1;
+    for (j = 0; j < PySequence_Fast_GET_SIZE(seq); j++) {
+        e = PySequence_Fast_GET_ITEM(seq, j);
+        if (PyBytes_Check(e) && PyBytes_GET_SIZE(e) == s->n) {
+            for (i = 0; i < s->n; i++)
+                img[i] = (unsigned char)PyBytes_AS_STRING(e)[i];
+        } else {
+            g = PySequence_Fast(e, "a known entry must be a sequence");
+            if (g == NULL)
+                goto fail;
+            len = PySequence_Fast_GET_SIZE(g);
+            for (i = 0; i < s->n && len == s->n; i++) {
+                img[i] = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(g, i), &overflow);
+                if (overflow)
+                    img[i] = -1;
+                else if (img[i] == -1 && PyErr_Occurred())
+                    break;
+            }
+            Py_DECREF(g);
+            if (PyErr_Occurred())
+                goto fail;
+            if (len != s->n)
+                goto not_perm;
+        }
+        for (i = 0, seen = 0; i < s->n; i++) {
+            if (img[i] < 0 || img[i] >= s->n || (seen >> img[i] & 1))
+                goto not_perm;
+            seen |= (u64)1 << img[i];
+            gamma[i] = (signed char)img[i];
+        }
+        add_aut(s, gamma);
+    }
+    Py_DECREF(seq);
+    return 0;
+not_perm:
+    PyErr_Format(PyExc_ValueError, "a known entry is not a permutation of range(%d)", s->n);
+fail:
+    Py_DECREF(seq);
+    return -1;
+}
+
 static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     CS s;
     int vx[MAXN], cstart[MAXN + 1], degs[MAXN];
@@ -280,13 +344,13 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
     u64 full;
     PyObject *labels, *body, *orbits, *auts;
     (void)self;
-    if (nargs != 2 && nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "canon_form() takes 2 or 3 arguments (%zd given)", nargs);
+    if (nargs < 2 || nargs > 4) {
+        PyErr_Format(PyExc_TypeError, "canon_form() takes 2 to 4 arguments (%zd given)", nargs);
         return NULL;
     }
     if (parse_graph(args, s.adj, &n, &full) < 0)
         return NULL;
-    if (nargs == 3) {
+    if (nargs >= 3) {
         last = PyLong_AsLongAndOverflow(args[2], &overflow);
         if (last == -1 && PyErr_Occurred())
             return NULL;
@@ -306,6 +370,8 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
             vx[j + 1] = vx[j];
         vx[j + 1] = i;
     }
+    if (nargs == 4 && load_known(&s, args[3]) < 0)
+        return NULL;
     ncells = 0;
     cstart[0] = 0;
     for (i = 1; i < n; i++)
@@ -340,7 +406,7 @@ static PyObject *canon_form(PyObject *self, PyObject *const *args, Py_ssize_t na
         PyList_SET_ITEM(labels, i, label);
         PyList_SET_ITEM(orbits, i, orbit);
     }
-    /* the automorphisms in the order found, gamma[v] = image of v */
+    /* the automorphisms given, then those found, gamma[v] = image of v */
     for (j = 0; j < s.naut; j++) {
         PyObject *gamma = PyList_New(n);
         if (gamma == NULL)
@@ -562,12 +628,15 @@ static PyObject *first_dominating_set(PyObject *self, PyObject *const *args, Py_
 
 static PyMethodDef core_methods[] = {
     {"canon_form", (PyCFunction)(void (*)(void))canon_form, METH_FASTCALL,
-     "canon_form(adj, n[, last]) -> (labels, body, orbits, auts), as in isolab._pykernels;\n"
-     "auts lists the first 96 automorphisms found, each as gamma[v] = image of v,\n"
-     "and a maximum-degree vertex of the last refined root cell is labeled last.\n"
-     "With 0 <= last < n, None when vertex last is outside that cell (found\n"
-     "without searching), else the same tuple; last outside -1..n-1 is a ValueError,\n"
-     "and one that is not an integer a TypeError. Below the root only the 96\n"
+     "canon_form(adj, n[, last[, known]]) -> (labels, body, orbits, auts), as in\n"
+     "isolab._pykernels; auts lists the automorphisms given in known, then those\n"
+     "found, the first 96 in all, each as gamma[v] = image of v, orbits are those\n"
+     "they generate, and a maximum-degree vertex of the last refined root cell is\n"
+     "labeled last. With 0 <= last < n, None when vertex last is outside that cell\n"
+     "(found without searching), else the same tuple; last outside -1..n-1 is a\n"
+     "ValueError, and one that is not an integer a TypeError. known, automorphisms\n"
+     "the caller has, prune the search but change no label or body; an entry that\n"
+     "is not a permutation of range(n) is a ValueError. Below the root only the 96\n"
      "recorded automorphisms prune the search, so its time grows exponentially on\n"
      "graphs with many more: K_n and the empty graph take 0.4 s at n = 20 and 7 s\n"
      "at n = 21."},

@@ -145,17 +145,25 @@ def _body_bytes(key, n):
     return bytes([(key >> s & 63) + 63 for s in range(nbits + pad - 6, -1, -6)])
 
 
-def canon_form(adj, n, last=-1):
+def canon_form(adj, n, last=-1, known=(), /):
     """Canonical labeling by refinement plus backtracking.
 
     Returns ``(labels, body, orbits, auts)`` where ``labels[v]`` is the
     canonical position of vertex ``v``, ``body`` is the graph6 bit packing
     of the relabeled adjacency (equal bodies for equal order <=>
-    isomorphic), ``auts`` lists the automorphisms discovered during the
-    search, the first ``_AUT_CAP`` of them in the order found, each as a
-    list with ``gamma[v]`` the image of ``v``, and ``orbits[v]`` is the
-    least vertex in ``v``'s orbit under every discovered automorphism (a
-    refinement of the true orbit partition, never coarser).
+    isomorphic), ``auts`` lists the automorphisms given in ``known`` and
+    then those discovered during the search, the first ``_AUT_CAP`` of
+    them, each as a list with ``gamma[v]`` the image of ``v``, and
+    ``orbits[v]`` is the least vertex in ``v``'s orbit under the
+    automorphisms given or found (a refinement of the true orbit
+    partition, never coarser).
+
+    ``known`` holds automorphisms the caller already has, each a sequence
+    with ``gamma[v]`` the image of ``v``. They prune the search as found
+    ones do, so labels and body do not depend on them, while ``orbits``
+    and ``auts`` may. An entry that is not a permutation of ``range(n)``
+    raises ``ValueError`` (``TypeError`` when it is not a sequence of
+    integers); that it is an automorphism is the caller's to ensure.
 
     The search starts from cells in ascending degree, refines them, and
     from then on refinement and individualization only split cells in
@@ -175,8 +183,13 @@ def canon_form(adj, n, last=-1):
     """
     if not -1 <= operator.index(last) < n:
         raise ValueError(f"last {last} outside -1..{n - 1}")
+    known = [list(map(operator.index, g)) for g in known]
+    if known:
+        ident = list(range(n))
+        if any(sorted(g) != ident for g in known):
+            raise ValueError(f"a known entry is not a permutation of range({n})")
     if n == 0:
-        return [], b"", [], []
+        return [], b"", [], known[:_AUT_CAP]
     bydeg = {}
     for v in range(n):
         d = adj[v].bit_count()
@@ -187,7 +200,8 @@ def canon_form(adj, n, last=-1):
         return None
     if len(cells0) == n:
         order = [c.bit_length() - 1 for c in cells0]
-        return _labels(order), _body_bytes(_body_key(adj, order), n), list(range(n)), []
+        body = _body_bytes(_body_key(adj, order), n)
+        return _labels(order), body, list(range(n)), known[:_AUT_CAP]
 
     best_key = -1
     best_order = None
@@ -203,6 +217,29 @@ def canon_form(adj, n, last=-1):
             parent[x], x = root, parent[x]
         return root
 
+    def record(gamma):
+        # Merge gamma's cycles into the orbits; the smaller root wins, so
+        # every root is the least vertex of its set.
+        fix = 0
+        for v, w in enumerate(gamma):
+            if v == w:
+                fix |= 1 << v
+                continue
+            while parent[v] != v:
+                v = parent[v]
+            while parent[w] != w:
+                w = parent[w]
+            if v < w:
+                parent[w] = v
+            elif w < v:
+                parent[v] = w
+        if len(auts) < _AUT_CAP:
+            auts.append(gamma)
+            fixed.append(fix)
+
+    for gamma in known:
+        record(gamma)
+
     def search(cells, prefix, t):
         # cells: a refined partition, singletons before index t; prefix: the
         # mask of the vertices individualized on the way here
@@ -217,21 +254,7 @@ def canon_form(adj, n, last=-1):
                 gamma = [0] * n
                 for u, v in zip(best_order, order):
                     gamma[u] = v
-                fix = 0
-                for v, w in enumerate(gamma):
-                    if v == w:
-                        fix |= 1 << v
-                        continue
-                    # The smaller root wins, so every root is the least
-                    # vertex of its set.
-                    rv, rw = find(v), find(w)
-                    if rv < rw:
-                        parent[rw] = rv
-                    elif rw < rv:
-                        parent[rv] = rw
-                if len(auts) < _AUT_CAP:
-                    auts.append(gamma)
-                    fixed.append(fix)
+                record(gamma)
             return
         while True:
             cell = cells[t]
@@ -247,9 +270,10 @@ def canon_form(adj, n, last=-1):
             x = m & -m
             m ^= x
             v = x.bit_length() - 1
-            # v is skipped when a known automorphism maps it to a vertex
-            # tried before: at the root any orbit merged so far counts,
-            # below it a recorded automorphism that fixes prefix pointwise.
+            # v is skipped when a given or found automorphism maps it to a
+            # vertex tried before: at the root any orbit merged so far
+            # counts, below it a recorded automorphism that fixes prefix
+            # pointwise.
             skip = False
             if not prefix:
                 r = find(v)

@@ -32,7 +32,20 @@ They come with the parent from the level below: each entry of an
 all-graph level keeps the automorphisms of its own ``canon_form`` call,
 one ``bytes`` per automorphism, so no parent is canonized twice.
 
-Each child left is canonized as ``canon_form(child, k + 1, k)``, which
+Children inherit the parent's automorphisms (McKay 1998 again): one that
+maps the subset S onto itself, extended by k -> k, is an automorphism of
+S's child, and is passed to its ``canon_form`` call as ``known``, so that
+the search does not find it again. ``_images`` builds each automorphism's
+subset-image table once per parent, for the orbit heads and for this test.
+The labels and body cannot move. The body is the greatest leaf key, and
+the labels are those of the first leaf in search order that attains it.
+A subtree pruned by an automorphism that fixes the path to it is the
+image of an earlier sibling subtree, whose image of each leaf has an
+equal key and comes earlier. So the first greatest leaf is never pruned.
+The child's orbits and automorphisms may change, and any subgroup is
+enough here.
+
+Each child left is canonized as ``canon_form(child, k + 1, k, known)``, which
 refines the child's degree partition once and returns None, without
 searching, when the new vertex k is not in the last refined cell. The
 canonically-last vertex always lies in that cell (both backends split
@@ -115,14 +128,9 @@ def _delete_vertex(adj: tuple[int, ...], u: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_heads(subsets, k: int, auts) -> list[int]:
-    """The first subset, in the given order, of each orbit that the
-    subsets meet under the group generated by ``auts`` (permutations of
-    ``range(k)``), in that order."""
-    subsets = list(subsets)
-    if not auts:
-        return subsets
-    # images[g][s]: the image of subset s under auts[g], built a bit at a time
+def _images(k: int, auts) -> list[list[int]]:
+    """``images[g][s]``: the image of subset mask ``s`` under ``auts[g]``, a
+    permutation of ``range(k)``, each table built a bit at a time."""
     images = []
     for gamma in auts:
         img = [0]
@@ -130,7 +138,17 @@ def _orbit_heads(subsets, k: int, auts) -> list[int]:
             bit = 1 << gamma[v]
             img += [s | bit for s in img]
         images.append(img)
-    reached = bytearray(1 << k)
+    return images
+
+
+def _orbit_heads(subsets, images) -> list[int]:
+    """The first subset, in the given order, of each orbit that the
+    subsets meet under the group generated by the permutations whose
+    ``_images`` tables are given, in that order."""
+    subsets = list(subsets)
+    if not images:
+        return subsets
+    reached = bytearray(len(images[0]))
     heads = []
     for s in subsets:
         if reached[s]:
@@ -168,13 +186,17 @@ def _children_of(
         if s.bit_count() >= top + (1 if s & topmask else 0)
         and all(s & comp for comp in comps)
     ]
+    images = _images(k, pauts)
+    # The parent's automorphisms with k -> k, and their subset images
+    extended = list(zip([gamma + bytes([k]) for gamma in pauts], images))
     out = []
     seen: set[bytes] = set()
-    for subset in _orbit_heads(subsets, k, pauts):
+    for subset in _orbit_heads(subsets, images):
         child = tuple(
             row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)
         ) + (subset,)
-        canon = _backend.canon_form(child, k + 1, k)
+        known = [g for g, img in extended if img[subset] == subset] if extended else ()
+        canon = _backend.canon_form(child, k + 1, k, known)
         if canon is None:  # k is outside the last root cell (docstring)
             continue
         labels, body, orbits, auts = canon

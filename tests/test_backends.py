@@ -201,13 +201,40 @@ def test_canon_rejects_last_outside_the_vertices(request, backend):
     assert kernels.canon_form((), 0, -1) == ([], b"", [], [])
 
 
-def test_core_canon_takes_two_or_three_arguments(core):
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_canon_takes_two_to_four_positional_arguments(request, backend):
+    kernels = kernels_of(request, backend)
     adj = G.path_graph(4).adj
-    assert core.canon_form(adj, 4, -1) == core.canon_form(adj, 4)
+    flip = [3, 2, 1, 0]
+    plain = kernels.canon_form(adj, 4)
+    assert kernels.canon_form(adj, 4, -1) == plain
+    assert kernels.canon_form(adj, 4, -1, ()) == plain
+    seeded = kernels.canon_form(adj, 4, 2, [flip])
+    assert seeded[:2] == plain[:2] and seeded[2] == [0, 1, 1, 0] and seeded[3][0] == flip
+    assert kernels.canon_form(adj, 4, 2, (bytes(flip),)) == seeded
+    assert kernels.canon_form(adj, 4, 0, [flip]) is None
+    # wrong length, a repeated image, an image >= n, a negative image
+    for bad in ([0, 1, 2], [3, 2, 1, 0, 4], [0, 0, 1, 2], [0, 1, 2, 4], [0, 1, 2, -1],
+                [0, 1, 2, 1 << 70]):
+        with pytest.raises(ValueError):
+            kernels.canon_form(adj, 4, -1, [flip, bad])
+        with pytest.raises(ValueError):
+            kernels.canon_form(adj, 4, 0, [bad])  # checked before the root exit
+        if all(0 <= w < 256 for w in bad):
+            with pytest.raises(ValueError):
+                kernels.canon_form(adj, 4, -1, [bytes(bad)])
+    for bad in (5, [5], [None], [[0, 1, 2, 3.0]], ["0123"]):
+        with pytest.raises(TypeError):
+            kernels.canon_form(adj, 4, -1, bad)
     with pytest.raises(TypeError):
-        core.canon_form(adj, 4, 3, 0)
+        kernels.canon_form(adj)
     with pytest.raises(TypeError):
-        core.canon_form(adj)
+        kernels.canon_form(adj, 4, -1, (), 0)
+    with pytest.raises(TypeError):
+        kernels.canon_form(adj, 4, last=-1)
+    assert kernels.canon_form((), 0, -1, [[]]) == ([], b"", [], [[]])
+    with pytest.raises(ValueError):
+        kernels.canon_form((), 0, -1, [[0]])
 
 
 def test_start_state_identical_on_all_graphs_up_to_6(core):

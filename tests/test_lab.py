@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
     random_theta,
     random_tree,
 )
-from isolab import _pykernels
+from isolab import _backend, _pykernels
 from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
@@ -42,6 +43,38 @@ class TestEnumeration:
     def test_order8_connected_bytes(self):
         text = "\n".join(lab.enumerate_connected(8)) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.CONNECTED8_SHA256
+
+    def test_order8_connected_bytes_on_the_compiled_core(self, core, use_backend, monkeypatch):
+        # The catalogs from empty memos with every kernel call on C.
+        monkeypatch.delenv("ISOLAB_CACHE_DIR", raising=False)
+        monkeypatch.setattr(lab, "_ALL_LEVELS", {})
+        monkeypatch.setattr(lab, "_CONNECTED", {})
+        use_backend(core)
+        text = "\n".join(lab.enumerate_connected(8)) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CONNECTED8_SHA256
+        assert len(lab.enumerate_all(7)) == self.ALL[7]
+
+    def test_order8_connected_canon_calls_do_not_grow(self, use_backend, monkeypatch):
+        # 18308 canon_form calls from empty memos: orbit pruning, the
+        # root-cell exit and the deletion test must not canonize more.
+        kernels = _backend.kernels
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return kernels.canon_form(*args)
+
+        names = ("has_isolating_set", "has_dominating_set", "first_isolating_set",
+                 "first_dominating_set")
+        use_backend(types.SimpleNamespace(
+            canon_form=counting, **{name: getattr(kernels, name) for name in names}
+        ))
+        monkeypatch.delenv("ISOLAB_CACHE_DIR", raising=False)
+        monkeypatch.setattr(lab, "_ALL_LEVELS", {})
+        monkeypatch.setattr(lab, "_CONNECTED", {})
+        assert len(lab.enumerate_connected(8)) == self.CONNECTED[8]
+        assert calls <= 18308
 
     def test_result_is_not_the_memo(self):
         first = lab.enumerate_connected(5)
@@ -185,6 +218,22 @@ def test_canon_labels_a_last_root_cell_vertex_last(request, backend):
                 assert kernels.canon_form(adj, n, v) == want
 
 
+def _child(padj, subset):
+    k = len(padj)
+    return tuple(row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)) + (subset,)
+
+
+def _inherited(pauts, subset):
+    """The parent automorphisms that map the subset onto itself, each
+    extended by k -> k: automorphisms of the subset's child."""
+    members = set(G.iter_bits(subset))
+    return [
+        gamma + bytes([len(gamma)])
+        for gamma in pauts
+        if {gamma[v] for v in members} == members
+    ]
+
+
 def _reference_accepts(parent, connected_final):
     """Per subset, unpruned: the child, its code, the canonical-parent
     verdict and whether the new vertex is in the last refined root cell, or
@@ -193,9 +242,7 @@ def _reference_accepts(parent, connected_final):
     k = len(padj)
     out = []
     for subset in range(1 << k):
-        child = tuple(
-            row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)
-        ) + (subset,)
+        child = _child(padj, subset)
         g = G.Graph(k + 1, child)
         if connected_final and not G.is_connected(g):
             out.append(None)
@@ -209,11 +256,12 @@ def _reference_accepts(parent, connected_final):
     return out
 
 
-def _reference_children(verdicts, connected_final, root_cell=True):
+def _reference_children(verdicts, connected_final, pauts=(), root_cell=True):
     """The first child of each accepted class, in subset order. With
     ``root_cell``, a subset whose new vertex is outside the last root cell
     is skipped before the dedupe. Each child carries the automorphisms of
-    its own canon_form call, or None on a connected final level."""
+    its own canon_form call, given the parent automorphisms ``pauts`` that
+    fix its subset, or None on a connected final level."""
     out = []
     seen = set()
     for item in verdicts:
@@ -228,7 +276,8 @@ def _reference_children(verdicts, connected_final, root_cell=True):
         if accepted:
             auts = None
             if not connected_final:
-                found = lab._backend.canon_form(child, len(child))[3]
+                known = _inherited(pauts, child[-1])
+                found = lab._backend.canon_form(child, len(child), -1, known)[3]
                 auts = tuple(bytes(gamma) for gamma in found)
             out.append((child, code, auts))
     return out
@@ -240,15 +289,60 @@ def test_pruned_augmentation_matches_unpruned(connected_final):
         for parent in lab._all_graphs_level(k):
             verdicts = _reference_accepts(parent, connected_final)
             assert lab._children_of(parent, connected_final) == _reference_children(
-                verdicts, connected_final
+                verdicts, connected_final, parent[2]
             )
 
 
-def test_levels_carry_each_parents_automorphisms():
-    for k in range(1, 8):
+def test_levels_carry_each_parents_automorphisms(monkeypatch):
+    # Each entry keeps the automorphisms of the canon_form call that made it
+    # a child, the inherited ones first.
+    canon_form = lab._backend.canon_form
+    calls = {}
+
+    def recording(adj, n, *rest):
+        result = canon_form(adj, n, *rest)
+        if rest and rest[0] == n - 1:
+            calls[tuple(adj)] = (result, rest[1:])
+        return result
+
+    monkeypatch.setattr(lab._backend, "canon_form", recording)
+    monkeypatch.setattr(lab, "_ALL_LEVELS", {})
+    inherited = 0
+    for k in range(2, 8):
         for padj, _, auts in lab._all_graphs_level(k):
-            found = lab._backend.canon_form(padj, k)[3]
+            (_, _, _, found), (known,) = calls[padj]
             assert [list(gamma) for gamma in auts] == found
+            assert found[: len(known)] == [list(gamma) for gamma in known]
+            inherited += bool(known)
+    assert inherited > 500
+
+
+def _seeded_children(k):
+    """(child, known) for every orbit-head subset of every parent on the
+    all-graph level k, with the known list that ``lab._children_of``
+    passes, here built by ``_inherited``."""
+    for padj, _, pauts in lab._all_graphs_level(k):
+        for subset in lab._orbit_heads(range(1 << k), lab._images(k, pauts)):
+            yield _child(padj, subset), _inherited(pauts, subset)
+
+
+def test_inherited_automorphisms_leave_labels_and_body(core):
+    # Children up to order 7: the seeded call gives the unseeded labels and
+    # body on both backends, and orbits that the returned auts generate.
+    seeded = 0
+    for k in range(1, 7):
+        for child, known in _seeded_children(k):
+            n = k + 1
+            edges = _edges(child)
+            got = _pykernels.canon_form(child, n, -1, known)
+            assert core.canon_form(child, n, -1, known) == got
+            labels, body, orbits, auts = got
+            assert (labels, body) == _pykernels.canon_form(child, n)[:2]
+            assert all(oracles.is_automorphism_ref(n, edges, g) for g in known)
+            assert all(oracles.is_automorphism_ref(n, edges, g) for g in auts)
+            assert orbits == oracles.orbit_minima_ref(n, auts)
+            seeded += bool(known)
+    assert seeded > 1000
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
@@ -281,7 +375,7 @@ def test_orbit_heads_match_brute_force_closure(descending):
         order = range((1 << k) - 1, -1, -1) if descending else range(1 << k)
         for subgroup in ([], auts[:1], auts):
             want = oracles.subset_orbit_heads_ref(k, subgroup, order)
-            assert lab._orbit_heads(order, k, subgroup) == want
+            assert lab._orbit_heads(order, lab._images(k, subgroup)) == want
 
 
 @pytest.mark.parametrize("connected_final", [False, True])
@@ -295,7 +389,7 @@ def test_orbit_pruned_children_on_symmetric_parents(connected_final):
         for (padj, pcode, auts), verdict in zip(parents, verdicts):
             assert lab._children_of(
                 (padj, pcode, auts[:cut]), connected_final
-            ) == _reference_children(verdict, connected_final)
+            ) == _reference_children(verdict, connected_final, auts[:cut])
 
 
 def test_children_accepted_through_the_deletion_test():
@@ -311,7 +405,7 @@ def test_children_accepted_through_the_deletion_test():
         assert len(skipped_accepts) == 1
         children = lab._children_of(parent, True)
         assert children == _reference_children(verdicts, True)
-        unfiltered = _reference_children(verdicts, True, False)
+        unfiltered = _reference_children(verdicts, True, root_cell=False)
         assert {c[1] for c in children} == {c[1] for c in unfiltered}
 
 
@@ -326,7 +420,7 @@ def test_children_unchanged_with_the_finest_orbits(monkeypatch, connected_final)
     parents += [level[c] for c in (b"E@N?", b"EFzg", b"F@Tkw", b"F@YQw", b"F@U^?")]
     parents += _most_symmetric_parents(5)
     want = [
-        _reference_children(_reference_accepts(p, connected_final), connected_final)
+        _reference_children(_reference_accepts(p, connected_final), connected_final, p[2])
         for p in parents
     ]
     canon_form = lab._backend.canon_form
