@@ -112,6 +112,12 @@ def _dom(g, args) -> str:
     return f'"n":{g.order},"gamma":{r.value},"witness":{_ints(r.witness)}'
 
 
+# A trace's vertex numerals, and its color entries '"v":c' by vertex, then
+# color (the replayed trace holds only colors 1 to 3).
+_NUMERALS = tuple(map(str, range(MAX_ORDER)))
+_COLOR_ENTRIES = tuple(tuple(f'"{v}":{c}' for c in range(4)) for v in range(MAX_ORDER))
+
+
 def _partition3(g, args) -> str:
     tp, steps = partition3(g)
     classes = ",".join(map(_ints, tp.classes))
@@ -119,12 +125,13 @@ def _partition3(g, args) -> str:
     if args.trace:
         # Rule names are plain identifiers; colors are keyed by vertex, in
         # vertex order, with the keys as decimal strings.
-        trace = ",".join(
-            '{"kind":"' + s.kind + '","vertices":[' + ",".join(map(str, s.vertices))
-            + '],"colors":{' + ",".join(f'"{v}":{c}' for v, c in sorted(s.colors.items()))
+        num, entry = _NUMERALS, _COLOR_ENTRIES
+        trace = ",".join([
+            '{"kind":"' + s.kind + '","vertices":[' + ",".join([num[v] for v in s.vertices])
+            + '],"colors":{' + ",".join([entry[v][c] for v, c in sorted(s.colors.items())])
             + "}}"
             for s in steps
-        )
+        ])
         out += f',"trace":[{trace}]'
     return out
 

@@ -426,60 +426,56 @@ def cut_vertices(g: Graph, mask: Optional[int] = None) -> int:
     vertices), in linear time.
 
     One iterative lowpoint depth-first search from the least vertex of the
-    mask (Tarjan 1972): a non-root vertex is a cut vertex when the subtree
-    of some DFS child has no edge reaching above it, the root when it has
-    two or more DFS children. Vertices outside the mask count as already
-    seen, so the search never enters them. Masks of at most 2 vertices
-    have none. On disconnected input every vertex counts, except an
-    isolated vertex whose removal leaves exactly one component.
+    mask (Tarjan 1972), with the lowpoint kept as a set instead of a
+    discovery number: the DFS path is one mask, and each subtree passes up
+    the path vertices its edges reach. A non-root vertex is a cut vertex
+    when the subtree of some DFS child reaches no path vertex but it, the
+    root when it has two or more DFS children. Vertices outside the mask
+    count as already seen, so the search never enters them. Masks of at
+    most 2 vertices have none. On disconnected input every vertex counts,
+    except an isolated vertex whose removal leaves exactly one component.
     """
     if mask is None:
         mask = g.full_mask
     if mask.bit_count() <= 2:
         return 0
     adj = g.adj
-    n = g.order
-    disc = [0] * n  # discovery number
-    low = [0] * n  # least discovery number reachable from the subtree
-    up = [0] * n  # neighbors discovered earlier: the parent and back edges
+    # At discovery, the neighbors on the DFS path (the parent and the back
+    # edges); after the subtree finishes, every path vertex it reaches.
+    up = [0] * g.order
     root = (mask & -mask).bit_length() - 1
     stack = [root]
     seen = (g.full_mask & ~mask) | (1 << root)
-    clock = 1
+    path = 1 << root
     root_children = 0
     out = 0
     while stack:
         v = stack[-1]
         fresh = adj[v] & ~seen
         if fresh:
-            w = (fresh & -fresh).bit_length() - 1
-            up[w] = adj[w] & seen & mask
-            seen |= 1 << w
-            disc[w] = low[w] = clock
-            clock += 1
+            b = fresh & -fresh
+            w = b.bit_length() - 1
+            # Neighbors seen earlier are all on the path: a finished one
+            # would have entered w itself.
+            up[w] = adj[w] & path
+            seen |= b
+            path |= b
             stack.append(w)
             continue
         stack.pop()
-        # Neighbors discovered later are descendants and cannot lower it.
-        lo = low[v]
-        back = up[v]
-        while back:
-            b = back & -back
-            d = disc[b.bit_length() - 1]
-            if d < lo:
-                lo = d
-            back ^= b
-        low[v] = lo
+        path ^= 1 << v
         if not stack:
             break
         p = stack[-1]
         if p == root:
             root_children += 1
         else:
-            if lo >= disc[p]:
+            # The subtree reaches the parent by its tree edge; it reaches
+            # nothing above it exactly when the parent separates it.
+            reach = up[v] & path
+            if reach == 1 << p:
                 out |= 1 << p
-            if lo < low[p]:
-                low[p] = lo
+            up[p] |= reach
     if seen != g.full_mask:
         comps = masked_components(g, mask)
         if len(comps) == 2:

@@ -13,9 +13,14 @@ cut-vertex, degree-2 vertex, cycle of length divisible by 3. Each
 subproblem is the subgraph induced on a vertex mask, solved in place in
 the input graph's numbering, so every vertex in a trace is an input vertex.
 One pass per mask counts each vertex's degree inside it, and both base
-cases and the degree-2 rung are read from those counts. The verifier looks
-for an edge inside the leftover set with the decision kernels' own edge
-scan.
+cases and the degree-2 rung are read from those counts. The cut-vertex
+rung needs only the least cut vertex. A leaf's neighbor is a cut vertex
+and a leaf never is, so the least leaf neighbor bounds the answer, and
+the other vertices below it are probed in ascending order, each probe
+growing one side of the vertex until it holds all the vertex's neighbors.
+A mask with no leaves, or one whose probes have grown as many vertices as
+it holds, gets one full lowpoint search instead. The verifier looks for
+an edge inside the leftover set with the decision kernels' own edge scan.
 
 The cycle rung is the last one: a mask that reaches it has no cut vertex
 and no degree-2 vertex, so it is 2-connected with minimum degree at least
@@ -194,8 +199,14 @@ def _color_components(
             if forced:
                 colors[v] = forced[0][2]
             else:
-                nb = [colors[u] for u in iter_bits(g.adj[v] & colored_mask)]
-                colors[v] = min((nb.count(col), col) for col in COLORS)[1]
+                # The color fewest colored neighbors carry, the least on ties.
+                count = [0, 0, 0, 0]
+                m = g.adj[v] & colored_mask
+                while m:
+                    b = m & -m
+                    count[colors[b.bit_length() - 1]] += 1
+                    m ^= b
+                colors[v] = count.index(min(count[1:]), 1)
         elif size == 2 or is_c5(g, comp):
             verts = bit_list(comp)
             if size == 2 and not g.has_edge(verts[0], verts[1]):
@@ -206,7 +217,8 @@ def _color_components(
                 w, anchor, f = forced[0]
             else:
                 w = next(v for v in verts if g.adj[v] & colored_mask)
-                anchor, f = min(iter_bits(g.adj[w] & colored_mask)), None
+                nb = g.adj[w] & colored_mask
+                anchor, f = (nb & -nb).bit_length() - 1, None
             vcol = colors[anchor]
             if f is None:
                 f = [c for c in COLORS if c != vcol][0 if size == 2 else 1]
@@ -271,24 +283,78 @@ def _cycle_base_coloring(order: list[int]) -> dict[int, int]:
     return {v: pat[i] for i, v in enumerate(order)}
 
 
-def _reduce_cut_vertex(g: Graph, mask: int, cvs: int) -> list[TraceStep]:
-    v = (cvs & -cvs).bit_length() - 1
-    comps_v = masked_components(g, mask & ~(1 << v))
+def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
+    """The least cut vertex of the connected subgraph induced on ``mask``,
+    of at least 3 vertices, as one bit, or 0 when it has none; ``ones``
+    holds the mask's leaves.
+
+    The neighbor of a leaf is a cut vertex and a leaf never is, so with
+    leaves the answer is at most the least leaf neighbor b, and only the
+    other vertices below b are probed, in ascending order. A probe grows
+    the component of one neighbor of c inside ``mask`` without c and stops
+    once it holds all of c's neighbors. Once the probes have grown as many
+    vertices as the mask holds, or when there are no leaves, one lowpoint
+    search (``cut_vertices``) answers instead.
+    """
+    if ones:
+        adj = g.adj
+        hooks = 0
+        m = ones
+        while m:
+            b = m & -m
+            hooks |= adj[b.bit_length() - 1]
+            m ^= b
+        hooks &= mask
+        bound = hooks & -hooks
+        probe = mask & ~ones & (bound - 1)
+        budget = mask.bit_count()
+        while probe and budget > 0:
+            c = probe & -probe
+            probe ^= c
+            rest = mask ^ c
+            need = adj[c.bit_length() - 1] & rest
+            comp = frontier = need & -need
+            while frontier and need & ~comp:
+                grow = 0
+                while frontier:
+                    b = frontier & -frontier
+                    grow |= adj[b.bit_length() - 1]
+                    frontier ^= b
+                frontier = grow & rest & ~comp
+                comp |= frontier
+            if need & ~comp:
+                return c
+            budget -= comp.bit_count()
+        if not probe:
+            return bound
+    cvs = cut_vertices(g, mask)
+    return cvs & -cvs
+
+
+def _reduce_cut_vertex(g: Graph, mask: int, cv: int) -> list[TraceStep]:
+    """``cv`` holds the least cut vertex of ``mask``, as one bit."""
+    adj = g.adj
+    v = cv.bit_length() - 1
+    comps_v = masked_components(g, mask ^ cv)
     if len(comps_v) < 2:
         raise RuntimeError("cut-vertex reduction needs a cut vertex")
     nontrivial = 0
     for comp in comps_v:
         if comp.bit_count() >= 2:
             nontrivial |= comp
-    z = min(iter_bits(g.adj[v] & nontrivial))
-    y = min(iter_bits(g.adj[z] & mask & ~(1 << v)))
-    comp_z = next(c for c in comps_v if (c >> z) & 1)
+    zb = adj[v] & nontrivial
+    zb &= -zb
+    z = zb.bit_length() - 1
+    yb = adj[z] & (mask ^ cv)
+    y = (yb & -yb).bit_length() - 1
+    comp_z = next(c for c in comps_v if c & zb)
     # Removing z as well splits only its own component.
     comps = [c for c in comps_v if c != comp_z]
     comps += masked_components(g, comp_z & ~(1 << z))
     comps.sort(key=lambda c: c & -c)
     comp_y = next(c for c in comps if (c >> y) & 1)
-    x = min(iter_bits(g.adj[v] & mask & ~(1 << z) & ~comp_y))
+    xb = adj[v] & mask & ~zb & ~comp_y
+    x = (xb & -xb).bit_length() - 1
     pre = TraceStep("cut-vertex", (v, z))
     return _path_reduce(g, comps, [v, z], x, y, [pre])
 
@@ -332,7 +398,8 @@ def _reduce_degree_two(g: Graph, mask: int, deg2: int) -> list[TraceStep]:
     i = cyc.index(u)
     rot = cyc[i + 1 :] + cyc[:i]
     path = rot if rot[-1] == w else list(reversed(rot))
-    y = min(iter_bits(g.adj[w] & rest))
+    yb = g.adj[w] & rest
+    y = (yb & -yb).bit_length() - 1
     pre = TraceStep("degree-2", (u, w))
     comps = masked_components(g, mask & ~bits_of(path))
     return _path_reduce(g, comps, path, x=u, y=y, pre_steps=[pre])
@@ -371,9 +438,9 @@ def _solve(g: Graph, mask: int) -> list[TraceStep]:
         cyc = cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
         return [TraceStep("base-cycle", tuple(cyc), _cycle_base_coloring(cyc))]
 
-    cvs = cut_vertices(g, mask)
-    if cvs:
-        return _reduce_cut_vertex(g, mask, cvs)
+    cv = _least_cut_vertex(g, mask, ones)
+    if cv:
+        return _reduce_cut_vertex(g, mask, cv)
     if deg2:
         return _reduce_degree_two(g, mask, deg2)
     cyc = find_cycle_len_mod3(g, mask)

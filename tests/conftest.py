@@ -101,6 +101,22 @@ def random_sparse_connected(rng: random.Random, n: int) -> G.Graph:
     return _shuffled(rng, n, edges)
 
 
+def random_min_degree3(rng: random.Random, n: int) -> G.Graph:
+    """A random tree plus random edges at each vertex of degree below 3."""
+    edges = {(v, rng.randrange(v)) for v in range(1, n)}
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    for v in range(n):
+        while degree[v] < 3:
+            u = rng.choice([u for u in range(n) if u != v and (max(u, v), min(u, v)) not in edges])
+            edges.add((max(u, v), min(u, v)))
+            degree[u] += 1
+            degree[v] += 1
+    return _shuffled(rng, n, sorted(edges))
+
+
 def random_subdivision(rng: random.Random, core: int, n: int) -> G.Graph:
     """K_core with its edges subdivided at random up to n vertices: a
     2-connected graph with many degree-2 vertices."""

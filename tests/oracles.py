@@ -426,6 +426,19 @@ def reducing_star_ref(g: G.Graph) -> tuple[int, int]:
     return x, G.bits_of(children[x])
 
 
+def closure_cut_vertices(g: G.Graph) -> int:
+    """The previous cut-vertex search, kept as the reference: one
+    connectivity closure per vertex."""
+    if g.order <= 2:
+        return 0
+    out = 0
+    for v in range(g.order):
+        mask = g.full_mask ^ (1 << v)
+        if G._closure(g, mask & -mask, mask) != mask:
+            out |= 1 << v
+    return out
+
+
 def degree_two_cycle_ref(g: G.Graph, mask: int, deg2: int) -> list[int]:
     """The degree-2 rung's cycle as chosen with one unbounded search per
     degree-2 vertex: the vertex, then the shortest path between its two

@@ -69,19 +69,6 @@ def bitwise_parse_graph6(text):
     return G.Graph(n, tuple(adj))
 
 
-def closure_cut_vertices(g):
-    """The previous cut-vertex search, kept as the reference: one
-    connectivity closure per vertex."""
-    if g.order <= 2:
-        return 0
-    out = 0
-    for v in range(g.order):
-        mask = g.full_mask ^ (1 << v)
-        if G._closure(g, mask & -mask, mask) != mask:
-            out |= 1 << v
-    return out
-
-
 def rooted_cycles_of_length(g, length):
     """The previous unmasked cycle enumerator, kept as the reference."""
     path = []
@@ -322,13 +309,13 @@ class TestConnectivity:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 for h in (g, oracles.relabel(g, perm)):
-                    assert G.cut_vertices(h) == closure_cut_vertices(h), line
+                    assert G.cut_vertices(h) == oracles.closure_cut_vertices(h), line
 
     def test_cut_vertices_match_closures_on_random_connected_graphs(self):
         rng = random.Random(8)
         for _ in range(2000):
             g = random_connected_graph(rng, rng.randrange(3, G.MAX_ORDER + 1))
-            assert G.cut_vertices(g) == closure_cut_vertices(g)
+            assert G.cut_vertices(g) == oracles.closure_cut_vertices(g)
 
     def test_bfs_tree_least_parent(self):
         # Vertex 3 is reached from 2 and from 4 on the same level; 2 wins.

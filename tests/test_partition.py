@@ -11,11 +11,13 @@ import pytest
 import oracles
 from conftest import (
     random_connected_graph,
+    random_min_degree3,
     random_sparse_connected,
     random_subdivision,
     random_theta,
     random_tree,
 )
+from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
 from isolab import partition as P
@@ -36,10 +38,43 @@ from isolab.partition import (
 # sha256 of the engine output over the graphs of test_trace_bytes_pinned.
 PINNED_TRACE_SHA256 = "18d19cc129a9388a4d4a4b2dea7c6a266fe50a98e1a8f5eda3397d066a03c23c"
 
+# sha256 of the engine output over leafy_and_dense_graphs(), computed on the
+# engine that ran a full cut-vertex search at every level.
+LEAFY_DENSE_TRACE_SHA256 = "34c3d6ff061857ea0771d048621a5529f938f51a94aa358e41d950e9bd95ee5a"
+
 # 2-connected graphs of minimum degree at least 3, whose cycles of length
 # divisible by 3 the engine's cycle rung must find.
 CUBE = G.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
 SQUARE_OF_C21 = G.from_edges(21, [(v, (v + d) % 21) for v in range(21) for d in (1, 2)])
+
+
+def leafy_and_dense_graphs():
+    """200 pendant-family graphs, relabeled at random, and 200 graphs of
+    minimum degree 3, all of order 9 to 30."""
+    rng = random.Random(2043)
+    graphs = []
+    for seed in range(200):
+        g = F.build_family_graph(F.random_family_spec(rng.choice(range(9, 31, 3)), seed))
+        labels = list(range(g.order))
+        rng.shuffle(labels)
+        graphs.append(oracles.relabel(g, labels))
+    graphs += [random_min_degree3(rng, rng.randrange(9, 31)) for _ in range(200)]
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def leafy_and_dense():
+    return leafy_and_dense_graphs()
+
+
+def engine_digest(graphs):
+    """sha256 of the classes, leftover and trace partition3 gives each graph."""
+    h = hashlib.sha256()
+    for g in graphs:
+        tp, steps = partition3(g)
+        trace = [(s.kind, s.vertices, sorted(s.colors.items())) for s in steps]
+        h.update(repr((tp.classes, tp.residual, trace)).encode() + b"\n")
+    return h.hexdigest()
 
 
 class TestOracleAgreement:
@@ -173,12 +208,13 @@ class TestEngineOnCatalogs:
         graphs = [g for n in range(3, 8) for g in small_connected[n] if not is_c5(g)]
         rng = random.Random(2031)
         graphs += [random_connected_graph(rng, rng.randrange(9, 31)) for _ in range(300)]
-        h = hashlib.sha256()
-        for g in graphs:
-            tp, steps = partition3(g)
-            trace = [(s.kind, s.vertices, sorted(s.colors.items())) for s in steps]
-            h.update(repr((tp.classes, tp.residual, trace)).encode() + b"\n")
-        assert h.hexdigest() == PINNED_TRACE_SHA256
+        assert engine_digest(graphs) == PINNED_TRACE_SHA256
+
+    def test_leafy_and_dense_trace_bytes_pinned(self, leafy_and_dense):
+        # Leaves and minimum degree 3, which the random graphs above rarely
+        # give: the cut-vertex rung on pendant families, the cycle rung on
+        # the rest.
+        assert engine_digest(leafy_and_dense) == LEAFY_DENSE_TRACE_SHA256
 
     def test_determinism(self):
         rng = random.Random(5)
@@ -257,6 +293,83 @@ class TestReductionInputs:
                 tp, _ = partition3(g)
                 assert verify_partition(g, tp)[0]
         assert seen["degree-2"] > 100 and seen["path"] > 1000
+
+
+def _leaves(g, mask):
+    return G.bits_of(v for v in G.iter_bits(mask) if (g.adj[v] & mask).bit_count() == 1)
+
+
+def _random_connected_mask(rng, g):
+    size = rng.randrange(3, g.order + 1)
+    mask = 1 << rng.randrange(g.order)
+    while mask.bit_count() < size:
+        mask |= 1 << rng.choice(G.bit_list(G.closed_neighborhood(g, mask) & ~mask))
+    return mask
+
+
+def _cycle_with_high_pendant():
+    """The 63-cycle with a pendant on its highest vertex: 62 probes below
+    the leaf bound, each growing most of the cycle."""
+    return G.from_edges(64, [(v, (v + 1) % 63) for v in range(63)] + [(62, 63)])
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A one-item list counting the engine's full lowpoint searches."""
+    count = [0]
+    full_search = P.cut_vertices
+
+    def counting(g, mask):
+        count[0] += 1
+        return full_search(g, mask)
+
+    monkeypatch.setattr(P, "cut_vertices", counting)
+    return count
+
+
+class TestLeastCutVertex:
+    def test_matches_closures(self, searches):
+        # The least bit of the reference cut-vertex set, through each of the
+        # helper's three ways to an answer: the probes, the lowpoint search
+        # once the probe budget runs out, and that search on a mask with no
+        # leaves.
+        branches = {"probe": 0, "budget": 0, "no-leaf": 0}
+
+        def check(g, mask):
+            sub, keep = G.induced_subgraph(g, mask)
+            want = oracles.closure_cut_vertices(sub)
+            want = 1 << keep[(want & -want).bit_length() - 1] if want else 0
+            ones = _leaves(g, mask)
+            before = searches[0]
+            assert P._least_cut_vertex(g, mask, ones) == want, (G.write_graph6(g), mask)
+            if not ones:
+                branches["no-leaf"] += 1
+            else:
+                branches["budget" if searches[0] > before else "probe"] += 1
+
+        for n in range(3, 7):
+            for line in lab.enumerate_all(n):
+                g = G.parse_graph6(line)
+                for mask in range(1, 1 << n):
+                    if mask.bit_count() >= 3 and len(G.masked_components(g, mask)) == 1:
+                        check(g, mask)
+        rng = random.Random(67)
+        for seed in range(30):
+            for g in (random_tree(rng, 64), F.build_family_graph(F.random_family_spec(63, seed))):
+                for _ in range(20):
+                    check(g, _random_connected_mask(rng, g))
+        g = _cycle_with_high_pendant()
+        before = branches["budget"]
+        check(g, g.full_mask)
+        assert branches["budget"] == before + 1
+        assert min(branches.values()) > 0, branches
+
+    def test_cut_vertex_searches_do_not_grow(self, leafy_and_dense, searches):
+        # 1858 masks reach the cut-vertex rung; the leaf bound and the
+        # probes answer all but 1029 of them without a lowpoint search.
+        for g in leafy_and_dense:
+            partition3(g)
+        assert searches[0] <= 1029
 
 
 class TestTrace:
