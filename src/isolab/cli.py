@@ -136,11 +136,24 @@ def _partition3(g, args) -> str:
     return out
 
 
+# Each pendant of a spec as the JSON text of family.spec_to_json, by kind
+# and attachment.
+_PENDANT_TEXT = {
+    (kind, at): f'{{"kind":"{kind}","attach":[{",".join(map(str, at))}]}}'
+    for kind, ats in (("K2", family.K2_ATTACHMENTS), ("C5", family.valid_c5_attachments()))
+    for at in ats
+}
+
+
 def _recognize(g, args) -> str:
+    # The base is graph6 text, whose one character JSON escapes is the
+    # backslash.
     spec = family.recognize_family(g)
     if spec is None:
         return '"member":false,"spec":null'
-    return '"member":true,"spec":' + _encode(family.spec_to_json(spec))
+    pendants = ",".join([_PENDANT_TEXT[p.kind, p.attach] for p in spec.pendants])
+    base = write_graph6(spec.base).replace("\\", "\\\\")
+    return '"member":true,"spec":{"base":"' + base + '","pendants":[' + pendants + "]}"
 
 
 def _star(g, args) -> str:

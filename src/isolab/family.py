@@ -16,15 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from isolab.graphs import (
     Graph,
     bit_list,
     from_edges,
-    bits_of,
-    cycle_walk,
-    cycles_of_length,
     induced_subgraph,
     is_connected,
     parse_graph6,
@@ -226,8 +223,7 @@ def _field(obj: dict, key: str):
 # recognition
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     kind: str
     verts: tuple[int, ...]  # pendant vertices, in local labeling order
     hook: int
@@ -235,52 +231,100 @@ class _Block:
     mask: int
 
 
+# A block's attachment by the set of its local positions that the hook
+# touches, None for a C5 set that covers every cycle edge.
+_K2_ATTACH = (None, (0,), (1,), (0, 1))
+_C5_ATTACH = tuple(
+    None if is_c5_vertex_cover(at) else at
+    for at in (tuple(i for i in range(5) if s >> i & 1) for s in range(32))
+)
+
+
 def _candidate_blocks(g: Graph) -> list[_Block]:
     """Every pendant-shaped piece of ``g`` with its hook, sorted by least
     vertex, kind, vertices and hook.
 
-    A C5 block is chordless and its only outside neighbor is its hook, so
-    each of its vertices has two cycle neighbors and at most one more:
-    degree at most 3. The 5-cycles are therefore searched only among those
-    vertices, which yields every block a search of the whole graph would.
-    Each 5-cycle comes once, and two on one vertex set imply a chord.
+    A block's only outside neighbor is its hook, so a K2 block's vertices
+    have degree at most 2, and a C5 block, which is chordless, has
+    vertices of degree 2 or 3; each kind is searched only among those
+    vertices. A C5 block is rooted at its least vertex r, with the
+    neighbors a < b of r on it, and x, y the rest of the walk r, a, x, y,
+    b: x ranges over N(a), y over N(x), b over N(r) and N(y), each past the
+    vertices of the five chords r-x, r-y, a-y, a-b and x-b. Every hit is
+    then a chordless 5-cycle, found once, in the local labeling: the walk
+    from the least vertex toward its smaller neighbor. The loops take a,
+    x, y and b in ascending order, and each least vertex yields its C5
+    blocks before its K2 blocks, so the list comes out sorted.
     """
+    adj = g.adj
+    # Vertices of degree at most 2, and at most 3.
+    deg2 = deg3 = 0
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        if d <= 3:
+            if d <= 2:
+                deg2 |= 1 << v
+            deg3 |= 1 << v
     cands = []
-    n = g.order
-    for p in range(n):
-        for q in bit_list(g.adj[p]):
-            if q <= p:
-                continue
-            ext = (g.adj[p] | g.adj[q]) & ~((1 << p) | (1 << q))
-            if ext.bit_count() != 1:
+    rest = deg3
+    while rest:
+        rb = rest & -rest
+        rest ^= rb
+        r = rb.bit_length() - 1
+        nr = adj[r]
+        # Blocks rooted at r lie inside ``rest``: vertices of degree <= 3
+        # above r.
+        m_a = nr & rest
+        while m_a:
+            ab = m_a & -m_a
+            m_a ^= ab
+            a = ab.bit_length() - 1
+            na = adj[a]
+            m_x = na & rest & ~nr
+            while m_x:
+                xb = m_x & -m_x
+                m_x ^= xb
+                x = xb.bit_length() - 1
+                nx = adj[x]
+                m_y = nx & rest & ~nr & ~na & ~ab
+                while m_y:
+                    yb = m_y & -m_y
+                    m_y ^= yb
+                    y = yb.bit_length() - 1
+                    ny = adj[y]
+                    # m_a now holds r's neighbors in rest above a.
+                    m_b = m_a & ny & ~na & ~nx
+                    while m_b:
+                        bb = m_b & -m_b
+                        m_b ^= bb
+                        b = bb.bit_length() - 1
+                        mask = rb | ab | xb | yb | bb
+                        ext = (nr | na | nx | ny | adj[b]) & ~mask
+                        if not ext or ext & (ext - 1):
+                            continue
+                        h = ext.bit_length() - 1
+                        nh = adj[h]
+                        attach = _C5_ATTACH[
+                            (nh >> r & 1) | (nh >> a & 1) << 1 | (nh >> x & 1) << 2
+                            | (nh >> y & 1) << 3 | (nh >> b & 1) << 4
+                        ]
+                        if attach is not None:
+                            cands.append(_Block("C5", (r, a, x, y, b), h, attach, mask))
+        if not rb & deg2:
+            continue
+        m_q = nr & deg2 & rest
+        while m_q:
+            qb = m_q & -m_q
+            m_q ^= qb
+            q = qb.bit_length() - 1
+            pair = rb | qb
+            ext = (nr | adj[q]) & ~pair
+            if not ext or ext & (ext - 1):
                 continue
             h = ext.bit_length() - 1
-            attach = tuple(
-                i for i, v in enumerate((p, q)) if (g.adj[h] >> v) & 1
-            )
-            cands.append(_Block("K2", (p, q), h, attach, (1 << p) | (1 << q)))
-    low = bits_of(v for v in range(n) if g.adj[v].bit_count() <= 3)
-    for cyc in cycles_of_length(g, 5, low):
-        mask = bits_of(cyc)
-        if any((g.adj[v] & mask).bit_count() != 2 for v in cyc):
-            continue  # chorded
-        ext = 0
-        for v in cyc:
-            ext |= g.adj[v]
-        ext &= ~mask
-        if ext.bit_count() != 1:
-            continue
-        h = ext.bit_length() - 1
-        # local labeling: start at the least cycle vertex, toward its
-        # smaller cycle neighbor
-        order = cycle_walk(g, mask, min(cyc))
-        attach = tuple(
-            i for i, v in enumerate(order) if (g.adj[h] >> v) & 1
-        )
-        if is_c5_vertex_cover(attach):
-            continue
-        cands.append(_Block("C5", tuple(order), h, attach, mask))
-    cands.sort(key=lambda c: (min(c.verts), c.kind, c.verts, c.hook))
+            nh = adj[h]
+            attach = _K2_ATTACH[(nh >> r & 1) | (nh >> q & 1) << 1]
+            cands.append(_Block("K2", (r, q), h, attach, pair))
     return cands
 
 

@@ -381,43 +381,64 @@ def is_connected(g: Graph) -> bool:
     return _closure(g, 1, g.full_mask) == g.full_mask
 
 
+def bfs_levels(
+    adj: Sequence[int], root: int, mask: int, stop: int = -1, limit: Optional[int] = None
+) -> list[int]:
+    """Breadth-first levels from ``root`` inside the subgraph induced on
+    ``mask``, for the adjacency rows ``adj``: ``levels[d]`` is the set of
+    vertices ``d`` edges from the root, and no level is empty. A positive
+    ``limit`` leaves every vertex ``limit`` or more edges from the root
+    unreached. With a ``stop`` vertex the search ends at the level that
+    reaches it, which is then the last level.
+    """
+    level = seen = 1 << root
+    levels = [level]
+    goal = 1 << stop if stop >= 0 else 0
+    deepest = len(adj) if limit is None else limit - 1
+    while not level & goal and len(levels) <= deepest:
+        grow = 0
+        while level:
+            b = level & -level
+            grow |= adj[b.bit_length() - 1]
+            level ^= b
+        level = grow & mask & ~seen
+        if not level:
+            break
+        seen |= level
+        levels.append(level)
+    return levels
+
+
 def bfs_tree(
     g: Graph, root: int, mask: int, stop: int = -1, limit: Optional[int] = None
 ) -> Optional[tuple[list[int], list[int]]]:
     """Breadth-first tree from ``root`` inside the subgraph induced on ``mask``.
 
-    Returns ``(parent, depth)``. The search keeps each level as one mask,
-    and a vertex's parent is its least-index neighbor one level up. The
-    root and every vertex not reached have parent -1; vertices not reached
-    have depth -1. A positive ``limit`` leaves every vertex ``limit`` or
-    more edges from the root unreached. With a ``stop`` vertex the search
-    ends at the level that reaches it, and returns None when it does not
-    reach it: ``stop`` is outside the root's component or at least
-    ``limit`` edges away.
+    Returns ``(parent, depth)``, read off the levels of ``bfs_levels``,
+    which takes ``stop`` and ``limit`` alike: a vertex's parent is its
+    least-index neighbor one level up. The root and every vertex not
+    reached have parent -1; vertices not reached have depth -1. With a
+    ``stop`` vertex, returns None when the search does not reach it:
+    ``stop`` is outside the root's component or at least ``limit`` edges
+    away.
     """
     adj = g.adj
+    levels = bfs_levels(adj, root, mask, stop, limit)
+    if stop >= 0 and not levels[-1] >> stop & 1:
+        return None
     parent = [-1] * g.order
     depth = [-1] * g.order
     depth[root] = 0
-    seen = level = 1 << root
-    goal = 1 << stop if stop >= 0 else 0
-    deepest = g.order if limit is None else limit - 1
-    d = 0
-    while level and not level & goal and d < deepest:
-        d += 1
-        new = closed_neighborhood(g, level) & mask & ~seen
-        seen |= new
-        m = new
+    for d in range(1, len(levels)):
+        up = levels[d - 1]
+        m = levels[d]
         while m:
             b = m & -m
             u = b.bit_length() - 1
-            p = adj[u] & level
+            p = adj[u] & up
             parent[u] = (p & -p).bit_length() - 1
             depth[u] = d
             m ^= b
-        level = new
-    if goal and not level & goal:
-        return None
     return parent, depth
 
 

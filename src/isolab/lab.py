@@ -93,12 +93,12 @@ from isolab.family import (
 from isolab.graphs import (
     Graph,
     _g6_header,
-    bfs_tree,
+    bfs_levels,
+    bit_list,
     bits_of,
     canonical_code,
     canonical_code_of,
     components,
-    is_connected,
     masked_components,
     parse_graph6,
 )
@@ -603,57 +603,64 @@ def find_reducing_star(g: Graph) -> StarReduction:
     its children. Bad input raises ValueError; the result is re-verified
     before returning, and a failed check raises RuntimeError.
 
-    Two breadth-first searches suffice. The spanning tree is the BFS tree
-    from vertex 0, whose edges join consecutive levels, so a vertex's
-    depth in that tree is its BFS depth from the first search; the deepest
-    vertex ``a`` is one end of a longest path, and one search of the tree
-    from ``a`` gives the other end ``z`` and the parents above it.
+    Two level sweeps (``bfs_levels``) suffice. The spanning tree is the BFS
+    tree from vertex 0, each vertex joined to its least neighbor one level
+    up; the sweep also decides connectivity. Tree edges join consecutive
+    levels, so the least vertex ``a`` of the last level is one end of a
+    longest path, and one sweep of the tree from ``a`` gives the other end
+    ``z``. Each tree vertex's parent, children and grandchildren are then
+    its tree row, and its children's rows, met with the level above or
+    below.
     """
     n = g.order
-    if n < 3 or not is_connected(g):
+    adj = g.adj
+    levels = bfs_levels(adj, 0, g.full_mask) if n >= 3 else []
+    if n < 3 or sum(map(int.bit_count, levels)) != n:
         raise ValueError("connected graph of order >= 3 required")
+    # The tree is a star when it has depth 1, or depth 2 below one vertex.
+    if len(levels) == 2:
+        return StarReduction(0, g.full_mask ^ 1)
+    if len(levels) == 3 and levels[1].bit_count() == 1:
+        return StarReduction(levels[1].bit_length() - 1, g.full_mask ^ levels[1])
 
-    parent0, d0 = bfs_tree(g, 0, g.full_mask)
-    tree_adj = [0] * n
-    for v in range(n):
-        if parent0[v] >= 0:
-            tree_adj[v] |= 1 << parent0[v]
-            tree_adj[parent0[v]] |= 1 << v
-    tree = Graph(n, tuple(tree_adj))
-
-    for v in range(n):
-        if tree.adj[v].bit_count() == n - 1:
-            return StarReduction(v, g.full_mask ^ (1 << v))
-
-    a = d0.index(max(d0))
-    parent, depth = bfs_tree(tree, a, tree.full_mask)
-    z = depth.index(max(depth))
-    y = parent[z]
-    x = parent[y]
-    # Filled in ascending vertex order, so every list is sorted.
-    children = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
+    tree = [0] * n
+    for up, level in zip(levels, levels[1:]):
+        while level:
+            b = level & -level
+            u = b.bit_length() - 1
+            p = adj[u] & up
+            p &= -p
+            tree[u] |= p
+            tree[p.bit_length() - 1] |= b
+            level ^= b
+    last = levels[-1]
+    levels = bfs_levels(tree, (last & -last).bit_length() - 1, g.full_mask)
+    deep, below, above = levels[-1], levels[-2], levels[-3]
+    z = (deep & -deep).bit_length() - 1
+    y = (tree[z] & below).bit_length() - 1
+    x = (tree[y] & above).bit_length() - 1
+    children = tree[x] & below
 
     star = None
-    if len(children[y]) >= 2:
-        star = StarReduction(y, bits_of(children[y]))
-    if star is None:
-        for c in children[x]:
-            if len(children[c]) >= 2:
-                star = StarReduction(c, bits_of(children[c]))
-                break
-    if star is None and len(children[x]) == 1:
+    for c in [y] + bit_list(children):
+        leaves = tree[c] & deep
+        if leaves & (leaves - 1):
+            star = StarReduction(c, leaves)
+            break
+    if star is None and children == 1 << y:
         star = StarReduction(y, (1 << x) | (1 << z))
     if star is None:
-        grands = sorted(gc for c in children[x] for gc in children[c])
-        for u, v in combinations(grands, 2):
-            if g.has_edge(u, v):
-                star = StarReduction(u, (1 << v) | (1 << parent[u]))
+        # Every child of x has one child at most now.
+        grands = 0
+        for c in bit_list(children):
+            grands |= tree[c] & deep
+        for u in bit_list(grands):
+            v = adj[u] & grands & ~((2 << u) - 1)
+            if v:
+                star = StarReduction(u, (v & -v) | (tree[u] & below))
                 break
     if star is None:
-        star = StarReduction(x, bits_of(children[x]))
+        star = StarReduction(x, children)
     _verify_star(g, star)
     return star
 

@@ -7,7 +7,9 @@ import sysconfig
 
 import pytest
 
+import oracles
 from isolab import _backend
+from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
 
@@ -146,3 +148,17 @@ def random_theta(rng: random.Random, n: int) -> G.Graph:
         walk = [0] + run + [1]
         edges += zip(walk, walk[1:])
     return _shuffled(rng, n, edges)
+
+
+def leafy_and_dense_graphs():
+    """200 pendant-family graphs, relabeled at random, and 200 graphs of
+    minimum degree 3, all of order 9 to 30."""
+    rng = random.Random(2043)
+    graphs = []
+    for seed in range(200):
+        g = F.build_family_graph(F.random_family_spec(rng.choice(range(9, 31, 3)), seed))
+        labels = list(range(g.order))
+        rng.shuffle(labels)
+        graphs.append(oracles.relabel(g, labels))
+    graphs += [random_min_degree3(rng, rng.randrange(9, 31)) for _ in range(200)]
+    return graphs

@@ -394,10 +394,12 @@ def _ref_path(g: G.Graph, src: int, dst: int, mask: int) -> list[int] | None:
 
 
 def reducing_star_ref(g: G.Graph) -> tuple[int, int]:
-    """``(center, leaves)`` of the reducing star, found as
-    ``lab.find_reducing_star`` did with three breadth-first searches: the
-    spanning tree from vertex 0, the tree's depths from 0, and the tree
-    from the least deepest vertex. ``g`` is connected of order >= 3."""
+    """``(center, leaves)`` of the reducing star, by the case split of
+    ``lab.find_reducing_star`` on per-vertex parent and children lists
+    from three queue breadth-first searches: the spanning tree from vertex
+    0, the tree's depths from 0, and the tree from the least deepest
+    vertex. ``lab`` reads the same tree off two level sweeps and masks.
+    ``g`` is connected of order >= 3."""
     n = g.order
     parent0, _ = bfs_tree_ref(g, 0, g.full_mask)
     edges = [(v, parent0[v]) for v in range(n) if parent0[v] >= 0]

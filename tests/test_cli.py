@@ -11,7 +11,7 @@ from isolab import graphs as G
 from isolab import lab
 from isolab.cli import main
 
-from conftest import random_connected_graph
+from conftest import leafy_and_dense_graphs, random_connected_graph
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -100,7 +100,11 @@ class TestQueries:
     def test_broken_star_check_is_not_a_domain_error(self, capsys, monkeypatch):
         # A star that fails its own self-check is the engine's fault: it
         # escapes as RuntimeError instead of an "error":"domain" record.
-        monkeypatch.setattr(lab, "bits_of", lambda vertices: 1)
+        # Here the search keeps only the least leaf of the star it found.
+        star = lab.StarReduction
+        monkeypatch.setattr(
+            lab, "StarReduction", lambda center, leaves: star(center, leaves & -leaves)
+        )
         with pytest.raises(RuntimeError, match="two leaves"):
             run_cli(capsys, ["star", "-"], "FhP?G\n", monkeypatch)
         assert capsys.readouterr().out == ""
@@ -417,6 +421,22 @@ def test_answer_record_escapes_backslashes(capsys, monkeypatch):
     assert json.loads(out)["graph6"] == line
 
 
+def test_recognize_spec_matches_the_json_encoder(capsys, monkeypatch):
+    # A member on the base C\, whose graph6 body is a backslash: the spec
+    # text is what the JSON encoder makes of family.spec_to_json.
+    from isolab import family as F
+
+    base = G.from_edges(4, [(0, 2), (1, 2), (0, 3), (2, 3)])
+    assert G.write_graph6(base) == "C\\"
+    pendants = [F.PendantAttachment("K2", (0,)), F.PendantAttachment("C5", (1, 3))] * 2
+    g = F.build_family_graph(F.FamilySpec(base, tuple(pendants)))
+    code, out, _ = run_cli(capsys, ["recognize-g", "-"], G.write_graph6(g) + "\n", monkeypatch)
+    assert code == 0
+    spec = json.dumps(F.spec_to_json(F.recognize_family(g)), separators=(",", ":"))
+    assert "\\\\" in spec
+    assert out.endswith('"member":true,"spec":' + spec + "}\n")
+
+
 # sha256 of each query command's stdout over the query corpus: any changed
 # output byte on the query path changes one of them.
 QUERY_SHA256 = {
@@ -453,3 +473,26 @@ def test_query_bytes_pinned(capsys, query_corpus, command):
     code, out, _ = run_cli(capsys, command.split() + [query_corpus])
     assert code == 1  # the corpus holds domain and graph6 errors
     assert hashlib.sha256(out.encode()).hexdigest() == QUERY_SHA256[command]
+
+
+# sha256 of recognize-g's and star's stdout over leafy_and_dense_graphs():
+# 200 relabeled family members of order 9-30, most with several pendant
+# blocks, and 200 graphs of minimum degree 3, which are members of nothing.
+FAMILY_QUERY_SHA256 = {
+    "recognize-g": "c0b95bfcbc32f0257a63132851d2f84c8f2429db8b1db7ef0c4723cc07e29d61",
+    "star": "25a3e58d42b11f65faa2a03a67f734aea8eeee21f9e1819657c1a2d551361d88",
+}
+
+
+@pytest.fixture(scope="module")
+def family_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("family") / "corpus.g6"
+    path.write_text("".join(G.write_graph6(g) + "\n" for g in leafy_and_dense_graphs()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(FAMILY_QUERY_SHA256))
+def test_family_query_bytes_pinned(capsys, family_corpus, command):
+    code, out, _ = run_cli(capsys, [command, family_corpus])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_QUERY_SHA256[command]

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from conftest import random_sparse_connected
 from isolab import family as F
 from isolab import graphs as G
 from isolab import lab
@@ -47,6 +48,23 @@ def full_scan_candidate_blocks(g):
         cands.append(F._Block("C5", tuple(order), h, attach, mask))
     cands.sort(key=lambda c: (min(c.verts), c.kind, c.verts, c.hook))
     return cands
+
+
+def low_hook_member(rng, b):
+    """A member on a path or cycle base of b vertices, each pendant
+    attached at few enough vertices to keep its hook at degree 3 or less."""
+    edges = [(i, i + 1) for i in range(b - 1)]
+    if b >= 3 and rng.random() < 0.5:
+        edges.append((0, b - 1))
+    base = G.from_edges(b, edges)
+    pendants = []
+    for h in range(b):
+        kind = rng.choice(("K2", "C5"))
+        options = F.K2_ATTACHMENTS if kind == "K2" else F.valid_c5_attachments()
+        room = 3 - base.degree(h)
+        attach = rng.choice([at for at in options if len(at) <= room])
+        pendants.append(F.PendantAttachment(kind, attach))
+    return F.build_family_graph(F.FamilySpec(base, tuple(pendants)))
 
 
 def k1():
@@ -190,6 +208,21 @@ class TestRecognition:
                 g = G.parse_graph6(line)
                 assert F._candidate_blocks(g) == full_scan_candidate_blocks(g), line
 
+    def test_candidates_match_full_scan_on_relabeled_graphs_up_to_7(self, small_connected):
+        # Canonical labels put low degrees first, so that a chorded 5-cycle
+        # never has its degree-3 chord end as its least vertex; relabeled
+        # copies do.
+        rng = random.Random(14)
+        for n in range(5, 8):
+            for g in small_connected[n]:
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    h = oracles.relabel(g, perm)
+                    assert F._candidate_blocks(h) == full_scan_candidate_blocks(h), (
+                        G.write_graph6(h)
+                    )
+
     def test_candidates_match_full_scan_on_relabeled_members(self):
         rng = random.Random(10)
         for seed in range(300):
@@ -203,6 +236,34 @@ class TestRecognition:
             assert sum(c.kind == "C5" for c in cands) >= sum(
                 p.kind == "C5" for p in spec.pendants
             )
+        for seed in range(300, 400):
+            spec = F.random_family_spec(rng.choice(range(33, 64, 3)), seed)
+            g = F.build_family_graph(spec)
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            g = oracles.relabel(g, perm)
+            assert F._candidate_blocks(g) == full_scan_candidate_blocks(g), seed
+
+    def test_candidates_match_full_scan_on_sparse_graphs_up_to_64(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_sparse_connected(rng, rng.randrange(9, G.MAX_ORDER + 1))
+            assert F._candidate_blocks(g) == full_scan_candidate_blocks(g), G.write_graph6(g)
+
+    def test_candidates_match_full_scan_on_members_with_low_degree_hooks(self):
+        # Hooks of degree at most 3 lie inside the C5 search, and a C5
+        # pendant attached at two vertices puts its hook on 5-cycles.
+        rng = random.Random(12)
+        low_hooks = 0
+        for _ in range(300):
+            g = low_hook_member(rng, rng.randrange(1, 11))
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            g = oracles.relabel(g, perm)
+            cands = F._candidate_blocks(g)
+            assert cands == full_scan_candidate_blocks(g), G.write_graph6(g)
+            low_hooks += sum(g.degree(c.hook) <= 3 for c in cands)
+        assert low_hooks >= 300
 
     def test_non_members_rejected(self):
         for g in (

@@ -672,14 +672,14 @@ class TestReducingStar:
                 )
 
     def test_two_searches_per_graph(self, small_connected, monkeypatch):
-        # One search when the BFS tree from vertex 0 is a star, else two.
+        # One level sweep when the BFS tree from vertex 0 is a star, else two.
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[1])
-            return G.bfs_tree(*args, **kwargs)
+            return G.bfs_levels(*args, **kwargs)
 
-        monkeypatch.setattr(lab, "bfs_tree", counting)
+        monkeypatch.setattr(lab, "bfs_levels", counting)
         rng = random.Random(53)
         graphs = [g for n in range(3, 8) for g in small_connected[n]]
         graphs += [random_sparse_connected(rng, rng.randrange(9, 65)) for _ in range(200)]

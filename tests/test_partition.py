@@ -10,8 +10,8 @@ import pytest
 
 import oracles
 from conftest import (
+    leafy_and_dense_graphs,
     random_connected_graph,
-    random_min_degree3,
     random_sparse_connected,
     random_subdivision,
     random_theta,
@@ -46,20 +46,6 @@ LEAFY_DENSE_TRACE_SHA256 = "34c3d6ff061857ea0771d048621a5529f938f51a94aa358e41d9
 # divisible by 3 the engine's cycle rung must find.
 CUBE = G.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
 SQUARE_OF_C21 = G.from_edges(21, [(v, (v + d) % 21) for v in range(21) for d in (1, 2)])
-
-
-def leafy_and_dense_graphs():
-    """200 pendant-family graphs, relabeled at random, and 200 graphs of
-    minimum degree 3, all of order 9 to 30."""
-    rng = random.Random(2043)
-    graphs = []
-    for seed in range(200):
-        g = F.build_family_graph(F.random_family_spec(rng.choice(range(9, 31, 3)), seed))
-        labels = list(range(g.order))
-        rng.shuffle(labels)
-        graphs.append(oracles.relabel(g, labels))
-    graphs += [random_min_degree3(rng, rng.randrange(9, 31)) for _ in range(200)]
-    return graphs
 
 
 @pytest.fixture(scope="module")
