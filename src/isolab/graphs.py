@@ -5,6 +5,10 @@ as a bit vector (bit ``v`` set means vertex ``v`` is in the set); that is
 the currency of every operation in the package. Adjacency is one machine
 word per vertex, which caps the order at 64 and keeps all set algebra
 branch-free.
+
+Vertex sets grow by ``_closure`` (components, partition's cut-vertex
+probes) or by ``bfs_levels`` (levels, off which callers read shortest paths
+and spanning trees); ``cut_vertices`` is the one depth-first search.
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ def bit_list(mask: int) -> list[int]:
         out.append(x.bit_length() - 1)
         mask ^= x
     return out
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        x = mask & -mask
-        yield x.bit_length() - 1
-        mask ^= x
 
 
 def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
@@ -163,7 +160,7 @@ class Graph:
         out = []
         for v in range(self.order):
             row = self.adj[v] >> (v + 1)
-            for u in iter_bits(row << (v + 1)):
+            for u in bit_list(row << (v + 1)):
                 out.append((v, u))
         return out
 
@@ -334,7 +331,7 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     adj = []
     for v in keep:
         row = 0
-        for u in iter_bits(g.adj[v] & mask):
+        for u in bit_list(g.adj[v] & mask):
             row |= 1 << pos[u]
         adj.append(row)
     return Graph(len(keep), tuple(adj)), keep
@@ -344,11 +341,14 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
 # connectivity
 
 
-def _closure(g: Graph, seed: int, mask: int) -> int:
+def _closure(g: Graph, seed: int, mask: int, until: int = -1) -> int:
+    """The vertices of ``mask`` reachable from ``seed`` inside it, grown one
+    BFS level at a time; growth stops at the first level that leaves every
+    vertex of ``until`` inside (default: never)."""
     adj = g.adj
     comp = seed & mask
     frontier = comp
-    while frontier:
+    while frontier and until & ~comp:
         grow = 0
         while frontier:
             b = frontier & -frontier
@@ -407,39 +407,6 @@ def bfs_levels(
         seen |= level
         levels.append(level)
     return levels
-
-
-def bfs_tree(
-    g: Graph, root: int, mask: int, stop: int = -1, limit: Optional[int] = None
-) -> Optional[tuple[list[int], list[int]]]:
-    """Breadth-first tree from ``root`` inside the subgraph induced on ``mask``.
-
-    Returns ``(parent, depth)``, read off the levels of ``bfs_levels``,
-    which takes ``stop`` and ``limit`` alike: a vertex's parent is its
-    least-index neighbor one level up. The root and every vertex not
-    reached have parent -1; vertices not reached have depth -1. With a
-    ``stop`` vertex, returns None when the search does not reach it:
-    ``stop`` is outside the root's component or at least ``limit`` edges
-    away.
-    """
-    adj = g.adj
-    levels = bfs_levels(adj, root, mask, stop, limit)
-    if stop >= 0 and not levels[-1] >> stop & 1:
-        return None
-    parent = [-1] * g.order
-    depth = [-1] * g.order
-    depth[root] = 0
-    for d in range(1, len(levels)):
-        up = levels[d - 1]
-        m = levels[d]
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            p = adj[u] & up
-            parent[u] = (p & -p).bit_length() - 1
-            depth[u] = d
-            m ^= b
-    return parent, depth
 
 
 def cut_vertices(g: Graph, mask: Optional[int] = None) -> int:
@@ -530,12 +497,12 @@ def cycles_of_length(
             if (adj[v] >> path[0]) & 1 and path[1] < path[-1]:
                 yield tuple(path)
             return
-        for w in iter_bits(adj[v] & ~used):
+        for w in bit_list(adj[v] & ~used):
             path.append(w)
             yield from extend(w, used | (1 << w))
             path.pop()
 
-    for r in iter_bits(mask):
+    for r in bit_list(mask):
         path.clear()
         path.append(r)
         # Vertices below the root and outside the mask are never entered.

@@ -578,7 +578,9 @@ class StarReduction:
         return self.leaves | (1 << self.center)
 
 
-def _verify_star(g: Graph, star: StarReduction) -> None:
+def _verify_star(g: Graph, star: StarReduction) -> StarReduction:
+    """The star, once it passes every check; a failed one raises
+    RuntimeError."""
     if star.leaves.bit_count() < 2:
         raise RuntimeError("star must have at least two leaves")
     if (star.leaves >> star.center) & 1:
@@ -591,6 +593,7 @@ def _verify_star(g: Graph, star: StarReduction) -> None:
     )
     if nontrivial > 1:
         raise RuntimeError("removal must leave at most one nontrivial component")
+    return star
 
 
 def find_reducing_star(g: Graph) -> StarReduction:
@@ -617,11 +620,11 @@ def find_reducing_star(g: Graph) -> StarReduction:
     levels = bfs_levels(adj, 0, g.full_mask) if n >= 3 else []
     if n < 3 or sum(map(int.bit_count, levels)) != n:
         raise ValueError("connected graph of order >= 3 required")
-    # The tree is a star when it has depth 1, or depth 2 below one vertex.
-    if len(levels) == 2:
-        return StarReduction(0, g.full_mask ^ 1)
-    if len(levels) == 3 and levels[1].bit_count() == 1:
-        return StarReduction(levels[1].bit_length() - 1, g.full_mask ^ levels[1])
+    # The tree is a star when it has depth 1, or depth 2 below one vertex:
+    # the next-to-last level is then the center alone.
+    center = levels[-2]
+    if len(levels) <= 3 and center.bit_count() == 1:
+        return _verify_star(g, StarReduction(center.bit_length() - 1, g.full_mask ^ center))
 
     tree = [0] * n
     for up, level in zip(levels, levels[1:]):
@@ -661,8 +664,7 @@ def find_reducing_star(g: Graph) -> StarReduction:
                 break
     if star is None:
         star = StarReduction(x, children)
-    _verify_star(g, star)
-    return star
+    return _verify_star(g, star)
 
 
 # ---------------------------------------------------------------------------

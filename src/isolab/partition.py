@@ -16,11 +16,14 @@ One pass per mask counts each vertex's degree inside it, and both base
 cases and the degree-2 rung are read from those counts. The cut-vertex
 rung needs only the least cut vertex. A leaf's neighbor is a cut vertex
 and a leaf never is, so the least leaf neighbor bounds the answer, and
-the other vertices below it are probed in ascending order, each probe
-growing one side of the vertex until it holds all the vertex's neighbors.
-A mask with no leaves, or one whose probes have grown as many vertices as
-it holds, gets one full lowpoint search instead. The verifier looks for
-an edge inside the leftover set with the decision kernels' own edge scan.
+the other vertices below it are probed in ascending order, each probe a
+component closure (``graphs._closure``) on one side of the vertex that
+stops once it holds all the vertex's neighbors. A mask with no leaves, or
+one whose probes have grown as many vertices as it holds, gets one full
+lowpoint search instead. The rung then splits the mask with one component
+pass, and the degree-2 rung's shortest paths are read off breadth-first
+levels (``graphs.bfs_levels``). The verifier looks for an edge inside the
+leftover set with the decision kernels' own edge scan.
 
 The cycle rung is the last one: a mask that reaches it has no cut vertex
 and no degree-2 vertex, so it is 2-connected with minimum degree at least
@@ -39,7 +42,8 @@ from typing import Optional
 from isolab._pykernels import _edge_vertex
 from isolab.graphs import (
     Graph,
-    bfs_tree,
+    _closure,
+    bfs_levels,
     bit_list,
     bits_of,
     closed_neighborhood,
@@ -48,7 +52,6 @@ from isolab.graphs import (
     find_cycle_len_mod3,
     induced_subgraph,
     is_connected,
-    iter_bits,
     masked_components,
     write_graph6,
 )
@@ -129,7 +132,7 @@ def is_c5(g: Graph, mask: Optional[int] = None) -> bool:
     if mask is None:
         mask = g.full_mask
     return mask.bit_count() == 5 and all(
-        (g.adj[v] & mask).bit_count() == 2 for v in iter_bits(mask)
+        (g.adj[v] & mask).bit_count() == 2 for v in bit_list(mask)
     )
 
 
@@ -137,14 +140,16 @@ def _bfs_shortest_path(
     g: Graph, src: int, dst: int, mask: int, limit: Optional[int] = None
 ) -> Optional[list[int]]:
     """Shortest src-dst path inside ``mask``, or None when there is none
-    with fewer than ``limit`` edges."""
-    tree = bfs_tree(g, src, mask, dst, limit)
-    if tree is None:
+    with fewer than ``limit`` edges. Walking back from ``dst`` over the
+    ``bfs_levels``, each step goes to the least neighbor one level up."""
+    adj = g.adj
+    levels = bfs_levels(adj, src, mask, dst, limit)
+    if not levels[-1] >> dst & 1:
         return None
-    parent = tree[0]
     path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
+    for level in reversed(levels[:-1]):
+        up = adj[path[-1]] & level
+        path.append((up & -up).bit_length() - 1)
     path.reverse()
     return path
 
@@ -290,21 +295,14 @@ def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
 
     The neighbor of a leaf is a cut vertex and a leaf never is, so with
     leaves the answer is at most the least leaf neighbor b, and only the
-    other vertices below b are probed, in ascending order. A probe grows
-    the component of one neighbor of c inside ``mask`` without c and stops
-    once it holds all of c's neighbors. Once the probes have grown as many
-    vertices as the mask holds, or when there are no leaves, one lowpoint
-    search (``cut_vertices``) answers instead.
+    other vertices below b are probed, in ascending order. A probe of c is
+    the ``_closure`` of c's least neighbor inside ``mask`` without c,
+    stopped once it holds all of c's neighbors. Once the probes have grown
+    as many vertices as the mask holds, or when there are no leaves, one
+    lowpoint search (``cut_vertices``) answers instead.
     """
     if ones:
-        adj = g.adj
-        hooks = 0
-        m = ones
-        while m:
-            b = m & -m
-            hooks |= adj[b.bit_length() - 1]
-            m ^= b
-        hooks &= mask
+        hooks = closed_neighborhood(g, ones) & mask & ~ones
         bound = hooks & -hooks
         probe = mask & ~ones & (bound - 1)
         budget = mask.bit_count()
@@ -312,16 +310,8 @@ def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
             c = probe & -probe
             probe ^= c
             rest = mask ^ c
-            need = adj[c.bit_length() - 1] & rest
-            comp = frontier = need & -need
-            while frontier and need & ~comp:
-                grow = 0
-                while frontier:
-                    b = frontier & -frontier
-                    grow |= adj[b.bit_length() - 1]
-                    frontier ^= b
-                frontier = grow & rest & ~comp
-                comp |= frontier
+            need = g.adj[c.bit_length() - 1] & rest
+            comp = _closure(g, need & -need, rest, need)
             if need & ~comp:
                 return c
             budget -= comp.bit_count()
@@ -332,28 +322,29 @@ def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
 
 
 def _reduce_cut_vertex(g: Graph, mask: int, cv: int) -> list[TraceStep]:
-    """``cv`` holds the least cut vertex of ``mask``, as one bit."""
+    """``cv`` holds the least cut vertex of the connected ``mask``, as one
+    bit.
+
+    The path is v, z with z the least neighbor of v that has a neighbor
+    in ``mask`` without v. The components of ``mask`` without v and z are
+    those of ``mask`` without v other than z's, which hold no neighbor of
+    z, and the pieces of z's, which all do. So v is a cut vertex exactly
+    when one of them misses z's neighbors, or when there is no such z:
+    then ``mask`` is a star on v, a base case.
+    """
     adj = g.adj
     v = cv.bit_length() - 1
-    comps_v = masked_components(g, mask ^ cv)
-    if len(comps_v) < 2:
+    rest = mask ^ cv
+    z = next((u for u in bit_list(adj[v] & rest) if adj[u] & rest), -1)
+    if z < 0:
+        raise RuntimeError("cut-vertex reduction on a star, which is a base case")
+    comps = masked_components(g, rest ^ (1 << z))
+    if all(c & adj[z] for c in comps):
         raise RuntimeError("cut-vertex reduction needs a cut vertex")
-    nontrivial = 0
-    for comp in comps_v:
-        if comp.bit_count() >= 2:
-            nontrivial |= comp
-    zb = adj[v] & nontrivial
-    zb &= -zb
-    z = zb.bit_length() - 1
-    yb = adj[z] & (mask ^ cv)
+    yb = adj[z] & rest
     y = (yb & -yb).bit_length() - 1
-    comp_z = next(c for c in comps_v if c & zb)
-    # Removing z as well splits only its own component.
-    comps = [c for c in comps_v if c != comp_z]
-    comps += masked_components(g, comp_z & ~(1 << z))
-    comps.sort(key=lambda c: c & -c)
     comp_y = next(c for c in comps if (c >> y) & 1)
-    xb = adj[v] & mask & ~zb & ~comp_y
+    xb = adj[v] & mask & ~(1 << z) & ~comp_y
     x = (xb & -xb).bit_length() - 1
     pre = TraceStep("cut-vertex", (v, z))
     return _path_reduce(g, comps, [v, z], x, y, [pre])
@@ -368,7 +359,7 @@ def _degree_two_cycle(g: Graph, mask: int, deg2: int) -> list[int]:
     stops at the far neighbor and gives up before depth ``len(best) - 2``.
     """
     best = None
-    for v in iter_bits(deg2):
+    for v in bit_list(deg2):
         a, b = bit_list(g.adj[v] & mask)
         limit = None if best is None else len(best) - 2
         sp = _bfs_shortest_path(g, a, b, mask & ~(1 << v), limit)

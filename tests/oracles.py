@@ -290,7 +290,7 @@ def relabel(g: G.Graph, labels: list[int]) -> G.Graph:
     adj = [0] * g.order
     for v in range(g.order):
         row = 0
-        for u in G.iter_bits(g.adj[v]):
+        for u in G.bit_list(g.adj[v]):
             row |= 1 << labels[u]
         adj[labels[v]] = row
     return G.Graph(g.order, tuple(adj))
@@ -366,7 +366,7 @@ def bfs_tree_ref(g: G.Graph, root: int, mask: int) -> tuple[list[int], list[int]
     """Queue BFS from ``root`` inside ``mask``, then each reached vertex's
     parent as its least-index neighbor one level up."""
     n = g.order
-    nbrs = [list(G.iter_bits(g.adj[v] & mask)) for v in range(n)]
+    nbrs = [G.bit_list(g.adj[v] & mask) for v in range(n)]
     depth = [-1] * n
     depth[root] = 0
     queue = deque([root])
@@ -446,7 +446,7 @@ def degree_two_cycle_ref(g: G.Graph, mask: int, deg2: int) -> list[int]:
     degree-2 vertex: the vertex, then the shortest path between its two
     neighbors; the first strictly shortest cycle wins."""
     best = None
-    for v in G.iter_bits(deg2):
+    for v in G.bit_list(deg2):
         a, b = G.bit_list(g.adj[v] & mask)
         path = _ref_path(g, a, b, mask & ~(1 << v))
         if path is None:

@@ -132,7 +132,7 @@ def test_automorphisms_of_symmetric_graphs(request, backend):
     kernels = kernels_of(request, backend)
     for g in SYMMETRIC:
         n = g.order
-        edges = {frozenset((u, v)) for u in range(n) for v in G.iter_bits(g.adj[u])}
+        edges = {frozenset((u, v)) for u in range(n) for v in G.bit_list(g.adj[u])}
         _, _, orbits, auts = kernels.canon_form(g.adj, n)
         assert 0 < len(auts) <= _pykernels._AUT_CAP
         assert all(oracles.is_automorphism_ref(n, edges, gamma) for gamma in auts)

@@ -100,14 +100,18 @@ class TestQueries:
     def test_broken_star_check_is_not_a_domain_error(self, capsys, monkeypatch):
         # A star that fails its own self-check is the engine's fault: it
         # escapes as RuntimeError instead of an "error":"domain" record.
-        # Here the search keeps only the least leaf of the star it found.
+        # Here the search keeps only the least leaf of the star it found,
+        # on a graph whose BFS tree from vertex 0 is no star, is a star of
+        # depth 1, and is one of depth 2 below a single vertex.
         star = lab.StarReduction
         monkeypatch.setattr(
             lab, "StarReduction", lambda center, leaves: star(center, leaves & -leaves)
         )
-        with pytest.raises(RuntimeError, match="two leaves"):
-            run_cli(capsys, ["star", "-"], "FhP?G\n", monkeypatch)
-        assert capsys.readouterr().out == ""
+        spider = G.from_edges(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
+        for g6 in ("FhP?G", G.write_graph6(G.star_graph(5)), G.write_graph6(spider)):
+            with pytest.raises(RuntimeError, match="two leaves"):
+                run_cli(capsys, ["star", "-"], g6 + "\n", monkeypatch)
+            assert capsys.readouterr().out == ""
 
     def test_bad_graph6_reports_offset(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["iso", "-"], "A_x\n", monkeypatch)

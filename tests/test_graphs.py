@@ -7,7 +7,7 @@ import oracles
 from conftest import random_connected_graph, random_graph
 from isolab import graphs as G
 from isolab import lab
-from isolab.partition import is_c5
+from isolab.partition import _bfs_shortest_path, is_c5
 
 
 def all_labeled_graphs(n):
@@ -78,7 +78,7 @@ def rooted_cycles_of_length(g, length):
             if (g.adj[v] >> path[0]) & 1 and path[1] < path[-1]:
                 yield tuple(path)
             return
-        for w in G.iter_bits(g.adj[v] & ~used):
+        for w in G.bit_list(g.adj[v] & ~used):
             if w < path[0]:
                 continue
             path.append(w)
@@ -317,52 +317,67 @@ class TestConnectivity:
             g = random_connected_graph(rng, rng.randrange(3, G.MAX_ORDER + 1))
             assert G.cut_vertices(g) == oracles.closure_cut_vertices(g)
 
-    def test_bfs_tree_least_parent(self):
-        # Vertex 3 is reached from 2 and from 4 on the same level; 2 wins.
-        parent, depth = G.bfs_tree(G.cycle_graph(6), 0, 0b111111)
-        assert parent == [-1, 0, 1, 2, 5, 0]
-        assert depth == [0, 1, 2, 3, 2, 1]
+    def test_shortest_path_least_parent(self):
+        # Vertex 3 is reached from 2 and from 4 on the same level; 2 wins,
+        # and each step back goes to the least neighbor one level up.
+        c6 = G.cycle_graph(6)
+        assert _bfs_shortest_path(c6, 0, 3, 0b111111) == [0, 1, 2, 3]
+        assert _bfs_shortest_path(c6, 3, 0, 0b111111) == [3, 2, 1, 0]
+        assert _bfs_shortest_path(c6, 0, 4, 0b111111) == [0, 5, 4]
+        assert _bfs_shortest_path(c6, 2, 2, 0b111111) == [2]
 
-    def test_bfs_tree_inside_mask(self):
-        parent, depth = G.bfs_tree(G.cycle_graph(6), 0, 0b111011)
-        assert parent == [-1, 0, -1, 4, 5, 0]
-        assert depth == [0, 1, -1, 3, 2, 1]
+    def test_shortest_path_inside_mask(self):
+        c6 = G.cycle_graph(6)
+        assert _bfs_shortest_path(c6, 0, 3, 0b111011) == [0, 5, 4, 3]
+        assert _bfs_shortest_path(c6, 0, 1, 0b111011) == [0, 1]
+        assert _bfs_shortest_path(c6, 0, 2, 0b111011) is None
+        assert _bfs_shortest_path(c6, 1, 3, 0b111011) == [1, 0, 5, 4, 3]
 
-    def test_bfs_tree_matches_queue_bfs_on_random_masks(self):
+    def test_shortest_path_matches_queue_bfs_on_random_masks(self):
         rng = random.Random(41)
         for _ in range(1500):
             n = rng.randrange(1, G.MAX_ORDER + 1)
             g = random_graph(rng, n, rng.choice([0.03, 0.08, 0.2, 0.5]))
-            root = rng.randrange(n)
-            mask = rng.getrandbits(n) | (1 << root)
-            assert G.bfs_tree(g, root, mask) == oracles.bfs_tree_ref(g, root, mask)
+            src, dst = rng.randrange(n), rng.randrange(n)
+            mask = rng.getrandbits(n) | (1 << src)
+            assert _bfs_shortest_path(g, src, dst, mask) == oracles._ref_path(
+                g, src, dst, mask
+            )
 
-    def test_bounded_bfs_tree(self):
-        # With a limit, only levels below it are reached; with a stop vertex,
-        # None exactly when it is unreachable or at least limit edges away,
-        # else the reference tree cut after the stop's level.
+    def test_bounded_shortest_path(self):
+        # With a limit, None exactly when dst is unreachable or at least
+        # limit edges away, else the reference path.
         rng = random.Random(43)
         for _ in range(3000):
             n = rng.randrange(1, G.MAX_ORDER + 1)
             g = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.3]))
-            root, stop = rng.randrange(n), rng.randrange(n)
-            mask = rng.getrandbits(n) | (1 << root) | (1 << stop)
-            limit = rng.choice([None, rng.randrange(1, 9)])
-            parent, depth = oracles.bfs_tree_ref(g, root, mask)
-            dist = depth[stop]
-            got = G.bfs_tree(g, root, mask, stop, limit)
-            if dist < 0 or (limit is not None and dist >= limit):
-                assert got is None
+            src, dst = rng.randrange(n), rng.randrange(n)
+            mask = rng.getrandbits(n) | (1 << src) | (1 << dst)
+            limit = rng.randrange(1, 9)
+            want = oracles._ref_path(g, src, dst, mask)
+            if want is not None and len(want) - 1 >= limit:
+                want = None
+            assert _bfs_shortest_path(g, src, dst, mask, limit) == want
+
+    def test_closure_until_stops_inside_the_full_closure(self):
+        # Stopped early, the closure is part of the full one, and holds
+        # ``until`` whenever the full one does; it stops only then.
+        rng = random.Random(47)
+        for _ in range(3000):
+            n = rng.randrange(1, G.MAX_ORDER + 1)
+            g = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.3]))
+            mask = rng.getrandbits(n)
+            seed = 1 << rng.randrange(n)
+            full = G._closure(g, seed, mask)
+            until = rng.getrandbits(n) & rng.getrandbits(n)
+            if rng.random() < 0.5:
+                until &= full
+            part = G._closure(g, seed, mask, until)
+            assert part & ~full == 0
+            if until & ~full:
+                assert part == full
             else:
-                assert got == tuple(
-                    [x if 0 <= d <= dist else -1 for x, d in zip(ref, depth)]
-                    for ref in (parent, depth)
-                )
-            if limit is not None:
-                assert G.bfs_tree(g, root, mask, limit=limit) == tuple(
-                    [x if 0 <= d < limit else -1 for x, d in zip(ref, depth)]
-                    for ref in (parent, depth)
-                )
+                assert until & ~part == 0
 
 
 class TestCycles:
@@ -440,7 +455,7 @@ class TestMasks:
         sub, keep = G.induced_subgraph(g, mask)
 
         def back(x):
-            return G.bits_of(keep[v] for v in G.iter_bits(x))
+            return G.bits_of(keep[v] for v in G.bit_list(x))
 
         assert G.cut_vertices(g, mask) == back(G.cut_vertices(sub))
         cyc = G.find_cycle_len_mod3(sub)

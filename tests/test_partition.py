@@ -172,7 +172,7 @@ class TestEngineOnCatalogs:
                 assert all(tp.classes)
                 coloring = {}
                 for i, cls in enumerate(tp.classes):
-                    for v in G.iter_bits(cls):
+                    for v in G.bit_list(cls):
                         coloring[v] = i + 1
                 assert oracles.valid_tripartition_ref(
                     g.order, {frozenset(e) for e in g.edges()}, coloring
@@ -282,7 +282,7 @@ class TestReductionInputs:
 
 
 def _leaves(g, mask):
-    return G.bits_of(v for v in G.iter_bits(mask) if (g.adj[v] & mask).bit_count() == 1)
+    return G.bits_of(v for v in G.bit_list(mask) if (g.adj[v] & mask).bit_count() == 1)
 
 
 def _random_connected_mask(rng, g):
@@ -356,6 +356,27 @@ class TestLeastCutVertex:
         for g in leafy_and_dense:
             partition3(g)
         assert searches[0] <= 1029
+
+    def test_reduce_cut_vertex_refuses_other_vertices(self, small_connected):
+        # Every vertex that is not a cut vertex raises, the least cut vertex
+        # heads a cut-vertex step, and a star's center is left to the base
+        # case.
+        for n in range(3, 8):
+            for g in small_connected[n]:
+                cvs = oracles.closure_cut_vertices(g)
+                for v in G.bit_list(g.full_mask & ~cvs):
+                    with pytest.raises(RuntimeError, match="needs a cut vertex"):
+                        P._reduce_cut_vertex(g, g.full_mask, 1 << v)
+                least = cvs & -cvs
+                if not least:
+                    continue
+                v = least.bit_length() - 1
+                if g.degree(v) == n - 1 and g.edge_count() == n - 1:
+                    with pytest.raises(RuntimeError, match="base case"):
+                        P._reduce_cut_vertex(g, g.full_mask, least)
+                else:
+                    step = P._reduce_cut_vertex(g, g.full_mask, least)[0]
+                    assert (step.kind, step.vertices[0]) == ("cut-vertex", v)
 
 
 class TestTrace:
@@ -490,7 +511,7 @@ class TestRarePaths:
     def test_unverified_result_is_engine_gap(self, monkeypatch):
         # A monochrome coloring replays, but its leftover is all of V.
         def mono(g, mask):
-            colors = {v: 1 for v in G.iter_bits(mask)}
+            colors = {v: 1 for v in G.bit_list(mask)}
             return [TraceStep("base-cycle", tuple(colors), colors)]
 
         monkeypatch.setattr(P, "_solve", mono)
