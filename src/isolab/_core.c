@@ -27,7 +27,9 @@
  *
  * The decisions has_isolating_set and has_dominating_set run rec from a start
  * state; first_isolating_set and first_dominating_set run first(), the walk
- * of _pykernels._first, over the same search.
+ * of _pykernels._first, over the same search, which reports the set it chose
+ * for the walk to reuse. A start state with a forbidden vertex is first
+ * scanned by dead_target, as in the Python kernels.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -497,10 +499,13 @@ static int outpack(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, int v
 }
 
 /* Whether at most budget vertices outside forbidden hit every target inside
- * rem. Branch on the least target still to hit, one branch per chooser in
+ * rem; when they do, and only then, *chosen is set to the first such set the
+ * search meets.
+ * Branch on the least target still to hit, one branch per chooser in
  * ascending order. Earlier siblings are forbidden below a branch, so no
  * vertex set is explored twice. */
-static int rec(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, long budget) {
+static int rec(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, long budget,
+               u64 *chosen) {
     u64 m, e = 0, cand, tried = 0, x;
     int v = 0, w;
     for (m = rem; m; m &= m - 1) {
@@ -508,8 +513,10 @@ static int rec(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, long budg
         if ((e = tgt[v] & rem) != 0)
             break;
     }
-    if (m == 0)
+    if (m == 0) {
+        *chosen = 0;
         return 1;
+    }
     if (budget == 0)
         return 0;
     cand = choosers(adj, v, e) & ~forbidden;
@@ -519,10 +526,27 @@ static int rec(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden, long budg
         x = cand & (0 - cand);
         cand ^= x;
         w = ctz64(x);
-        if (rec(adj, tgt, rem & ~(adj[w] | x), forbidden | tried, budget - 1))
+        if (rec(adj, tgt, rem & ~(adj[w] | x), forbidden | tried, budget - 1, chosen)) {
+            *chosen |= x;
             return 1;
+        }
         tried |= x;
     }
+    return 0;
+}
+
+/* Whether some target inside rem has every chooser forbidden, which refutes
+ * the state at every budget, as _pykernels._dead_target. A vertex is blind
+ * when its closed neighborhood is all forbidden; a target has no allowed
+ * chooser exactly when both its ends are blind. */
+static int dead_target(const u64 *adj, const u64 *tgt, u64 rem, u64 forbidden) {
+    u64 m, blind = 0;
+    for (m = rem & forbidden; m; m &= m - 1)
+        if (!(adj[ctz64(m)] & ~forbidden))
+            blind |= m & (0 - m);
+    for (m = blind; m; m &= m - 1)
+        if (tgt[ctz64(m)] & blind)
+            return 1;
     return 0;
 }
 
@@ -552,10 +576,11 @@ static int parse_query(PyObject *const *args, Py_ssize_t nargs, const char *fnam
 }
 
 /* tgt is the target row of rec, or NULL for the adjacency rows (isolation),
- * as in first. */
+ * as in first. A start state with a forbidden vertex is first scanned for a
+ * target with no allowed chooser. */
 static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fname,
                         const u64 *tgt) {
-    u64 a[MAXN], full, state[2];
+    u64 a[MAXN], full, state[2], rem, chosen;
     int n, overflow;
     long k;
     if (parse_query(args, nargs, fname, a, &n, &full, &k, &overflow, state) < 0)
@@ -564,7 +589,12 @@ static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fna
      * and one too small is a refutation, as in the Python fallback. */
     if (overflow)
         k = overflow > 0 ? n : -1;
-    return PyBool_FromLong(k >= 0 && rec(a, tgt ? tgt : a, full & ~state[0], state[1], k));
+    if (tgt == NULL)
+        tgt = a;
+    rem = full & ~state[0];
+    if (k > 0 && (state[1] & full) && dead_target(a, tgt, rem, state[1]))
+        return PyBool_FromLong(0);
+    return PyBool_FromLong(k >= 0 && rec(a, tgt, rem, state[1], k, &chosen));
 }
 
 /* The walk of _pykernels._first: the lex-least set of exactly k allowed
@@ -572,11 +602,16 @@ static PyObject *decide(PyObject *const *args, Py_ssize_t nargs, const char *fna
  * at the next position when rec finds a completion of at most one vertex
  * fewer with every vertex up to v forbidden, and enough allowed vertices lie
  * above v to pad it to exact size; a taken vertex always completes, so the
- * walk never backtracks and makes at most n decisions. Unlike decide, a k
- * outside 0..n (too large for a long included) has no answer. */
+ * walk never backtracks and makes at most n decisions. The completion a
+ * successful rec reports is kept in w, above the vertex just taken: at the
+ * next position the least vertex of w is taken without a decision, since the
+ * rest of w completes it, and only the candidates below it are decided; one
+ * that succeeds is lex-smaller, and its completion replaces w. Both backends
+ * run this one walk. Unlike decide, a k outside 0..n (too large for a long
+ * included) has no answer. */
 static PyObject *first(PyObject *const *args, Py_ssize_t nargs, const char *fname,
                        const u64 *tgt) {
-    u64 a[MAXN], full, state[2], rem, forbidden, rest, found = 0, bit, r = 0, f = 0;
+    u64 a[MAXN], full, state[2], rem, forbidden, rest, found = 0, bit, r = 0, f = 0, w = 0;
     int n, overflow;
     long k;
     if (parse_query(args, nargs, fname, a, &n, &full, &k, &overflow, state) < 0)
@@ -587,18 +622,26 @@ static PyObject *first(PyObject *const *args, Py_ssize_t nargs, const char *fnam
         tgt = a;
     rem = full & ~state[0];
     forbidden = state[1];
+    if ((forbidden & full) && dead_target(a, tgt, rem, forbidden))
+        return PyLong_FromLong(-1);
     if (k == 0)
-        return PyLong_FromLong(rec(a, tgt, rem, forbidden, 0) ? 0 : -1);
+        return PyLong_FromLong(rec(a, tgt, rem, forbidden, 0, &w) ? 0 : -1);
     rest = full & ~forbidden;
     while (k-- > 0) {
-        do {
+        for (;;) {
             if (pop64(rest) <= k)
                 return PyLong_FromLong(-1);
             bit = rest & (0 - rest);
             rest ^= bit;
             r = rem & ~(a[ctz64(bit)] | bit);
             f = forbidden | bit | (bit - 1);
-        } while (!rec(a, tgt, r, f, k));
+            if (w & bit) {
+                w ^= bit;
+                break;
+            }
+            if (rec(a, tgt, r, f, k, &w))
+                break;
+        }
         found |= bit;
         rem = r;
         forbidden = f;

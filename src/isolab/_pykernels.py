@@ -18,11 +18,15 @@ an edge for isolation and a vertex for domination, and prunes with a greedy
 packing bound, since targets whose allowed chooser sets are pairwise
 disjoint each need a chosen vertex of their own. The bound, ``_outpack``,
 is written once for both, told which targets to pack by a target row.
-``_isolating_search`` and ``_dominating_search`` stay apart, each testing
-its last choice in place, and each is built once per call. The ``has_*``
-decisions run it from the start state, and the ``first_*`` kernels run
-``_first``, the walk that builds the lex-least set of exactly k vertices
-from at most n of its decisions.
+The searches, ``_isolating_rec`` and ``_dominating_rec``, stay apart, each
+testing its last choice in place. Both are module-level functions that take
+the whole state as arguments, so a call builds nothing, and each returns
+the set it chose, or -1. The ``has_*`` decisions run one from the start
+state, and the ``first_*`` kernels run ``_first``, the walk that builds the
+lex-least set of exactly k vertices from at most n of its decisions and
+takes a vertex without a decision where the completion it holds already
+shows one. A start state with a forbidden vertex is first scanned once by
+``_dead_target``, which refutes it when a target has no allowed chooser.
 """
 
 from __future__ import annotations
@@ -385,66 +389,92 @@ def _outpack(adj, tgt, rem, forbidden, v, cand, budget):
     return True
 
 
-def _isolating_search(adj, n):
-    """The isolation search of ``has_isolating_set``, as ``rec(covered,
-    forbidden, budget)``: whether some set of at most ``budget`` vertices
-    outside ``forbidden`` isolates the graph with ``covered`` removed.
+def _dead_target(adj, tgt, rem, forbidden):
+    """Whether some target inside ``rem`` has every chooser forbidden, on
+    the target row ``tgt`` of ``_outpack``. Such a target refutes the state
+    at every budget.
+
+    A vertex is blind when its closed neighborhood is all forbidden, the
+    vertex itself included. A target's choosers are the closed
+    neighborhoods of its ends, so it has none allowed exactly when both
+    ends are blind: a blind vertex of ``rem`` with a blind target partner.
+    """
+    blind = 0
+    m = rem & forbidden
+    while m:
+        x = m & -m
+        m ^= x
+        if not adj[x.bit_length() - 1] & ~forbidden:
+            blind |= x
+    m = blind
+    while m:
+        x = m & -m
+        if tgt[x.bit_length() - 1] & blind:
+            return True
+        m ^= x
+    return False
+
+
+def _isolating_rec(adj, full, covered, forbidden, budget):
+    """The isolation search: some set of at most ``budget`` vertices
+    outside ``forbidden`` that isolates the graph with ``covered`` removed,
+    as the mask of the vertices it chose, or -1 when there is none.
 
     Branches on the least edge not yet touched by chosen closed
     neighborhoods; candidates are the closed neighborhoods of the edge's
-    endpoints. Earlier siblings are forbidden below a branch, so no vertex
-    set is explored twice. A node with budget ``BOUND_MIN_BUDGET`` or more
+    endpoints, in ascending order. Earlier siblings are forbidden below a
+    branch, so no vertex set is explored twice, and the set returned is the
+    first the search meets. A node with budget ``BOUND_MIN_BUDGET`` or more
     is refuted without branching when ``_outpack``, on the target row
     ``adj``, finds more edges with pairwise disjoint choosers than the
     budget.
     """
-    full = (1 << n) - 1
-
-    def rec(covered, forbidden, budget):
-        rem = full & ~covered
-        v = _edge_vertex(adj, rem)
-        if v < 0:
-            return True
-        if not budget:
-            return False
-        e = adj[v] & rem
-        u = (e & -e).bit_length() - 1
-        cand = (adj[v] | adj[u] | (1 << v) | (1 << u)) & ~forbidden
-        if budget == 1:
-            # The last choice, tested in place: a candidate isolates when no
-            # edge is left among the vertices it leaves. Vertices below v
-            # had no edge in rem, so the scan starts at v.
-            while cand:
-                x = cand & -cand
-                cand ^= x
-                left = rem & ~(adj[x.bit_length() - 1] | x)
-                m = left >> v << v
-                while m:
-                    y = m & -m
-                    if adj[y.bit_length() - 1] & left:
-                        break
-                    m ^= y
-                else:
-                    return True
-            return False
-        if budget >= BOUND_MIN_BUDGET and _outpack(adj, adj, rem, forbidden, v, cand, budget):
-            return False
-        tried = 0
+    rem = full & ~covered
+    v = _edge_vertex(adj, rem)
+    if v < 0:
+        return 0
+    if not budget:
+        return -1
+    e = adj[v] & rem
+    u = (e & -e).bit_length() - 1
+    cand = (adj[v] | adj[u] | (1 << v) | (1 << u)) & ~forbidden
+    if budget == 1:
+        # The last choice, tested in place: a candidate isolates when no
+        # edge is left among the vertices it leaves. Vertices below v had
+        # no edge in rem, so the scan starts at v.
         while cand:
             x = cand & -cand
             cand ^= x
-            w = x.bit_length() - 1
-            if rec(covered | adj[w] | x, forbidden | tried, budget - 1):
-                return True
-            tried |= x
-        return False
+            left = rem & ~(adj[x.bit_length() - 1] | x)
+            m = left >> v << v
+            while m:
+                y = m & -m
+                if adj[y.bit_length() - 1] & left:
+                    break
+                m ^= y
+            else:
+                return x
+        return -1
+    if budget >= BOUND_MIN_BUDGET and _outpack(adj, adj, rem, forbidden, v, cand, budget):
+        return -1
+    tried = 0
+    budget -= 1
+    while cand:
+        x = cand & -cand
+        cand ^= x
+        got = _isolating_rec(
+            adj, full, covered | adj[x.bit_length() - 1] | x, forbidden | tried, budget
+        )
+        if got >= 0:
+            return got | x
+        tried |= x
+    return -1
 
-    return rec
 
-
-def _dominating_search(adj, n):
-    """The domination search of ``has_dominating_set``, as ``rec(covered,
-    forbidden, budget)``, in the manner of ``_isolating_search``.
+def _dominating_rec(adj, full, covered, forbidden, budget):
+    """The domination search, in the manner of ``_isolating_rec``: some
+    set of at most ``budget`` vertices outside ``forbidden`` whose closed
+    neighborhoods cover every vertex outside ``covered``, as a mask, or -1.
 
     Branches on the least undominated vertex's closed neighborhood, and
     refutes a node with budget ``BOUND_MIN_BUDGET`` or more early when
@@ -452,59 +482,64 @@ def _dominating_search(adj, n):
     vertices with pairwise disjoint allowed closed neighborhoods than the
     budget.
     """
-    full = (1 << n) - 1
-
-    def rec(covered, forbidden, budget):
-        rem = full & ~covered
-        if not rem:
-            return True
-        if not budget:
-            return False
-        x = rem & -rem
-        v = x.bit_length() - 1
-        cand = (adj[v] | x) & ~forbidden
-        if budget == 1:
-            # The last choice, tested in place: it must dominate all of rem.
-            while cand:
-                y = cand & -cand
-                if not rem & ~(adj[y.bit_length() - 1] | y):
-                    return True
-                cand ^= y
-            return False
-        if budget >= BOUND_MIN_BUDGET and _outpack(
-            adj, _SELF_ROWS, rem, forbidden, v, cand, budget
-        ):
-            return False
-        tried = 0
+    rem = full & ~covered
+    if not rem:
+        return 0
+    if not budget:
+        return -1
+    x = rem & -rem
+    v = x.bit_length() - 1
+    cand = (adj[v] | x) & ~forbidden
+    if budget == 1:
+        # The last choice, tested in place: it must dominate all of rem.
         while cand:
             y = cand & -cand
+            if not rem & ~(adj[y.bit_length() - 1] | y):
+                return y
             cand ^= y
-            w = y.bit_length() - 1
-            if rec(covered | adj[w] | y, forbidden | tried, budget - 1):
-                return True
-            tried |= y
-        return False
-
-    return rec
+        return -1
+    if budget >= BOUND_MIN_BUDGET and _outpack(adj, _SELF_ROWS, rem, forbidden, v, cand, budget):
+        return -1
+    tried = 0
+    budget -= 1
+    while cand:
+        y = cand & -cand
+        cand ^= y
+        got = _dominating_rec(
+            adj, full, covered | adj[y.bit_length() - 1] | y, forbidden | tried, budget
+        )
+        if got >= 0:
+            return got | y
+        tried |= y
+    return -1
 
 
 def _first(rec, adj, n, k, covered, forbidden):
     """The lex-least set of exactly ``k`` vertices outside ``forbidden``
-    that ``rec`` (a search from ``_isolating_search`` or
-    ``_dominating_search``) accepts from the start state, as a mask, or -1.
+    that ``rec`` (``_isolating_rec`` or ``_dominating_rec``) accepts from
+    the start state, as a mask, or -1.
 
     A vertex v is taken at the next position when a completion of at most
     one vertex fewer exists with every vertex up to v forbidden, and enough
     allowed vertices lie above v to pad it to exact size. Both properties
     are kept by supersets, so a taken vertex always completes, and the walk
     never backtracks: at most n decisions in all.
+
+    A decision that succeeds returns its completion, and the walk keeps it
+    as ``w``, all of it above the vertex just taken. At the next position
+    the least vertex of ``w`` needs no decision: the rest of ``w`` completes
+    it, with every vertex up to it forbidden. Only the candidates below it
+    are decided, and one that succeeds is lex-smaller, so its completion
+    replaces ``w``. A walk whose first completion is already lex-least
+    makes one accepting search.
     """
     if not 0 <= k <= n:
         return -1
+    full = (1 << n) - 1
     if not k:
-        return 0 if rec(covered, forbidden, 0) else -1
-    rest = ((1 << n) - 1) & ~forbidden
-    found = 0
+        return 0 if rec(adj, full, covered, forbidden, 0) >= 0 else -1
+    rest = full & ~forbidden
+    found = w = 0
     while k:
         k -= 1
         while True:
@@ -514,7 +549,12 @@ def _first(rec, adj, n, k, covered, forbidden):
             rest ^= bit
             c = covered | adj[bit.bit_length() - 1] | bit
             f = forbidden | bit | (bit - 1)
-            if rec(c, f, k):
+            if w & bit:
+                w ^= bit
+                break
+            got = rec(adj, full, c, f, k)
+            if got >= 0:
+                w = got
                 break
         found |= bit
         covered, forbidden = c, f
@@ -523,43 +563,58 @@ def _first(rec, adj, n, k, covered, forbidden):
 
 def has_isolating_set(adj, n, k, covered=0, forbidden=0, /):
     """Decide whether some vertex set of size <= k isolates the graph
-    (False for k < 0), by the search of ``_isolating_search``.
+    (False for k < 0), by ``_isolating_rec``.
 
     The search may start from a state: ``covered`` vertices count as
     already removed (the closed neighborhood of a set chosen so far) and
     ``forbidden`` vertices may not be chosen. Mask bits at or above n are
-    ignored.
+    ignored. When ``forbidden`` holds a vertex, one scan of the start state
+    first answers False if some edge left has every chooser forbidden.
 
     The packing bound refutes only nodes that hold no solution, so it
     changes no answer, only how soon a refutation ends.
     """
     if k < 0:
         return False
+    full = (1 << n) - 1
     if k == 0:
-        return _edge_vertex(adj, ((1 << n) - 1) & ~covered) < 0
-    return _isolating_search(adj, n)(covered, forbidden, k)
+        return _edge_vertex(adj, full & ~covered) < 0
+    if forbidden & full and _dead_target(adj, adj, full & ~covered, forbidden):
+        return False
+    return _isolating_rec(adj, full, covered, forbidden, k) >= 0
 
 
 def has_dominating_set(adj, n, k, covered=0, forbidden=0, /):
     """Decide whether some vertex set of size <= k dominates every vertex
     (False for k < 0), starting from ``covered`` vertices already dominated
     and with ``forbidden`` vertices never chosen, as in has_isolating_set,
-    by the search of ``_dominating_search``."""
+    by ``_dominating_rec``; its start-state scan looks for an undominated
+    vertex with every chooser forbidden."""
     if k < 0:
         return False
+    full = (1 << n) - 1
     if k == 0:
-        return not ((1 << n) - 1) & ~covered
-    return _dominating_search(adj, n)(covered, forbidden, k)
+        return not full & ~covered
+    if forbidden & full and _dead_target(adj, _SELF_ROWS, full & ~covered, forbidden):
+        return False
+    return _dominating_rec(adj, full, covered, forbidden, k) >= 0
 
 
 def first_isolating_set(adj, n, k, covered=0, forbidden=0, /):
     """The lex-least isolating set of exactly k vertices outside
     ``forbidden``, from the start state of ``has_isolating_set``, as a
-    mask; -1 when there is none (always for k < 0 or k > n)."""
-    return _first(_isolating_search(adj, n), adj, n, k, covered, forbidden)
+    mask; -1 when there is none (always for k < 0 or k > n). The start
+    state is scanned for a dead edge as in ``has_isolating_set``."""
+    full = (1 << n) - 1
+    if forbidden & full and _dead_target(adj, adj, full & ~covered, forbidden):
+        return -1
+    return _first(_isolating_rec, adj, n, k, covered, forbidden)
 
 
 def first_dominating_set(adj, n, k, covered=0, forbidden=0, /):
     """The lex-least dominating set of exactly k vertices, as
     ``first_isolating_set``."""
-    return _first(_dominating_search(adj, n), adj, n, k, covered, forbidden)
+    full = (1 << n) - 1
+    if forbidden & full and _dead_target(adj, _SELF_ROWS, full & ~covered, forbidden):
+        return -1
+    return _first(_dominating_rec, adj, n, k, covered, forbidden)

@@ -66,8 +66,9 @@ def _input_lines(paths: list[str]) -> Iterable[str]:
             source = _open(path, encoding="utf-8", errors="surrogateescape")
         with source as fh:
             for line in fh:
-                if line.strip():
-                    yield line.strip()
+                line = line.strip()
+                if line:
+                    yield line
 
 
 def _for_each_graph(args) -> int:

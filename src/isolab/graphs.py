@@ -221,15 +221,55 @@ def _g6_header(n: int) -> bytes:
     return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
 
 
-# Each graph6 character, as the six body bits it carries, high bit first.
-_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+# Each graph6 character as a byte holding its six body bits in reverse, so
+# that the body read little-endian has bit 6b + s of the body stream at bit
+# 8b + s: groups of six bits, eight apart.
+_G6_REVERSED = bytes(int(f"{c - 63:06b}"[::-1], 2) if 63 <= c < 127 else 0 for c in range(256))
 _G6_BAD = re.compile("[^?-~]")
-# Per packing width, for each column j of the graph6 upper triangle: where
-# its j bits start in the reversed body, their mask, and the bit of row j in
-# the packed matrix.
-_G6_COLUMNS = {
-    w: tuple((j * (j - 1) // 2, (1 << j) - 1, w * j) for j in range(w)) for w in _WIDTHS
-}
+# Per order, the masked shifts of ``_g6_moves``, built on first use.
+_G6_MOVES: list = [None] * (MAX_ORDER + 1)
+
+
+def _g6_moves(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The two lists of masked shifts that decode a graph6 body of order n,
+    each as (mask, shift) pairs: compress and expand in a logarithmic number
+    of word operations (Warren, Hacker's Delight, 2nd ed., ch. 7).
+
+    ``squeeze`` closes the two-bit gaps between the six-bit groups read from
+    the body, doubling the group size at each step: the odd-numbered groups
+    of a step move down against the group before them. The result is one
+    numeral with edge (i, j) at bit j(j - 1)/2 + i, so column j of the upper
+    triangle is a run of j bits, and the padding lies above them.
+
+    ``spread`` then moves column j's run to row j of the packed matrix, a
+    left shift of w * j - j(j - 1)/2 for the packing width w, one bit of
+    those shifts per step, the highest first. The shifts grow with j, and
+    so do their values rounded down to a multiple of any power of two, while
+    each run ends where the next begins. So after every step the runs still
+    lie in order without overlap, and no moved run lands on another.
+    """
+    nbits = n * (n - 1) // 2
+    squeeze = []
+    size, gap, groups = 6, 2, (nbits + 5) // 6
+    while groups > 1:
+        odd = sum(((1 << size) - 1) << (size + gap) * g for g in range(1, groups, 2))
+        squeeze.append((odd, gap))
+        size, gap, groups = 2 * size, 2 * gap, (groups + 1) // 2
+    width = _LAYOUTS[n][0]
+    shifts = [width * j - j * (j - 1) // 2 for j in range(n)]
+    spread = []
+    for b in reversed(range(max(shifts, default=0).bit_length())):
+        # Runs sit where the shift bits above b have moved them.
+        high = ~0 << b + 1
+        mask = sum(
+            ((1 << j) - 1) << j * (j - 1) // 2 + (d & high)
+            for j, d in enumerate(shifts)
+            if d >> b & 1
+        )
+        if mask:
+            spread.append((mask, 1 << b))
+    moves = _G6_MOVES[n] = (tuple(squeeze), tuple(spread))
+    return moves
 
 
 def _decoded_graph(n: int, adj: tuple[int, ...]) -> Graph:
@@ -279,20 +319,24 @@ def parse_graph6(text: str) -> Graph:
     if have > need:
         raise Graph6Error("unexpected trailing bytes", body_off + need)
     # The body is the upper triangle column by column: column j holds the
-    # bits of edges (0, j), ..., (j - 1, j).
-    bits = line[body_off:].translate(_G6_BITS)
-    pad = bits.find("1", nbits)
-    if pad >= 0:
-        raise Graph6Error("nonzero padding bits", body_off + pad // 6)
-    # Reversed, it is one numeral with edge (i, j) at bit j(j - 1)/2 + i, so
-    # j's lower neighborhood is a run of j bits. Moved to row j of the packed
-    # matrix, the runs make its lower triangle; the upper one is the transpose.
-    body = int(bits[:nbits][::-1] or "0", 2)
+    # bits of edges (0, j), ..., (j - 1, j). Squeezed, it is one numeral with
+    # edge (i, j) at bit j(j - 1)/2 + i, its padding above them; spread, each
+    # column's run is row j of the packed matrix, its lower triangle; the
+    # upper one is the transpose.
+    squeeze, spread = _G6_MOVES[n] or _g6_moves(n)
+    body = int.from_bytes(data[body_off:].translate(_G6_REVERSED), "little")
+    for mask, s in squeeze:
+        x = body & mask
+        body = body ^ x | x >> s
+    pad = body >> nbits
+    if pad:
+        at = nbits + (pad & -pad).bit_length() - 1
+        raise Graph6Error("nonzero padding bits", body_off + at // 6)
+    for mask, s in spread:
+        x = body & mask
+        body = body ^ x | x << s
     width, code, _, swaps = _LAYOUTS[n]
-    lower = 0
-    for at, run, row in _G6_COLUMNS[width][:n]:
-        lower |= ((body >> at) & run) << row
-    m = lower | _transpose(lower, swaps)
+    m = body | _transpose(body, swaps)
     rows = array(code, m.to_bytes(width * n // 8, sys.byteorder))
     # Symmetric by the transpose, loop-free and inside the order because the
     # runs sit below the diagonal: nothing for __post_init__ to check.

@@ -3,14 +3,19 @@
 Everything here deliberately avoids the library's bitmask machinery:
 graphs are dicts of sets, subsets are frozensets, and graph6 decoding goes
 through a textual bit string. Slow and obvious beats fast and clever for
-an oracle. The last two sections are the exceptions: small helpers on
-isolab's ``Graph`` that only the tests use, and the previous pure-Python
-``canon_form``, whose output the current one must reproduce exactly.
+an oracle. The exceptions are ``parse_graph6_ref``, the previous graph6
+decoder, whose graphs and errors the current one must reproduce exactly,
+and the last two sections: small helpers on isolab's ``Graph`` that only
+the tests use, and the previous pure-Python ``canon_form``, whose output
+the current one must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import operator
+import re
+import sys
+from array import array
 from collections import deque
 from itertools import combinations, permutations, product
 
@@ -38,6 +43,66 @@ def decode_graph6_reference(line: str) -> tuple[int, set[frozenset[int]]]:
                 edges.add(frozenset((i, j)))
             idx += 1
     return n, edges
+
+
+# The tables of ``parse_graph6_ref``: each graph6 character as the six body
+# bits it carries, high bit first, and per packing width, for each column j
+# of the upper triangle, where its j bits start in the reversed body, their
+# mask, and the bit of row j in the packed matrix.
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_G6_BAD = re.compile("[^?-~]")
+_G6_COLUMNS = {
+    w: tuple((j * (j - 1) // 2, (1 << j) - 1, w * j) for j in range(w)) for w in G._WIDTHS
+}
+
+
+def parse_graph6_ref(text: str) -> G.Graph:
+    """The previous ``graphs.parse_graph6``, kept as the reference: the same
+    checks, messages and offsets, then the body through a string of ``0``
+    and ``1``, one ``int(..., 2)`` and one shift per column. The graph goes
+    through the validating ``Graph`` constructor."""
+    line = text.rstrip("\n")
+    if not line:
+        raise G.Graph6Error("empty graph6 string", 0)
+    bad = _G6_BAD.search(line)
+    if bad:
+        raise G.Graph6Error(f"character {bad.group()!r} out of graph6 range", bad.start())
+    data = line.encode("ascii")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise G.Graph6Error("eight-byte order header exceeds supported range", 1)
+        if len(data) < 4:
+            raise G.Graph6Error("truncated long-form order header", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if n <= 62:
+            raise G.Graph6Error("long-form header used for order <= 62", 0)
+        body_off = 4
+    else:
+        n = data[0] - 63
+        body_off = 1
+    if n > G.MAX_ORDER:
+        raise G.Graph6Error(f"order {n} exceeds supported maximum {G.MAX_ORDER}", 0)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    have = len(data) - body_off
+    if have < need:
+        raise G.Graph6Error("graph6 body truncated", body_off + have)
+    if have > need:
+        raise G.Graph6Error("unexpected trailing bytes", body_off + need)
+    bits = line[body_off:].translate(_G6_BITS)
+    pad = bits.find("1", nbits)
+    if pad >= 0:
+        raise G.Graph6Error("nonzero padding bits", body_off + pad // 6)
+    # Reversed, the body is one numeral with edge (i, j) at bit
+    # j(j - 1)/2 + i; row j of the packed lower triangle is its run of j bits.
+    body = int(bits[:nbits][::-1] or "0", 2)
+    width, code, _, swaps = G._LAYOUTS[n]
+    lower = 0
+    for at, run, row in _G6_COLUMNS[width][:n]:
+        lower |= ((body >> at) & run) << row
+    m = lower | G._transpose(lower, swaps)
+    rows = array(code, m.to_bytes(width * n // 8, sys.byteorder))
+    return G.Graph(n, tuple(rows))
 
 
 def neighbors(n: int, edges: set[frozenset[int]]) -> dict[int, set[int]]:
@@ -90,6 +155,20 @@ def decide_ref(n: int, edges: set[frozenset[int]], k: int, covered: int,
         for size in range(min(k, len(allowed)) + 1)
         for xs in combinations(allowed, size)
     )
+
+
+def dead_target_ref(n: int, edges: set[frozenset[int]], covered: int, forbidden: int,
+                    predicate) -> bool:
+    """Whether some target left by ``covered`` has no allowed chooser: a
+    vertex (``dominating_ref``) or an edge (``isolating_ref``) outside
+    ``covered`` that no closed neighborhood of an allowed vertex meets.
+    Such a state has no set with ``predicate`` at any size."""
+    adj = neighbors(n, edges)
+    reach = closed_nbhd(adj, frozenset(v for v in range(n) if not forbidden >> v & 1))
+    left = {v for v in range(n) if not covered >> v & 1}
+    if predicate is dominating_ref:
+        return any(v not in reach for v in left)
+    return any(e <= left and e.isdisjoint(reach) for e in edges)
 
 
 # Each kernel walk with the predicate its sets have.

@@ -4,6 +4,7 @@ import functools
 import os
 import random
 import re
+import time
 import types
 
 import oracles
@@ -452,3 +453,66 @@ def test_decisions_identical_around_the_value_on_sparse_graphs_up_to_64(core):
                     got = getattr(_pykernels, name)(g.adj, n, j, *state)
                     assert got == (j == k), (name, G.write_graph6(g), state, j)
     assert max(values) >= 20
+
+
+# Graphs from a seeded stream of small random connected graphs on which the
+# walk at the value first finds a completion that is not lex-least and
+# replaces it, so that it makes two accepting searches.
+REPLACED_COMPLETIONS = (
+    ("first_dominating_set", "H?W?l@{"),
+    ("first_dominating_set", "HDQFOcg"),
+    ("first_isolating_set", "L?Ca?aOJQWAoG?"),
+    ("first_isolating_set", "Ls?II__AGD?A`G"),
+)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_walks_that_replace_their_first_completion_match_the_lex_oracle(request, backend):
+    kernels = kernels_of(request, backend)
+    refs = dict(oracles.KERNEL_WALKS)
+    for name, line in REPLACED_COMPLETIONS:
+        g = G.parse_graph6(line)
+        edges = {frozenset(e) for e in g.edges()}
+        walk = getattr(kernels, name)
+        for k in range(g.order + 2):
+            want = oracles.first_ref(g.order, edges, k, 0, 0, refs[name])
+            assert walk(g.adj, g.order, k) == want, (name, line, k)
+
+
+def test_dead_target_scan_matches_its_definition():
+    rng = random.Random(2031)
+    dead = cases = 0
+    for g, covered, forbidden in small_oracle_cases(rng):
+        full = (1 << g.order) - 1
+        edges = {frozenset(e) for e in g.edges()}
+        for predicate, tgt in (
+            (oracles.isolating_ref, g.adj),
+            (oracles.dominating_ref, _pykernels._SELF_ROWS),
+        ):
+            want = oracles.dead_target_ref(g.order, edges, covered, forbidden, predicate)
+            got = _pykernels._dead_target(g.adj, tgt, full & ~covered, forbidden & full)
+            assert got == want, (G.write_graph6(g), covered, forbidden, predicate)
+            dead += want
+            cases += 1
+    assert 0 < dead < cases
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_a_start_state_with_a_dead_edge_is_refuted_at_once(request, backend):
+    # Edge (25, 39) has every chooser forbidden, so no budget suffices;
+    # without the start-state scan Python took seconds per call.
+    from test_solvers import sparse_connected_graph
+
+    kernels = kernels_of(request, backend)
+    g = sparse_connected_graph(62, 59698)
+    covered, forbidden = 0x203C000268110001, 0x88C8013000008
+    for fn, k, want in (
+        (kernels.has_isolating_set, 31, False),
+        (kernels.has_isolating_set, 62, False),
+        (kernels.first_isolating_set, 31, -1),
+    ):
+        start = time.perf_counter()
+        assert fn(g.adj, 62, k, covered, forbidden) == want
+        assert time.perf_counter() - start < 0.1
+    # The same state without the dead edge's forbidden choosers is solvable.
+    assert kernels.has_isolating_set(g.adj, 62, 62, covered, 0)

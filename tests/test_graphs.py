@@ -238,6 +238,75 @@ class TestGraph6:
             assert G.parse_graph6(G.write_graph6(g)) == g
 
 
+def assert_decoders_agree(line):
+    """``parse_graph6`` gives the graph of ``oracles.parse_graph6_ref``, or
+    the same ``Graph6Error`` message and offset."""
+    try:
+        want = oracles.parse_graph6_ref(line)
+    except G.Graph6Error as exc:
+        with pytest.raises(G.Graph6Error) as got:
+            G.parse_graph6(line)
+        assert (str(got.value), got.value.offset) == (str(exc), exc.offset), line
+    else:
+        assert G.parse_graph6(line) == want, line
+
+
+def long_header(n):
+    return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+
+
+class TestDecoderReference:
+    """The word-operation decoder against the previous one, kept in
+    ``oracles``: graphs at every order under both header forms, and every
+    kind of rejection."""
+
+    def test_random_graphs_under_both_headers(self):
+        rng = random.Random(2027)
+        for n in range(G.MAX_ORDER + 1):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                # write_graph6 uses the short header up to order 62 and the
+                # long one above; the long one below 63 must be refused.
+                line = G.write_graph6(random_graph(rng, n, p))
+                assert_decoders_agree(line)
+                assert_decoders_agree(long_header(n) + (line[4:] if n > 62 else line[1:]))
+
+    def test_every_nonzero_padding_bit(self):
+        rng = random.Random(2028)
+        cases = 0
+        for n in range(G.MAX_ORDER + 1):
+            nbits = n * (n - 1) // 2
+            pad = -nbits % 6
+            line = G.write_graph6(random_graph(rng, n, 0.5))
+            last = ord(line[-1]) - 63
+            # each padding bit alone, then all of them
+            for extra in [1 << bit for bit in range(pad)] + [(1 << pad) - 1] * (pad > 1):
+                assert_decoders_agree(line[:-1] + chr((last | extra) + 63))
+                cases += 1
+        # every padding bit of orders 0 to 64, and all of them together
+        # wherever there are two or more
+        assert cases == 180
+
+    def test_truncated_and_surplus_bodies(self):
+        rng = random.Random(2029)
+        for n in range(G.MAX_ORDER + 1):
+            line = G.write_graph6(random_graph(rng, n, 0.5))
+            head = 4 if n > 62 else 1
+            for cut in range(head, len(line)):
+                assert_decoders_agree(line[:cut])
+            for extra in ("?", "~", "?~", "@" * 7):
+                assert_decoders_agree(line + extra)
+
+    def test_characters_outside_the_range(self):
+        rng = random.Random(2030)
+        outside = [*range(0, 63), 127, 128, 0xE9, 0x3000, 0xDCFF]
+        for n in (0, 1, 2, 9, 30, 62, 63, 64):
+            line = G.write_graph6(random_graph(rng, n, 0.5))
+            for c in outside:
+                at = rng.randrange(len(line) + 1)
+                assert_decoders_agree(line[:at] + chr(c) + line[at:])
+                assert_decoders_agree(line[:at] + chr(c) + line[at + 1 :])
+
+
 class TestNeighborhoods:
     def test_closed_neighborhood_on_cycle(self):
         c5 = G.cycle_graph(5)

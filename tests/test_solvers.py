@@ -168,6 +168,31 @@ class TestWitnessWalk:
         with pytest.raises(RuntimeError):
             S._lex_least(G.path_graph(3), decide, first, S.is_isolating)
 
+    def test_walk_decides_only_below_the_completion_it_holds(self):
+        # On the path and the cycle, the first completion found is already
+        # lex-least ({4, 7, 10} after 1, {4, 8} after 0): one accepting
+        # search. On the pinned graphs the first one is replaced by a
+        # lex-smaller one: two. A walk that searched again at every
+        # position would make as many as the value.
+        for g, kind, value, accepted in (
+            (G.path_graph(12), "dominating", 4, 1),
+            (G.cycle_graph(12), "isolating", 3, 1),
+            (G.parse_graph6("H?W?l@{"), "dominating", 3, 2),
+            (G.parse_graph6("L?Ca?aOJQWAoG?"), "isolating", 3, 2),
+        ):
+            rec = getattr(_pykernels, f"_{kind}_rec")
+            calls = []
+
+            def counted(*args):
+                got = rec(*args)
+                calls.append(got >= 0)
+                return got
+
+            x = _pykernels._first(counted, g.adj, g.order, value, 0, 0)
+            assert x == getattr(_pykernels, f"first_{kind}_set")(g.adj, g.order, value)
+            assert x == scan_witness(g, value, getattr(S, f"is_{kind}"))
+            assert sum(calls) == accepted
+
     def test_64_vertices_on_python_kernels(self, use_backend):
         use_backend(_pykernels)
         assert_64_vertices_solved()
