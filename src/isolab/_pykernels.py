@@ -9,7 +9,9 @@ bits in ascending order are the cell's members in order. It refines on
 bit-sliced neighbor counts, all vertices at once, and compares leaves by
 one integer in the order of their graph6 bodies, packing bytes only for
 the best leaf. ``_body_key`` and ``_body_bytes`` are also the graph6
-packer of ``isolab.graphs.write_graph6``.
+packer of ``isolab.graphs.write_graph6``. Its search, ``_search``, is a
+module-level function that takes the search state as arguments and
+returns the best leaf so far, so a call builds no closure.
 
 The decisions are set-cover searches, the view of domination that Fomin,
 Grandoni and Kratsch (J. ACM 2009) and van Rooij and Bodlaender (Discrete
@@ -38,7 +40,7 @@ BACKEND_NAME = "python"
 _AUT_CAP = 96
 
 
-def _refine(adj, n, cells, fresh):
+def _refine(adj, n, cells, fresh, watch=0):
     """Stable neighborhood refinement of an ordered partition.
 
     Cells are vertex masks. Repeatedly splits cells by the vector of
@@ -69,7 +71,16 @@ def _refine(adj, n, cells, fresh):
     orders the parts by ascending signature, compared lexicographically,
     and each part's members stay in ascending order. A round that leaves
     all ``n`` cells singletons ends the refinement, since nothing can split.
+
+    With a nonzero ``watch`` mask, the result is None as soon as the last
+    cell holds no vertex of ``watch``: at the start, or after the round
+    that first leaves it so. That is exact, since cells split in place and
+    the last cell only shrinks. The round's last cell is the members of
+    the last cell with the greatest signature, kept plane by plane, so it
+    is checked before any cell is split.
     """
+    if watch and not cells[-1] & watch:
+        return None
     while fresh and len(cells) < n:
         planes = []
         for f in fresh:
@@ -88,6 +99,15 @@ def _refine(adj, n, cells, fresh):
                 planes += reversed(sums)
             else:
                 planes.append(adj[f.bit_length() - 1])
+        if watch:
+            # Keep the members with the plane's bit set whenever one has it.
+            last = cells[-1]
+            for p in planes:
+                x = last & p
+                if x:
+                    last = x
+            if not last & watch:
+                return None
         out = []
         fresh = []
         for cell in cells:
@@ -176,125 +196,157 @@ def canon_form(adj, n, last=-1, known=(), /):
     partition. Canonical augmentation in ``isolab.lab`` prunes on both.
 
     With ``0 <= last < n``, the result is ``None`` when vertex ``last``
-    is not in that cell, found after the root refinement alone; otherwise
-    it is the same as without ``last``. ``last`` outside ``-1..n-1``
-    raises ``ValueError``, and one that is not an integer ``TypeError``.
+    is not in that cell, found without a search at the first round of the
+    root refinement that leaves ``last`` outside the last cell, since that
+    cell only shrinks; otherwise it is the same as without ``last``.
+    ``last`` outside ``-1..n-1`` raises ``ValueError``, and one that is not
+    an integer ``TypeError``, both before the root refinement.
 
     Below the root, a branch is pruned only by the automorphisms recorded
     in ``auts``. So on a graph with many more than ``_AUT_CAP`` of them the
-    search tree grows exponentially with the order: K_n and the empty graph
-    take 0.05 s at n = 18, under 1 s at n = 19 and 11 to 16 s at n = 20.
+    search tree grows exponentially with the order: on a 2-vCPU VM, K_n and
+    the empty graph take about 0.05 s at n = 18, 0.7 to 0.85 s at n = 19 and
+    12 to 15 s at n = 20.
     """
     if not -1 <= operator.index(last) < n:
         raise ValueError(f"last {last} outside -1..{n - 1}")
-    known = [list(map(operator.index, g)) for g in known]
+    gammas, known = known, []
+    for g in gammas:
+        known.append(list(map(operator.index, g)))
     if known:
         ident = list(range(n))
-        if any(sorted(g) != ident for g in known):
-            raise ValueError(f"a known entry is not a permutation of range({n})")
+        for g in known:
+            if sorted(g) != ident:
+                raise ValueError(f"a known entry is not a permutation of range({n})")
     if n == 0:
         return [], b"", [], known[:_AUT_CAP]
     bydeg = {}
     for v in range(n):
         d = adj[v].bit_count()
         bydeg[d] = bydeg.get(d, 0) | 1 << v
-    cells0 = [bydeg[d] for d in sorted(bydeg)]
-    cells0 = _refine(adj, n, cells0, cells0[:-1])
-    if last >= 0 and not cells0[-1] >> last & 1:
+    cells0 = list(map(bydeg.get, sorted(bydeg)))
+    cells0 = _refine(adj, n, cells0, cells0[:-1], 1 << last if last >= 0 else 0)
+    if cells0 is None:
         return None
     if len(cells0) == n:
-        order = [c.bit_length() - 1 for c in cells0]
+        order = _order(cells0)
         body = _body_bytes(_body_key(adj, order), n)
         return _labels(order), body, list(range(n)), known[:_AUT_CAP]
-
-    best_key = -1
-    best_order = None
     parent = list(range(n))
     auts = []
     fixed = []  # fixed[i]: the mask of points auts[i] fixes
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def record(gamma):
-        # Merge gamma's cycles into the orbits; the smaller root wins, so
-        # every root is the least vertex of its set.
-        fix = 0
-        for v, w in enumerate(gamma):
-            if v == w:
-                fix |= 1 << v
-                continue
-            while parent[v] != v:
-                v = parent[v]
-            while parent[w] != w:
-                w = parent[w]
-            if v < w:
-                parent[w] = v
-            elif w < v:
-                parent[v] = w
-        if len(auts) < _AUT_CAP:
-            auts.append(gamma)
-            fixed.append(fix)
-
     for gamma in known:
-        record(gamma)
+        _record(gamma, parent, auts, fixed)
+    key, order = _search(adj, n, cells0, 0, 0, -1, None, parent, auts, fixed)
+    # Every root is the least vertex of its set, so parent[v] <= v, and in
+    # ascending order parent[v] is a root once parent[parent[v]] is.
+    for v in range(n):
+        parent[v] = parent[parent[v]]
+    return _labels(order), _body_bytes(key, n), parent, auts
 
-    def search(cells, prefix, t):
-        # cells: a refined partition, singletons before index t; prefix: the
-        # mask of the vertices individualized on the way here
-        nonlocal best_key, best_order
-        if len(cells) == n:
-            order = [c.bit_length() - 1 for c in cells]
-            key = _body_key(adj, order)
-            if key > best_key:
-                best_key = key
-                best_order = order
-            elif key == best_key:
-                gamma = [0] * n
-                for u, v in zip(best_order, order):
-                    gamma[u] = v
-                record(gamma)
-            return
-        while True:
-            cell = cells[t]
-            if cell & (cell - 1):
-                break
-            t += 1
-        head = cells[:t]
-        tail = cells[t + 1 :]
-        tried = []  # at the root: the vertices of cell tried so far
-        done = 0  # below it: their mask
-        m = cell
-        while m:
-            x = m & -m
-            m ^= x
-            v = x.bit_length() - 1
-            # v is skipped when a given or found automorphism maps it to a
-            # vertex tried before: at the root any orbit merged so far
-            # counts, below it a recorded automorphism that fixes prefix
-            # pointwise.
-            skip = False
-            if not prefix:
-                r = find(v)
-                skip = any(find(u) == r for u in tried)
-                tried.append(v)
-            else:
-                for g, f in zip(auts, fixed):
-                    if done >> g[v] & 1 and not prefix & ~f:
-                        skip = True
-                        break
-                done |= x
-            if not skip:
-                search(_refine(adj, n, [*head, x, cell ^ x, *tail], [x]), prefix | x, t + 1)
 
-    search(cells0, 0, 0)
+def _find(parent, x):
+    """The root of ``x`` in the union-find forest ``parent``, compressing
+    the path to it."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
-    return _labels(best_order), _body_bytes(best_key, n), [find(v) for v in range(n)], auts
+
+def _record(gamma, parent, auts, fixed):
+    """Merge the cycles of the automorphism ``gamma`` into the orbits of
+    ``parent``, the smaller root winning, so that every root is the least
+    vertex of its set, and keep ``gamma`` and the mask of the points it
+    fixes while ``auts`` holds fewer than ``_AUT_CAP``."""
+    fix = 0
+    for v, w in enumerate(gamma):
+        if v == w:
+            fix |= 1 << v
+            continue
+        while parent[v] != v:
+            v = parent[v]
+        while parent[w] != w:
+            w = parent[w]
+        if v < w:
+            parent[w] = v
+        elif w < v:
+            parent[v] = w
+    if len(auts) < _AUT_CAP:
+        auts.append(gamma)
+        fixed.append(fix)
+
+
+def _search(adj, n, cells, prefix, t, best_key, best_order, parent, auts, fixed):
+    """The subtree of ``canon_form``'s search below ``cells``, a refined
+    partition that is not discrete, with singletons before index ``t``;
+    ``prefix`` is the mask of the vertices individualized on the way here.
+
+    Returns the greatest leaf key met so far and the order of the first
+    leaf that attains it, given those met before as ``best_key`` and
+    ``best_order``. A later leaf with an equal key gives an automorphism,
+    recorded in the orbits ``parent`` and in ``auts`` and ``fixed``. Each
+    leaf is taken in the loop over its parent's cell, not by a call of
+    ``_search``.
+    """
+    while True:
+        cell = cells[t]
+        if cell & (cell - 1):
+            break
+        t += 1
+    head = cells[:t]
+    tail = cells[t + 1 :]
+    t += 1
+    tried = []  # at the root: the vertices of cell tried so far
+    done = 0  # below it: their mask
+    m = cell
+    while m:
+        x = m & -m
+        m ^= x
+        v = x.bit_length() - 1
+        # v is skipped when a given or found automorphism maps it to a
+        # vertex tried before: at the root any orbit merged so far counts,
+        # below it a recorded automorphism that fixes prefix pointwise.
+        skip = False
+        if not prefix:
+            r = _find(parent, v)
+            for u in tried:
+                if _find(parent, u) == r:
+                    skip = True
+                    break
+            tried.append(v)
+        else:
+            for g, f in zip(auts, fixed):
+                if done >> g[v] & 1 and not prefix & ~f:
+                    skip = True
+                    break
+            done |= x
+        if skip:
+            continue
+        below = _refine(adj, n, [*head, x, cell ^ x, *tail], [x])
+        if len(below) < n:
+            best_key, best_order = _search(
+                adj, n, below, prefix | x, t, best_key, best_order, parent, auts, fixed
+            )
+            continue
+        order = _order(below)
+        key = _body_key(adj, order)
+        if key > best_key:
+            best_key = key
+            best_order = order
+        elif key == best_key:
+            gamma = [0] * n
+            for u, w in zip(best_order, order):
+                gamma[u] = w
+            _record(gamma, parent, auts, fixed)
+    return best_key, best_order
+
+
+def _order(cells):
+    """The vertices of a discrete partition, in order."""
+    return [c.bit_length() - 1 for c in cells]
 
 
 def _labels(order):

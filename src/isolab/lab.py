@@ -46,23 +46,24 @@ The child's orbits and automorphisms may change, and any subgroup is
 enough here.
 
 Each child left is canonized as ``canon_form(child, k + 1, k, known)``, which
-refines the child's degree partition once and returns None, without
-searching, when the new vertex k is not in the last refined cell. The
-canonically-last vertex always lies in that cell (both backends split
-cells in place and never reorder them), so k cannot be in its orbit, and
-such a child is skipped before the per-parent dedupe. The set of classes
-does not change. Let a skipped child C have a class that the parent test
-accepts: deleting C's canonically-last vertex u leaves a graph that some
-map f takes onto the parent. Let s2 be the subset f(N(u)) of the parent.
-The child of s2 is isomorphic to C by f extended with u -> k, and the
-refined cells are invariant under isomorphism, so its new vertex is in
-its last refined cell. s2 passes the degree prune, since u has maximum
-degree in C, and the component prune, since its child is connected when
-C is. The orbit head of s2 is its image under an automorphism of the
-parent, which extends to an isomorphism of the two children fixing k, so
-the head's child keeps k in the last cell and is not skipped. Acceptance
-depends only on the class, so the class is still accepted, through the
-first child of it that is not skipped.
+refines the child's degree partition and returns None, without searching,
+when the new vertex k is not in the last refined cell. Both backends split
+cells in place and never reorder them, so the last cell only shrinks, and
+the pure-Python one returns at the first refinement round that leaves k
+outside it. The canonically-last vertex always lies in the last refined
+cell, so k cannot be in its orbit, and such a child is skipped before the
+per-parent dedupe. The set of classes does not change. Let a skipped child
+C have a class that the parent test accepts: deleting C's canonically-last
+vertex u leaves a graph that some map f takes onto the parent. Let s2 be
+the subset f(N(u)) of the parent. The child of s2 is isomorphic to C by f
+extended with u -> k, and the refined cells are invariant under
+isomorphism, so its new vertex is in its last refined cell. s2 passes the
+degree prune, since u has maximum degree in C, and the component prune,
+since its child is connected when C is. The orbit head of s2 is its image
+under an automorphism of the parent, which extends to an isomorphism of
+the two children fixing k, so the head's child keeps k in the last cell
+and is not skipped. Acceptance depends only on the class, so the class is
+still accepted, through the first child of it that is not skipped.
 
 The canonical parent test then canonizes the deletion of the
 canonically-last vertex u, unless u is k or in k's found orbit. No cheaper
@@ -77,7 +78,9 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
+from operator import or_
 from typing import Optional
 
 from isolab import _backend
@@ -141,6 +144,18 @@ def _images(k: int, auts) -> list[list[int]]:
     return images
 
 
+@cache
+def _spread(k: int) -> tuple[tuple[int, ...], ...]:
+    """``spread[s]``: the new vertex k's bit in each row ``v < k`` of the
+    child of subset mask ``s``, ``1 << k`` when ``v`` is in ``s`` and 0
+    otherwise, so that the child's rows are ``padj[v] | spread[s][v]``."""
+    bit = 1 << k
+    spread = [()]
+    for _ in range(k):
+        spread = [row + (0,) for row in spread] + [row + (bit,) for row in spread]
+    return tuple(spread)
+
+
 def _orbit_heads(subsets, images) -> list[int]:
     """The first subset, in the given order, of each orbit that the
     subsets meet under the group generated by the permutations whose
@@ -177,24 +192,22 @@ def _children_of(
     k = len(padj)
     top = max(row.bit_count() for row in padj)
     topmask = bits_of(v for v, row in enumerate(padj) if row.bit_count() == top)
-    comps = components(Graph(k, padj)) if connected_final else []
     # The new vertex must reach the child's maximum degree (module
-    # docstring), and must touch every parent component to connect it.
-    subsets = [
-        s
-        for s in range(1 << k)
-        if s.bit_count() >= top + (1 if s & topmask else 0)
-        and all(s & comp for comp in comps)
-    ]
+    # docstring), and must touch every parent component to connect it. A
+    # subset that passes the degree prune with top >= 1 is not empty, so it
+    # touches a connected parent's one component.
+    subsets = [s for s in range(1 << k) if s.bit_count() >= top + (1 if s & topmask else 0)]
+    comps = components(Graph(k, padj)) if connected_final else []
+    if len(comps) > 1 or top < 1:
+        subsets = [s for s in subsets if all(s & comp for comp in comps)]
     images = _images(k, pauts)
+    spread = _spread(k)
     # The parent's automorphisms with k -> k, and their subset images
     extended = list(zip([gamma + bytes([k]) for gamma in pauts], images))
     out = []
     seen: set[bytes] = set()
     for subset in _orbit_heads(subsets, images):
-        child = tuple(
-            row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)
-        ) + (subset,)
+        child = (*map(or_, padj, spread[subset]), subset)
         known = [g for g, img in extended if img[subset] == subset] if extended else ()
         canon = _backend.canon_form(child, k + 1, k, known)
         if canon is None:  # k is outside the last root cell (docstring)

@@ -218,6 +218,48 @@ def test_canon_labels_a_last_root_cell_vertex_last(request, backend):
                 assert kernels.canon_form(adj, n, v) == want
 
 
+def test_watched_root_refinement_exits_exactly_outside_the_last_cell():
+    # The pure-Python root exit: refining the degree cells while watching v
+    # gives None exactly when v is outside the last cell of the unwatched
+    # result, and otherwise that result.
+    rng = random.Random(28)
+    checked = exits = 0
+    for n in range(1, 8):
+        for line in lab.enumerate_all(n):
+            g = G.parse_graph6(line)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for adj in (g.adj, oracles.relabel(g, perm).adj):
+                degrees = [row.bit_count() for row in adj]
+                cells0 = [
+                    G.bits_of(v for v in range(n) if degrees[v] == d)
+                    for d in sorted(set(degrees))
+                ]
+                want = _pykernels._refine(adj, n, cells0, cells0[:-1])
+                for v in range(n):
+                    got = _pykernels._refine(adj, n, cells0, cells0[:-1], 1 << v)
+                    assert got == (want if want[-1] >> v & 1 else None)
+                    checked += 1
+                    exits += got is None
+    assert checked == 2 * sum(n * TestEnumeration.ALL[n] for n in range(1, 8))
+    assert 0 < exits < checked
+
+
+def test_pykernels_canon_form_builds_no_closure():
+    # A nested function or comprehension would be built anew on every call.
+    consts = _pykernels.canon_form.__code__.co_consts
+    assert not any(isinstance(c, types.CodeType) for c in consts)
+
+
+def test_order1_parent_gives_only_k2_on_a_connected_final_level():
+    # Its top degree is 0, so the component prune must still drop the
+    # empty subset, whose child is two isolated vertices.
+    parent = lab._all_graphs_level(1)[0]
+    assert lab._children_of(parent, connected_final=True) == [((0b10, 0b01), b"A_", None)]
+    codes = [code for _, code, _ in lab._children_of(parent, connected_final=False)]
+    assert sorted(codes) == [b"A?", b"A_"]
+
+
 def _child(padj, subset):
     k = len(padj)
     return tuple(row | (((subset >> v) & 1) << k) for v, row in enumerate(padj)) + (subset,)
