@@ -6,9 +6,10 @@ the currency of every operation in the package. Adjacency is one machine
 word per vertex, which caps the order at 64 and keeps all set algebra
 branch-free.
 
-Vertex sets grow by ``_closure`` (components, partition's cut-vertex
-probes) or by ``bfs_levels`` (levels, off which callers read shortest paths
-and spanning trees); ``cut_vertices`` is the one depth-first search.
+Vertex sets grow by ``bfs_levels``, the one breadth-first search: callers
+sum its levels for components, connectivity and partition's cut-vertex
+probes, and read shortest paths and spanning trees off them;
+``cut_vertices`` is the one depth-first search.
 """
 
 from __future__ import annotations
@@ -126,7 +127,10 @@ class Graph:
         n = self.order
         if not 0 <= n <= MAX_ORDER:
             raise ValueError(f"order {n} outside 0..{MAX_ORDER}")
-        adj = self.adj
+        # A tuple, so that the rows cannot change once checked and the
+        # graph hashes; tuple() hands a tuple back unchanged.
+        adj = tuple(self.adj)
+        object.__setattr__(self, "adj", adj)
         if len(adj) != n:
             raise ValueError("adjacency length does not match order")
         width, code, outside, swaps = _LAYOUTS[n]
@@ -273,9 +277,10 @@ def _g6_moves(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int
 
 
 def _decoded_graph(n: int, adj: tuple[int, ...]) -> Graph:
-    """A Graph built without ``__post_init__``'s checks, for rows that
-    parse_graph6 made valid by construction; every other caller goes
-    through ``Graph(...)``."""
+    """A Graph built without ``__post_init__``'s checks, for rows valid by
+    construction: those parse_graph6 decodes, and those induced_subgraph
+    cuts from a graph already checked. Every other caller goes through
+    ``Graph(...)``."""
     g = object.__new__(Graph)
     object.__setattr__(g, "order", n)
     object.__setattr__(g, "adj", adj)
@@ -371,36 +376,23 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     relative vertex order is preserved.
     """
     keep = tuple(bit_list(mask))
-    pos = {v: i for i, v in enumerate(keep)}
-    adj = []
+    adj = g.adj
+    rows = []
     for v in keep:
+        # Old vertex u becomes the number of kept vertices below it.
         row = 0
-        for u in bit_list(g.adj[v] & mask):
-            row |= 1 << pos[u]
-        adj.append(row)
-    return Graph(len(keep), tuple(adj)), keep
+        x = adj[v] & mask
+        while x:
+            b = x & -x
+            row |= 1 << (mask & (b - 1)).bit_count()
+            x ^= b
+        rows.append(row)
+    # Symmetric, loop-free and inside the new order, as g's rows are.
+    return _decoded_graph(len(keep), tuple(rows)), keep
 
 
 # ---------------------------------------------------------------------------
 # connectivity
-
-
-def _closure(g: Graph, seed: int, mask: int, until: int = -1) -> int:
-    """The vertices of ``mask`` reachable from ``seed`` inside it, grown one
-    BFS level at a time; growth stops at the first level that leaves every
-    vertex of ``until`` inside (default: never)."""
-    adj = g.adj
-    comp = seed & mask
-    frontier = comp
-    while frontier and until & ~comp:
-        grow = 0
-        while frontier:
-            b = frontier & -frontier
-            grow |= adj[b.bit_length() - 1]
-            frontier ^= b
-        frontier = grow & mask & ~comp
-        comp |= frontier
-    return comp
 
 
 def masked_components(g: Graph, mask: int) -> list[int]:
@@ -408,7 +400,7 @@ def masked_components(g: Graph, mask: int) -> list[int]:
     rest = mask
     out = []
     while rest:
-        comp = _closure(g, rest & -rest, mask)
+        comp = sum(bfs_levels(g.adj, (rest & -rest).bit_length() - 1, mask))
         out.append(comp)
         rest &= ~comp
     return out
@@ -422,24 +414,25 @@ def components(g: Graph) -> list[int]:
 def is_connected(g: Graph) -> bool:
     if g.order == 0:
         return False
-    return _closure(g, 1, g.full_mask) == g.full_mask
+    return sum(bfs_levels(g.adj, 0, g.full_mask)) == g.full_mask
 
 
 def bfs_levels(
-    adj: Sequence[int], root: int, mask: int, stop: int = -1, limit: Optional[int] = None
+    adj: Sequence[int], root: int, mask: int, until: int = -1, limit: Optional[int] = None
 ) -> list[int]:
-    """Breadth-first levels from ``root`` inside the subgraph induced on
-    ``mask``, for the adjacency rows ``adj``: ``levels[d]`` is the set of
-    vertices ``d`` edges from the root, and no level is empty. A positive
-    ``limit`` leaves every vertex ``limit`` or more edges from the root
-    unreached. With a ``stop`` vertex the search ends at the level that
-    reaches it, which is then the last level.
+    """Breadth-first levels from ``root``, a vertex of ``mask``, inside the
+    subgraph induced on ``mask``, for the adjacency rows ``adj``:
+    ``levels[d]`` is the set of vertices ``d`` edges from the root, and no
+    level is empty. The levels are disjoint, so their sum is the set
+    reached. A positive ``limit`` leaves every vertex ``limit`` or more
+    edges from the root unreached. The search ends at the first level after
+    which every vertex of the set ``until`` has been reached (default:
+    never), which is then the last level.
     """
     level = seen = 1 << root
     levels = [level]
-    goal = 1 << stop if stop >= 0 else 0
     deepest = len(adj) if limit is None else limit - 1
-    while not level & goal and len(levels) <= deepest:
+    while until & ~seen and len(levels) <= deepest:
         grow = 0
         while level:
             b = level & -level

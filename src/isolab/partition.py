@@ -16,14 +16,14 @@ One pass per mask counts each vertex's degree inside it, and both base
 cases and the degree-2 rung are read from those counts. The cut-vertex
 rung needs only the least cut vertex. A leaf's neighbor is a cut vertex
 and a leaf never is, so the least leaf neighbor bounds the answer, and
-the other vertices below it are probed in ascending order, each probe a
-component closure (``graphs._closure``) on one side of the vertex that
-stops once it holds all the vertex's neighbors. A mask with no leaves, or
-one whose probes have grown as many vertices as it holds, gets one full
-lowpoint search instead. The rung then splits the mask with one component
-pass, and the degree-2 rung's shortest paths are read off breadth-first
-levels (``graphs.bfs_levels``). The verifier looks for an edge inside the
-leftover set with the decision kernels' own edge scan.
+the other vertices below it are probed in ascending order, each probe the
+sum of the breadth-first levels (``graphs.bfs_levels``) on one side of
+the vertex, stopped once they hold all the vertex's neighbors. A mask with
+no leaves, or one whose probes have grown as many vertices as it holds,
+gets one full lowpoint search instead. The rung then splits the mask with
+one component pass, and the degree-2 rung's shortest paths are read off
+the same levels. The verifier looks for an edge inside the leftover set
+with the decision kernels' own edge scan.
 
 The cycle rung is the last one: a mask that reaches it has no cut vertex
 and no degree-2 vertex, so it is 2-connected with minimum degree at least
@@ -42,7 +42,6 @@ from typing import Optional
 from isolab._pykernels import _edge_vertex
 from isolab.graphs import (
     Graph,
-    _closure,
     bfs_levels,
     bit_list,
     bits_of,
@@ -143,7 +142,7 @@ def _bfs_shortest_path(
     with fewer than ``limit`` edges. Walking back from ``dst`` over the
     ``bfs_levels``, each step goes to the least neighbor one level up."""
     adj = g.adj
-    levels = bfs_levels(adj, src, mask, dst, limit)
+    levels = bfs_levels(adj, src, mask, 1 << dst, limit)
     if not levels[-1] >> dst & 1:
         return None
     path = [dst]
@@ -296,10 +295,10 @@ def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
     The neighbor of a leaf is a cut vertex and a leaf never is, so with
     leaves the answer is at most the least leaf neighbor b, and only the
     other vertices below b are probed, in ascending order. A probe of c is
-    the ``_closure`` of c's least neighbor inside ``mask`` without c,
-    stopped once it holds all of c's neighbors. Once the probes have grown
-    as many vertices as the mask holds, or when there are no leaves, one
-    lowpoint search (``cut_vertices``) answers instead.
+    the sum of the ``bfs_levels`` from c's least neighbor inside ``mask``
+    without c, stopped once they hold all of c's neighbors. Once the probes
+    have grown as many vertices as the mask holds, or when there are no
+    leaves, one lowpoint search (``cut_vertices``) answers instead.
     """
     if ones:
         hooks = closed_neighborhood(g, ones) & mask & ~ones
@@ -311,7 +310,7 @@ def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
             probe ^= c
             rest = mask ^ c
             need = g.adj[c.bit_length() - 1] & rest
-            comp = _closure(g, need & -need, rest, need)
+            comp = sum(bfs_levels(g.adj, (need & -need).bit_length() - 1, rest, need))
             if need & ~comp:
                 return c
             budget -= comp.bit_count()

@@ -508,16 +508,38 @@ def reducing_star_ref(g: G.Graph) -> tuple[int, int]:
 
 
 def closure_cut_vertices(g: G.Graph) -> int:
-    """The previous cut-vertex search, kept as the reference: one
-    connectivity closure per vertex."""
+    """The previous cut-vertex search, kept as the reference: one queue
+    search per vertex over the neighbor sets of the others, a cut vertex
+    when it leaves some of them unreached."""
     if g.order <= 2:
         return 0
+    nbrs = {v: set(G.bit_list(g.adj[v])) for v in range(g.order)}
     out = 0
     for v in range(g.order):
-        mask = g.full_mask ^ (1 << v)
-        if G._closure(g, mask & -mask, mask) != mask:
+        start = 1 if v == 0 else 0
+        seen = {v, start}
+        queue = deque([start])
+        while queue:
+            for u in nbrs[queue.popleft()] - seen:
+                seen.add(u)
+                queue.append(u)
+        if len(seen) < g.order:
             out |= 1 << v
     return out
+
+
+def induced_subgraph_ref(g: G.Graph, mask: int) -> tuple[G.Graph, tuple[int, ...]]:
+    """The previous induced_subgraph, kept as the reference: old indices
+    relabeled through a dict, the rows checked by ``Graph``."""
+    keep = tuple(G.bit_list(mask))
+    pos = {v: i for i, v in enumerate(keep)}
+    adj = []
+    for v in keep:
+        row = 0
+        for u in G.bit_list(g.adj[v] & mask):
+            row |= 1 << pos[u]
+        adj.append(row)
+    return G.Graph(len(keep), tuple(adj)), keep
 
 
 def degree_two_cycle_ref(g: G.Graph, mask: int, deg2: int) -> list[int]:

@@ -351,23 +351,26 @@ class TestCatalogs:
         assert json.loads(out)["ok"] is True
 
 
+def run_python(args, env=None, **kwargs):
+    """``python args`` in a child process that imports the isolab under
+    test, whatever PYTHONPATH the test run was started with; ``env`` adds
+    variables to the inherited ones."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lab.__file__)))
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, **kwargs)
+
+
 class TestProcessLevel:
     def test_console_script_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "isolab.cli", "iso", "-"],
-            input=C5 + "\n",
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "isolab.cli", "iso", "-"], input=C5 + "\n", text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["iota"] == 2
 
     def test_undecodable_stdin_is_graph6_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "isolab.cli", "iso", "-"],
+        proc = run_python(
+            ["-m", "isolab.cli", "iso", "-"],
             input=b"\xff\xfe\n" + C5.encode() + b"\n",
-            capture_output=True,
-            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            env={"PYTHONIOENCODING": "utf-8:strict"},
         )
         assert proc.returncode == 1 and proc.stderr == b""
         bad, good = (json.loads(line) for line in proc.stdout.decode().splitlines())
@@ -375,39 +378,26 @@ class TestProcessLevel:
 
     def test_import_does_not_load_logging(self):
         # No module of the package imports logging.
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, isolab.cli; print('logging' in sys.modules)"],
-            capture_output=True,
-            text=True,
+        proc = run_python(
+            ["-c", "import sys, isolab.cli; print('logging' in sys.modules)"], text=True
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
     def test_unknown_command_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "isolab.cli", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "isolab.cli", "frobnicate"], text=True)
         assert proc.returncode == 2
 
     def test_unknown_flag_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "isolab.cli", "iso", "--bogus"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "isolab.cli", "iso", "--bogus"], text=True)
         assert proc.returncode == 2
 
     def test_threads_do_not_change_bytes(self):
         outs = []
         for k in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "isolab.cli", "enum", "--order", "6",
-                 "--connected", "--threads", k],
-                capture_output=True,
+            proc = run_python(
+                ["-m", "isolab.cli", "enum", "--order", "6", "--connected", "--threads", k],
                 text=True,
-                env=None,
             )
             assert proc.returncode == 0
             outs.append(proc.stdout)

@@ -107,6 +107,13 @@ class TestGraphType:
         with pytest.raises(ValueError):
             G.Graph(65, (0,) * 65)
 
+    def test_rows_from_a_list_are_copied_into_a_tuple(self):
+        rows = [0b10, 0b01]
+        g = G.Graph(2, rows)
+        rows[0] = 0b11
+        assert g.adj == (0b10, 0b01)
+        assert hash(g) == hash(G.path_graph(2))
+
     def test_edges_and_degree(self):
         g = G.cycle_graph(5)
         assert g.edge_count() == 5
@@ -428,25 +435,32 @@ class TestConnectivity:
                 want = None
             assert _bfs_shortest_path(g, src, dst, mask, limit) == want
 
-    def test_closure_until_stops_inside_the_full_closure(self):
-        # Stopped early, the closure is part of the full one, and holds
-        # ``until`` whenever the full one does; it stops only then.
+    def test_bfs_levels_match_queue_bfs_distance_classes(self):
+        # From a root inside the mask, the levels are the reference's
+        # distance classes, cut before depth ``limit`` and after the first
+        # level that completes ``until``.
         rng = random.Random(47)
         for _ in range(3000):
             n = rng.randrange(1, G.MAX_ORDER + 1)
             g = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.3]))
-            mask = rng.getrandbits(n)
-            seed = 1 << rng.randrange(n)
-            full = G._closure(g, seed, mask)
-            until = rng.getrandbits(n) & rng.getrandbits(n)
+            root = rng.randrange(n)
+            mask = rng.getrandbits(n) | (1 << root)
+            _, depth = oracles.bfs_tree_ref(g, root, mask)
+            want = [
+                G.bits_of(v for v in range(n) if depth[v] == d) for d in range(max(depth) + 1)
+            ]
+            until = rng.choice([-1, rng.getrandbits(n) & rng.getrandbits(n)])
             if rng.random() < 0.5:
-                until &= full
-            part = G._closure(g, seed, mask, until)
-            assert part & ~full == 0
-            if until & ~full:
-                assert part == full
-            else:
-                assert until & ~part == 0
+                until &= sum(want)
+            limit = rng.choice([None, rng.randrange(1, 9)])
+            want = want[:limit]
+            reached = 0
+            for d, level in enumerate(want):
+                reached |= level
+                if not until & ~reached:
+                    del want[d + 1 :]
+                    break
+            assert G.bfs_levels(g.adj, root, mask, until, limit) == want
 
 
 class TestCycles:
@@ -540,6 +554,14 @@ class TestMasks:
         cycles = [tuple(keep[v] for v in c) for c in islice(all_cycles(sub, sub.full_mask), 300)]
         assert list(islice(all_cycles(g, mask), 300)) == cycles
         assert is_c5(g, mask) == is_c5(sub)
+
+    def test_induced_subgraph_matches_dict_relabel(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            n = rng.randrange(0, G.MAX_ORDER + 1)
+            g = random_graph(rng, n, rng.choice([0.05, 0.2, 0.5]))
+            mask = rng.getrandbits(n) & rng.choice([-1, rng.getrandbits(n)])
+            assert G.induced_subgraph(g, mask) == oracles.induced_subgraph_ref(g, mask)
 
     def test_random_masks_on_all_graphs_up_to_7(self):
         rng = random.Random(12)
