@@ -129,7 +129,7 @@ def _partition3(g, args) -> str:
         num, entry = _NUMERALS, _COLOR_ENTRIES
         trace = ",".join([
             '{"kind":"' + s.kind + '","vertices":[' + ",".join([num[v] for v in s.vertices])
-            + '],"colors":{' + ",".join([entry[v][c] for v, c in sorted(s.colors.items())])
+            + '],"colors":{' + ",".join([entry[v][c] for v, c in s.colors.items()])
             + "}}"
             for s in steps
         ])

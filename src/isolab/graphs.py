@@ -396,11 +396,16 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def masked_components(g: Graph, mask: int) -> list[int]:
-    """Components of the subgraph induced on ``mask``, by least vertex."""
+    """Components of the subgraph induced on ``mask``, by least vertex. A
+    vertex with no neighbor in ``mask`` is its own component, read off its
+    row without a search."""
+    adj = g.adj
     rest = mask
     out = []
     while rest:
-        comp = sum(bfs_levels(g.adj, (rest & -rest).bit_length() - 1, mask))
+        b = rest & -rest
+        v = b.bit_length() - 1
+        comp = sum(bfs_levels(adj, v, mask)) if adj[v] & mask else b
         out.append(comp)
         rest &= ~comp
     return out

@@ -3,10 +3,15 @@
 For a connected graph of order at least 3 other than the 5-cycle, builds a
 partition (A1, A2, A3) of the vertices such that the union of the three
 sets V - N[Ai] is independent. The construction works by recursive
-reduction and records every step in a trace. Each color is written once,
-in the trace step that made it, and nowhere else: the returned partition
-is the one the trace replays to, and it is re-verified before being
-returned.
+reduction and records every step in a trace. Each vertex's color is
+written once, into one of three class masks held per call; a component
+whose forced vertex came out in the wrong color has two classes swapped
+on its vertices, a few word operations, since its sub-solve colored
+exactly those. Steps are kept as (kind, vertices, mask of the vertices
+colored) and become trace steps, colors in ascending vertex order, only
+once every color is final. The returned partition is the one the trace
+replays to, it must equal the class masks, and it is re-verified before
+being returned.
 
 Reductions, in the order tried: star base case, cycle base case,
 cut-vertex, degree-2 vertex, cycle of length divisible by 3. Each
@@ -21,8 +26,10 @@ sum of the breadth-first levels (``graphs.bfs_levels``) on one side of
 the vertex, stopped once they hold all the vertex's neighbors. A mask with
 no leaves, or one whose probes have grown as many vertices as it holds,
 gets one full lowpoint search instead. The rung then splits the mask with
-one component pass, and the degree-2 rung's shortest paths are read off
-the same levels. The verifier looks for an edge inside the leftover set
+one component pass, which takes a vertex with no neighbor in the mask as
+its own component without a search, and the degree-2 rung's shortest paths
+are read off the same levels; once a triangle is the shortest cycle found,
+no further search runs. The verifier looks for an edge inside the leftover set
 with the decision kernels' own edge scan.
 
 The cycle rung is the last one: a mask that reaches it has no cut vertex
@@ -30,8 +37,9 @@ and no degree-2 vertex, so it is 2-connected with minimum degree at least
 3, and every graph of minimum degree at least 3 has a cycle whose length
 is divisible by 3 (G. Chen and A. Saito, J. Combin. Theory Ser. B 60
 (1994) 277-292). A mask where the search finds none, a trace that does not
-replay and a result that fails verification are gaps between the engine
-and that theory; each raises EngineGap naming the graph.
+replay or replays to other classes than the engine's, and a result that
+fails verification are gaps between the engine and that theory; each
+raises EngineGap naming the graph.
 """
 
 from __future__ import annotations
@@ -174,79 +182,113 @@ def separating_path_reduce(
     return colors, {x: 3, y: missing_end}
 
 
+# A step as the engine builds it: (kind, vertices, mask of the vertices it
+# colored). partition3 turns each into a TraceStep once every color is set.
+Step = tuple[str, tuple[int, ...], int]
+
+
+def _paint(cls: list[int], colors: dict[int, int]) -> int:
+    """Write ``colors`` into the class masks ``cls``; returns the mask of
+    the vertices painted."""
+    painted = 0
+    for v, c in colors.items():
+        b = 1 << v
+        cls[c] |= b
+        painted |= b
+    return painted
+
+
+def _color_of(cls: list[int], v: int) -> int:
+    """The color whose class holds ``v``, or 0 when none does."""
+    for c in COLORS:
+        if cls[c] >> v & 1:
+            return c
+    return 0
+
+
 def _color_components(
     g: Graph,
     comps: list[int],
     anchors: dict[int, tuple[int, int]],
-    step: TraceStep,
-    steps: list[TraceStep],
+    step: Step,
+    cls: list[int],
+    steps: list[Step],
 ) -> None:
-    """Color the components ``comps`` left after a path/cycle ``step``: those
-    of the reduced mask without the vertices ``step.colors`` holds, by least
-    vertex.
+    """Append the path/cycle ``step`` to ``steps``, then color the
+    components ``comps`` it leaves: those of the reduced mask without the
+    vertices it colored, by least vertex.
 
     ``anchors`` maps a forced vertex to (its colored neighbor, its forced
     color). Small components get the fixed two-vertex and five-cycle
-    patterns, written into ``step.colors``; larger ones recurse, then have
-    the colors of their own steps permuted to meet the forced color, and
-    those steps join ``steps``.
+    patterns and join ``step``'s mask; larger ones recurse, appending their
+    own steps, then have two classes swapped on their vertices to meet the
+    forced color. A sub-solve colors exactly its component, so the swap
+    touches nothing else.
     """
-    colors = step.colors
-    colored_mask = bits_of(colors)
+    adj = g.adj
+    kind, vertices, colored = step
+    at = len(steps)
+    steps.append(step)
+    own = colored
+    forced = bits_of(anchors)
     for comp in comps:
-        forced = [(v, av, fc) for v, (av, fc) in anchors.items() if (comp >> v) & 1]
-        if len(forced) > 1:
+        hit = comp & forced
+        if hit & (hit - 1):
             raise RuntimeError("at most one forced vertex per component")
         size = comp.bit_count()
         if size == 1:
-            v = comp.bit_length() - 1
-            if forced:
-                colors[v] = forced[0][2]
+            if hit:
+                c = anchors[comp.bit_length() - 1][1]
             else:
                 # The color fewest colored neighbors carry, the least on ties.
-                count = [0, 0, 0, 0]
-                m = g.adj[v] & colored_mask
-                while m:
-                    b = m & -m
-                    count[colors[b.bit_length() - 1]] += 1
-                    m ^= b
-                colors[v] = count.index(min(count[1:]), 1)
+                nb = adj[comp.bit_length() - 1] & colored
+                k1 = (nb & cls[1]).bit_count()
+                k2 = (nb & cls[2]).bit_count()
+                k3 = (nb & cls[3]).bit_count()
+                c = 1 if k1 <= k2 and k1 <= k3 else 2 if k2 <= k3 else 3
+            cls[c] |= comp
+            own |= comp
         elif size == 2 or is_c5(g, comp):
             verts = bit_list(comp)
             if size == 2 and not g.has_edge(verts[0], verts[1]):
                 raise RuntimeError("two-vertex component must be an edge")
             # Both patterns start at the forced vertex, else at the first
             # vertex with a colored neighbor, and read that neighbor's color.
-            if forced:
-                w, anchor, f = forced[0]
+            if hit:
+                w = hit.bit_length() - 1
+                anchor, f = anchors[w]
             else:
-                w = next(v for v in verts if g.adj[v] & colored_mask)
-                nb = g.adj[w] & colored_mask
+                w = next(v for v in verts if adj[v] & colored)
+                nb = adj[w] & colored
                 anchor, f = (nb & -nb).bit_length() - 1, None
-            vcol = colors[anchor]
+            vcol = _color_of(cls, anchor)
             if f is None:
                 f = [c for c in COLORS if c != vcol][0 if size == 2 else 1]
             if f == vcol:
                 raise RuntimeError("forced color clashes with the anchor's color")
             second = 6 - f - vcol
             if size == 2:
-                u = verts[1] if w == verts[0] else verts[0]
-                colors.update({w: f, u: second})
+                cls[f] |= 1 << w
+                cls[second] |= comp ^ (1 << w)
             else:
                 x1, x2, x3, x4, x5 = cycle_walk(g, comp, w)
-                colors.update({x3: vcol, x2: second, x5: second, x1: f, x4: f})
+                cls[vcol] |= 1 << x3
+                cls[second] |= 1 << x2 | 1 << x5
+                cls[f] |= 1 << x1 | 1 << x4
+            own |= comp
         else:
-            sub_steps = _solve(g, comp)
-            if forced:
-                w, _, f = forced[0]
-                # A w no sub-step colors is left for replay_trace to reject.
-                cur = next((s.colors[w] for s in sub_steps if w in s.colors), f)
-                if cur != f:
-                    swap = {cur: f, f: cur}
-                    for s in sub_steps:
-                        for v, c in s.colors.items():
-                            s.colors[v] = swap.get(c, c)
-            steps.extend(sub_steps)
+            _solve(g, comp, cls, steps)
+            if hit:
+                w = hit.bit_length() - 1
+                f = anchors[w][1]
+                # A w the sub-solve left uncolored is left for the replay
+                # check to reject.
+                cur = _color_of(cls, w)
+                if cur and cur != f:
+                    flip = (cls[cur] | cls[f]) & comp
+                    cls[cur] ^= flip
+                    cls[f] ^= flip
+    steps[at] = (kind, vertices, own)
 
 
 def _path_reduce(
@@ -255,24 +297,24 @@ def _path_reduce(
     path: list[int],
     x: int,
     y: int,
-    pre_steps: list[TraceStep],
-) -> list[TraceStep]:
+    cls: list[int],
+    steps: list[Step],
+) -> None:
     """Color ``path`` periodically, then the components ``comps`` of the
     reduced mask without it."""
     path_colors, forced = separating_path_reduce(path, x, y)
-    step = TraceStep("separating-path", tuple(path), path_colors)
-    steps = pre_steps + [step]
+    step = ("separating-path", tuple(path), _paint(cls, path_colors))
     anchors = {x: (path[0], forced[x]), y: (path[-1], forced[y])}
-    _color_components(g, comps, anchors, step, steps)
-    return steps
+    _color_components(g, comps, anchors, step, cls, steps)
 
 
-def _cycle_reduce(g: Graph, mask: int, cyc: tuple[int, ...]) -> list[TraceStep]:
-    step = TraceStep("cycle-mod-3", cyc, {v: (i % 3) + 1 for i, v in enumerate(cyc)})
-    steps = [step]
-    comps = masked_components(g, mask & ~bits_of(cyc))
-    _color_components(g, comps, {}, step, steps)
-    return steps
+def _cycle_reduce(
+    g: Graph, mask: int, cyc: tuple[int, ...], cls: list[int], steps: list[Step]
+) -> None:
+    # A cycle of length divisible by 3 gets the periodic base coloring.
+    step = ("cycle-mod-3", cyc, _paint(cls, _cycle_base_coloring(cyc)))
+    comps = masked_components(g, mask & ~step[2])
+    _color_components(g, comps, {}, step, cls, steps)
 
 
 def _cycle_base_coloring(order: list[int]) -> dict[int, int]:
@@ -320,7 +362,9 @@ def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
     return cvs & -cvs
 
 
-def _reduce_cut_vertex(g: Graph, mask: int, cv: int) -> list[TraceStep]:
+def _reduce_cut_vertex(
+    g: Graph, mask: int, cv: int, cls: list[int], steps: list[Step]
+) -> None:
     """``cv`` holds the least cut vertex of the connected ``mask``, as one
     bit.
 
@@ -345,8 +389,8 @@ def _reduce_cut_vertex(g: Graph, mask: int, cv: int) -> list[TraceStep]:
     comp_y = next(c for c in comps if (c >> y) & 1)
     xb = adj[v] & mask & ~(1 << z) & ~comp_y
     x = (xb & -xb).bit_length() - 1
-    pre = TraceStep("cut-vertex", (v, z))
-    return _path_reduce(g, comps, [v, z], x, y, [pre])
+    steps.append(("cut-vertex", (v, z), 0))
+    _path_reduce(g, comps, [v, z], x, y, cls, steps)
 
 
 def _degree_two_cycle(g: Graph, mask: int, deg2: int) -> list[int]:
@@ -355,10 +399,13 @@ def _degree_two_cycle(g: Graph, mask: int, deg2: int) -> list[int]:
     neighbors.
 
     Only a strictly shorter cycle replaces the best so far, so each search
-    stops at the far neighbor and gives up before depth ``len(best) - 2``.
+    stops at the far neighbor and gives up before depth ``len(best) - 2``,
+    and none runs once a triangle is the best: it would reach only its root.
     """
     best = None
     for v in bit_list(deg2):
+        if best is not None and len(best) == 3:
+            break
         a, b = bit_list(g.adj[v] & mask)
         limit = None if best is None else len(best) - 2
         sp = _bfs_shortest_path(g, a, b, mask & ~(1 << v), limit)
@@ -369,7 +416,9 @@ def _degree_two_cycle(g: Graph, mask: int, deg2: int) -> list[int]:
     return best
 
 
-def _reduce_degree_two(g: Graph, mask: int, deg2: int) -> list[TraceStep]:
+def _reduce_degree_two(
+    g: Graph, mask: int, deg2: int, cls: list[int], steps: list[Step]
+) -> None:
     """``deg2`` holds the vertices of degree 2 inside ``mask``, one bit each."""
     cyc = _degree_two_cycle(g, mask, deg2)
     rest = mask & ~bits_of(cyc)
@@ -390,15 +439,16 @@ def _reduce_degree_two(g: Graph, mask: int, deg2: int) -> list[TraceStep]:
     path = rot if rot[-1] == w else list(reversed(rot))
     yb = g.adj[w] & rest
     y = (yb & -yb).bit_length() - 1
-    pre = TraceStep("degree-2", (u, w))
+    steps.append(("degree-2", (u, w), 0))
     comps = masked_components(g, mask & ~bits_of(path))
-    return _path_reduce(g, comps, path, x=u, y=y, pre_steps=[pre])
+    _path_reduce(g, comps, path, u, y, cls, steps)
 
 
-def _solve(g: Graph, mask: int) -> list[TraceStep]:
-    """The trace that colors the connected subgraph induced on ``mask``, in
-    ``g``'s own vertex numbering; each color lives only in the step that
-    made it, and partition3's replay checks that every vertex got one."""
+def _solve(g: Graph, mask: int, cls: list[int], steps: list[Step]) -> None:
+    """Color the connected subgraph induced on ``mask``, in ``g``'s own
+    vertex numbering, into the class masks ``cls``, and append the steps
+    that did it to ``steps``. Every vertex of ``mask`` is colored once and
+    no other vertex is touched; partition3's replay checks both."""
     adj = g.adj
     n = mask.bit_count()
     ones = deg2 = 0
@@ -416,23 +466,26 @@ def _solve(g: Graph, mask: int) -> list[TraceStep]:
 
     if ones.bit_count() == n - 1:
         # The mask is connected, so the one vertex left touches every leaf.
-        center = (mask ^ ones).bit_length() - 1
-        leaves = bit_list(ones)
-        colors = {center: 1, leaves[0]: 2, leaves[1]: 3}
-        for u in leaves[2:]:
-            colors[u] = 1
-        return [TraceStep("base-star", (center,), colors)]
+        # The center and every leaf after the second get color 1.
+        first = ones & -ones
+        second = (ones ^ first) & -(ones ^ first)
+        cls[1] |= mask ^ first ^ second
+        cls[2] |= first
+        cls[3] |= second
+        steps.append(("base-star", ((mask ^ ones).bit_length() - 1,), mask))
+        return
 
     if deg2 == mask:
         # Connected with every degree 2: one cycle.
         cyc = cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
-        return [TraceStep("base-cycle", tuple(cyc), _cycle_base_coloring(cyc))]
+        steps.append(("base-cycle", tuple(cyc), _paint(cls, _cycle_base_coloring(cyc))))
+        return
 
     cv = _least_cut_vertex(g, mask, ones)
     if cv:
-        return _reduce_cut_vertex(g, mask, cv)
+        return _reduce_cut_vertex(g, mask, cv, cls, steps)
     if deg2:
-        return _reduce_degree_two(g, mask, deg2)
+        return _reduce_degree_two(g, mask, deg2, cls, steps)
     cyc = find_cycle_len_mod3(g, mask)
     if cyc is None:
         sub, _ = induced_subgraph(g, mask)
@@ -440,7 +493,7 @@ def _solve(g: Graph, mask: int) -> list[TraceStep]:
             f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}: "
             "no cycle of length divisible by 3"
         )
-    return _cycle_reduce(g, mask, cyc)
+    _cycle_reduce(g, mask, cyc, cls, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +507,9 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
     Raises ValueError for graphs of order below 3 or disconnected input,
     NoValidPartition for the 5-cycle, RuntimeError when an invariant of a
     reduction step breaks, and EngineGap when the cycle rung finds no cycle,
-    the trace does not replay (a rung left a vertex uncolored, say), or the
-    replayed partition fails verification.
+    the trace does not replay (a rung left a vertex uncolored, say), it
+    replays to other classes than the engine's, or the replayed partition
+    fails verification.
     """
     if g.order < 3:
         raise ValueError("partition requires order at least 3")
@@ -463,11 +517,28 @@ def partition3(g: Graph) -> tuple[TriPartition, list[TraceStep]]:
         raise ValueError("partition requires a connected graph")
     if is_c5(g):
         raise NoValidPartition("the 5-cycle admits no valid partition")
-    steps = _solve(g, g.full_mask)
+    cls = [0, 0, 0, 0]
+    made: list[Step] = []
+    _solve(g, g.full_mask, cls, made)
+    # Each step's colors in ascending vertex order. A vertex in no class or
+    # in two reads as one class here, which the replay check below rejects.
+    c1, c2 = cls[1], cls[2]
+    steps = []
+    for kind, vs, m in made:
+        colors = {}
+        while m:
+            b = m & -m
+            colors[b.bit_length() - 1] = 1 if c1 & b else 2 if c2 & b else 3
+            m ^= b
+        steps.append(TraceStep(kind, vs, colors))
     try:
         tp = replay_trace(g, steps)
     except ValueError as exc:
         raise EngineGap(f"trace of graph {write_graph6(g)} does not replay: {exc}") from None
+    if tp.classes != (cls[1], cls[2], cls[3]):
+        raise EngineGap(
+            f"trace of graph {write_graph6(g)} replays to other classes than the engine's"
+        )
     ok, _, bad = verify_partition(g, tp)
     if not ok:
         raise EngineGap(f"result on graph {write_graph6(g)} fails verification: edge {bad}")

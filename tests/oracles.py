@@ -5,9 +5,10 @@ graphs are dicts of sets, subsets are frozensets, and graph6 decoding goes
 through a textual bit string. Slow and obvious beats fast and clever for
 an oracle. The exceptions are ``parse_graph6_ref``, the previous graph6
 decoder, whose graphs and errors the current one must reproduce exactly,
-and the last two sections: small helpers on isolab's ``Graph`` that only
-the tests use, and the previous pure-Python ``canon_form``, whose output
-the current one must reproduce exactly.
+and the last three sections: small helpers on isolab's ``Graph`` that
+only the tests use, the previous pure-Python ``canon_form`` and the
+previous partition engine, whose output the current ones must reproduce
+exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import combinations, permutations, product
 
 from isolab import _backend
 from isolab import graphs as G
+from isolab import partition as P
 from isolab._pykernels import _AUT_CAP
 from isolab.partition import TriPartition, partition3, verify_partition
 
@@ -742,3 +744,197 @@ def canon_form_ref(adj, n, last=-1):
     search(cells0, ())
 
     return best["pos"], best["body"], [find(v) for v in range(n)], auts
+
+
+# ---------------------------------------------------------------------------
+# the dict-based partition engine, kept unchanged as the reference for
+# isolab.partition.partition3: each step owns a dict of the colors it wrote,
+# and a forced component's color is met by rewriting every entry of its
+# sub-steps. The least cut vertex is the library's own search and the
+# degree-2 rung's cycle is degree_two_cycle_ref; the coloring and its
+# bookkeeping are the previous engine's. FORCED_SWAPS_REF counts the sub-traces whose colors were
+# permuted, so a test can show that its corpus reaches that branch.
+
+FORCED_SWAPS_REF = [0]
+
+
+def _color_components_ref(g, comps, anchors, step, steps):
+    colors = step.colors
+    colored_mask = G.bits_of(colors)
+    for comp in comps:
+        forced = [(v, av, fc) for v, (av, fc) in anchors.items() if (comp >> v) & 1]
+        if len(forced) > 1:
+            raise RuntimeError("at most one forced vertex per component")
+        size = comp.bit_count()
+        if size == 1:
+            v = comp.bit_length() - 1
+            if forced:
+                colors[v] = forced[0][2]
+            else:
+                # The color fewest colored neighbors carry, the least on ties.
+                count = [0, 0, 0, 0]
+                m = g.adj[v] & colored_mask
+                while m:
+                    b = m & -m
+                    count[colors[b.bit_length() - 1]] += 1
+                    m ^= b
+                colors[v] = count.index(min(count[1:]), 1)
+        elif size == 2 or P.is_c5(g, comp):
+            verts = G.bit_list(comp)
+            if size == 2 and not g.has_edge(verts[0], verts[1]):
+                raise RuntimeError("two-vertex component must be an edge")
+            # Both patterns start at the forced vertex, else at the first
+            # vertex with a colored neighbor, and read that neighbor's color.
+            if forced:
+                w, anchor, f = forced[0]
+            else:
+                w = next(v for v in verts if g.adj[v] & colored_mask)
+                nb = g.adj[w] & colored_mask
+                anchor, f = (nb & -nb).bit_length() - 1, None
+            vcol = colors[anchor]
+            if f is None:
+                f = [c for c in P.COLORS if c != vcol][0 if size == 2 else 1]
+            if f == vcol:
+                raise RuntimeError("forced color clashes with the anchor's color")
+            second = 6 - f - vcol
+            if size == 2:
+                u = verts[1] if w == verts[0] else verts[0]
+                colors.update({w: f, u: second})
+            else:
+                x1, x2, x3, x4, x5 = G.cycle_walk(g, comp, w)
+                colors.update({x3: vcol, x2: second, x5: second, x1: f, x4: f})
+        else:
+            sub_steps = _solve_ref(g, comp)
+            if forced:
+                w, _, f = forced[0]
+                # A w no sub-step colors is left for replay_trace to reject.
+                cur = next((s.colors[w] for s in sub_steps if w in s.colors), f)
+                if cur != f:
+                    FORCED_SWAPS_REF[0] += 1
+                    swap = {cur: f, f: cur}
+                    for s in sub_steps:
+                        for v, c in s.colors.items():
+                            s.colors[v] = swap.get(c, c)
+            steps.extend(sub_steps)
+
+
+def _path_reduce_ref(g, comps, path, x, y, pre_steps):
+    path_colors, forced = P.separating_path_reduce(path, x, y)
+    step = P.TraceStep("separating-path", tuple(path), path_colors)
+    steps = pre_steps + [step]
+    anchors = {x: (path[0], forced[x]), y: (path[-1], forced[y])}
+    _color_components_ref(g, comps, anchors, step, steps)
+    return steps
+
+
+def _cycle_reduce_ref(g, mask, cyc):
+    step = P.TraceStep("cycle-mod-3", cyc, {v: (i % 3) + 1 for i, v in enumerate(cyc)})
+    steps = [step]
+    comps = G.masked_components(g, mask & ~G.bits_of(cyc))
+    _color_components_ref(g, comps, {}, step, steps)
+    return steps
+
+
+def _cycle_base_coloring_ref(order):
+    n = len(order)
+    r = n % 3
+    if r == 0:
+        pat = [(i % 3) + 1 for i in range(n)]
+    elif r == 1:
+        pat = [1, 2, 1, 3] + [(i % 3) + 1 for i in range(n - 4)]
+    else:
+        pat = [1, 3, 2, 1, 3] + [(i % 3) + 1 for i in range(n - 5)]
+    return {v: pat[i] for i, v in enumerate(order)}
+
+
+def _reduce_cut_vertex_ref(g, mask, cv):
+    adj = g.adj
+    v = cv.bit_length() - 1
+    rest = mask ^ cv
+    z = next((u for u in G.bit_list(adj[v] & rest) if adj[u] & rest), -1)
+    if z < 0:
+        raise RuntimeError("cut-vertex reduction on a star, which is a base case")
+    comps = G.masked_components(g, rest ^ (1 << z))
+    if all(c & adj[z] for c in comps):
+        raise RuntimeError("cut-vertex reduction needs a cut vertex")
+    yb = adj[z] & rest
+    y = (yb & -yb).bit_length() - 1
+    comp_y = next(c for c in comps if (c >> y) & 1)
+    xb = adj[v] & mask & ~(1 << z) & ~comp_y
+    x = (xb & -xb).bit_length() - 1
+    pre = P.TraceStep("cut-vertex", (v, z))
+    return _path_reduce_ref(g, comps, [v, z], x, y, [pre])
+
+
+def _reduce_degree_two_ref(g, mask, deg2):
+    cyc = degree_two_cycle_ref(g, mask, deg2)
+    rest = mask & ~G.bits_of(cyc)
+    length = len(cyc)
+    pairs = []
+    for i in range(length):
+        u = cyc[i]
+        if not (deg2 >> u) & 1:
+            continue
+        for w in (cyc[(i - 1) % length], cyc[(i + 1) % length]):
+            if g.adj[w] & rest:
+                pairs.append((u, w))
+    if not pairs:
+        raise RuntimeError("a graph that is not a cycle has such a pair on this cycle")
+    u, w = min(pairs)
+    i = cyc.index(u)
+    rot = cyc[i + 1 :] + cyc[:i]
+    path = rot if rot[-1] == w else list(reversed(rot))
+    yb = g.adj[w] & rest
+    y = (yb & -yb).bit_length() - 1
+    pre = P.TraceStep("degree-2", (u, w))
+    comps = G.masked_components(g, mask & ~G.bits_of(path))
+    return _path_reduce_ref(g, comps, path, x=u, y=y, pre_steps=[pre])
+
+
+def _solve_ref(g, mask):
+    adj = g.adj
+    n = mask.bit_count()
+    ones = deg2 = 0
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        d = (adj[b.bit_length() - 1] & mask).bit_count()
+        if d == 1:
+            ones |= b
+        elif d == 2:
+            deg2 |= b
+    if n < 3 or (n == 5 and deg2 == mask):
+        raise RuntimeError("reduction needs order at least 3 and no 5-cycle")
+
+    if ones.bit_count() == n - 1:
+        center = (mask ^ ones).bit_length() - 1
+        leaves = G.bit_list(ones)
+        colors = {center: 1, leaves[0]: 2, leaves[1]: 3}
+        for u in leaves[2:]:
+            colors[u] = 1
+        return [P.TraceStep("base-star", (center,), colors)]
+
+    if deg2 == mask:
+        cyc = G.cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
+        return [P.TraceStep("base-cycle", tuple(cyc), _cycle_base_coloring_ref(cyc))]
+
+    cv = P._least_cut_vertex(g, mask, ones)
+    if cv:
+        return _reduce_cut_vertex_ref(g, mask, cv)
+    if deg2:
+        return _reduce_degree_two_ref(g, mask, deg2)
+    cyc = G.find_cycle_len_mod3(g, mask)
+    if cyc is None:
+        raise RuntimeError("no cycle of length divisible by 3")
+    return _cycle_reduce_ref(g, mask, cyc)
+
+
+def partition3_ref(g: G.Graph) -> tuple[TriPartition, list]:
+    """The previous engine's partition and trace of a connected graph of
+    order at least 3 other than the 5-cycle, replayed and verified."""
+    steps = _solve_ref(g, g.full_mask)
+    tp = P.replay_trace(g, steps)
+    if not verify_partition(g, tp)[0]:
+        raise RuntimeError(f"reference partition of {G.write_graph6(g)} fails verification")
+    return tp, steps

@@ -356,6 +356,36 @@ class TestConnectivity:
     def test_components_empty(self):
         assert G.components(G.empty_graph(0)) == []
 
+    def test_masked_components_search_only_from_vertices_with_a_neighbor(self, monkeypatch):
+        # The components of random masks, by least vertex, as queue BFS
+        # finds them; a vertex with no neighbor in the mask is its own
+        # component and costs no breadth-first search.
+        searches = [0]
+        levels = G.bfs_levels
+
+        def counting(*args):
+            searches[0] += 1
+            return levels(*args)
+
+        monkeypatch.setattr(G, "bfs_levels", counting)
+        rng = random.Random(299)
+        singles = 0
+        for _ in range(1500):
+            n = rng.randrange(1, G.MAX_ORDER + 1)
+            g = random_graph(rng, n, rng.choice([0.02, 0.05, 0.1, 0.3]))
+            mask = rng.randrange(1 << n)
+            want, rest = [], mask
+            while rest:
+                _, depth = oracles.bfs_tree_ref(g, (rest & -rest).bit_length() - 1, mask)
+                comp = G.bits_of(v for v in range(n) if depth[v] >= 0)
+                want.append(comp)
+                rest &= ~comp
+            searches[0] = 0
+            assert G.masked_components(g, mask) == want
+            assert searches[0] == sum(c.bit_count() > 1 for c in want)
+            singles += sum(c.bit_count() == 1 for c in want)
+        assert singles > 1000
+
     def test_cut_vertices_path(self):
         assert G.cut_vertices(G.path_graph(3)) == 0b010
 

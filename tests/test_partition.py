@@ -12,6 +12,7 @@ import oracles
 from conftest import (
     leafy_and_dense_graphs,
     random_connected_graph,
+    random_min_degree3,
     random_sparse_connected,
     random_subdivision,
     random_theta,
@@ -51,6 +52,25 @@ SQUARE_OF_C21 = G.from_edges(21, [(v, (v + d) % 21) for v in range(21) for d in 
 @pytest.fixture(scope="module")
 def leafy_and_dense():
     return leafy_and_dense_graphs()
+
+
+@pytest.fixture(scope="module")
+def engine_corpus(leafy_and_dense):
+    """2000 connected graphs of order 9 to 64: the leafy and dense ones,
+    then trees, sparse graphs, subdivisions, thetas and graphs of minimum
+    degree 3."""
+    rng = random.Random(71)
+    graphs = list(leafy_and_dense)
+    for _ in range(320):
+        n = rng.randrange(9, G.MAX_ORDER + 1)
+        graphs += [
+            random_tree(rng, n),
+            random_sparse_connected(rng, n),
+            random_subdivision(rng, rng.choice([4, 5]), n),
+            random_theta(rng, n),
+            random_min_degree3(rng, n),
+        ]
+    return graphs
 
 
 def engine_digest(graphs):
@@ -202,6 +222,31 @@ class TestEngineOnCatalogs:
         # the rest.
         assert engine_digest(leafy_and_dense) == LEAFY_DENSE_TRACE_SHA256
 
+    def test_matches_the_dict_engine(self, engine_corpus):
+        # Classes, leftover and every step of the trace, as the previous
+        # engine gave them, over a corpus where that engine rewrote the
+        # colors of forced sub-traces.
+        swaps = oracles.FORCED_SWAPS_REF[0]
+        for g in engine_corpus:
+            tp, steps = partition3(g)
+            ref_tp, ref_steps = oracles.partition3_ref(g)
+            assert tp == ref_tp, G.write_graph6(g)
+            assert [(s.kind, s.vertices, sorted(s.colors.items())) for s in steps] == [
+                (s.kind, s.vertices, sorted(s.colors.items())) for s in ref_steps
+            ], G.write_graph6(g)
+        assert oracles.FORCED_SWAPS_REF[0] - swaps > 100
+
+    def test_steps_color_each_vertex_once_in_vertex_order(self, engine_corpus):
+        # The CLI writes each step's colors in the order they are held.
+        for g in engine_corpus:
+            _, steps = partition3(g)
+            colored = []
+            for s in steps:
+                vs = list(s.colors)
+                assert vs == sorted(vs), G.write_graph6(g)
+                colored += vs
+            assert sorted(colored) == list(range(g.order)), G.write_graph6(g)
+
     def test_determinism(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -223,7 +268,17 @@ class TestReductionInputs:
     # The degree-2 rung's bounded searches and the cut-vertex rung's reused
     # components must give the engine exactly what it computed before.
 
-    def test_degree_two_cycle_matches_unbounded_search(self, small_connected):
+    def test_degree_two_cycle_matches_unbounded_search(self, small_connected, monkeypatch):
+        # No search runs once a triangle is the best cycle: its limit of 1
+        # would leave every vertex but the root unreached.
+        limits = []
+        search = P._bfs_shortest_path
+
+        def searching(g, src, dst, mask, limit=None):
+            limits.append(limit)
+            return search(g, src, dst, mask, limit)
+
+        monkeypatch.setattr(P, "_bfs_shortest_path", searching)
         graphs = [g for n in range(3, 8) for g in small_connected[n]]
         graphs += [G.parse_graph6(line) for line in lab.enumerate_connected(8)]
         rng = random.Random(59)
@@ -231,24 +286,27 @@ class TestReductionInputs:
             n = rng.randrange(9, G.MAX_ORDER + 1)
             graphs.append(random_subdivision(rng, rng.choice([4, 5]), n))
             graphs.append(random_theta(rng, n))
-        checked = 0
+        checked = stopped = 0
         for g in graphs:
             deg2 = _cut_vertex_free_degree_two(g)
             if deg2:
                 checked += 1
-                assert P._degree_two_cycle(g, g.full_mask, deg2) == (
-                    oracles.degree_two_cycle_ref(g, g.full_mask, deg2)
-                ), G.write_graph6(g)
-        assert checked > 2000
+                got = P._degree_two_cycle(g, g.full_mask, deg2)
+                assert got == oracles.degree_two_cycle_ref(g, g.full_mask, deg2), (
+                    G.write_graph6(g)
+                )
+                stopped += len(got) == 3 and got[0] != G.bit_list(deg2)[-1]
+        assert checked > 2000 and stopped > 100
+        assert 1 not in limits
 
     def test_engine_steps_on_random_graphs(self, monkeypatch):
         masks, seen = [], {"degree-2": 0, "path": 0}
         solve, cycle, path_reduce = P._solve, P._degree_two_cycle, P._path_reduce
 
-        def solving(g, mask):
+        def solving(g, mask, *rest):
             masks.append(mask)
             try:
-                return solve(g, mask)
+                return solve(g, mask, *rest)
             finally:
                 masks.pop()
 
@@ -366,17 +424,19 @@ class TestLeastCutVertex:
                 cvs = oracles.closure_cut_vertices(g)
                 for v in G.bit_list(g.full_mask & ~cvs):
                     with pytest.raises(RuntimeError, match="needs a cut vertex"):
-                        P._reduce_cut_vertex(g, g.full_mask, 1 << v)
+                        P._reduce_cut_vertex(g, g.full_mask, 1 << v, [0, 0, 0, 0], [])
                 least = cvs & -cvs
                 if not least:
                     continue
                 v = least.bit_length() - 1
                 if g.degree(v) == n - 1 and g.edge_count() == n - 1:
                     with pytest.raises(RuntimeError, match="base case"):
-                        P._reduce_cut_vertex(g, g.full_mask, least)
+                        P._reduce_cut_vertex(g, g.full_mask, least, [0, 0, 0, 0], [])
                 else:
-                    step = P._reduce_cut_vertex(g, g.full_mask, least)[0]
-                    assert (step.kind, step.vertices[0]) == ("cut-vertex", v)
+                    steps = []
+                    P._reduce_cut_vertex(g, g.full_mask, least, [0, 0, 0, 0], steps)
+                    kind, vertices, _ = steps[0]
+                    assert (kind, vertices[0]) == ("cut-vertex", v)
 
 
 class TestTrace:
@@ -463,7 +523,7 @@ class TestTrace:
             "partition._bfs_shortest_path = lambda *args: None\n"
             "probe(lambda: partition.partition3(theta))\n"
             "c5 = graphs.cycle_graph(5)\n"
-            "probe(lambda: partition._solve(c5, c5.full_mask))\n"
+            "probe(lambda: partition._solve(c5, c5.full_mask, [0, 0, 0, 0], []))\n"
             "color = partition._color_components\n"
             "partition._color_components = lambda g, comps, *rest: color(g, comps[:-1], *rest)\n"
             f"probe(lambda: partition.partition3(graphs.parse_graph6({p4!r})))\n"
@@ -510,18 +570,31 @@ class TestRarePaths:
 
     def test_unverified_result_is_engine_gap(self, monkeypatch):
         # A monochrome coloring replays, but its leftover is all of V.
-        def mono(g, mask):
-            colors = {v: 1 for v in G.bit_list(mask)}
-            return [TraceStep("base-cycle", tuple(colors), colors)]
+        def mono(g, mask, cls, steps):
+            cls[1] |= mask
+            steps.append(("base-cycle", tuple(G.bit_list(mask)), mask))
 
         monkeypatch.setattr(P, "_solve", mono)
         g = G.cycle_graph(6)
         with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g)) + r".*edge \(0, 1\)"):
             partition3(g)
 
+    def test_classes_other_than_the_replayed_ones_are_engine_gap(self, monkeypatch):
+        # A vertex put in two classes replays to one of them only.
+        solve = P._solve
+
+        def overlapping(g, mask, cls, steps):
+            solve(g, mask, cls, steps)
+            cls[3] |= cls[1] & -cls[1]
+
+        monkeypatch.setattr(P, "_solve", overlapping)
+        g = G.cycle_graph(6)
+        with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g)) + ".*other classes"):
+            partition3(g)
+
     def test_trace_that_does_not_replay_is_engine_gap(self, monkeypatch):
         # Not a ValueError, which the CLI would print as a domain error.
-        monkeypatch.setattr(P, "_solve", lambda g, mask: [])
+        monkeypatch.setattr(P, "_solve", lambda g, mask, cls, steps: None)
         g = G.cycle_graph(6)
         with pytest.raises(EngineGap, match=re.escape(G.write_graph6(g)) + ".*every vertex"):
             partition3(g)
