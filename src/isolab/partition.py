@@ -4,14 +4,16 @@ For a connected graph of order at least 3 other than the 5-cycle, builds a
 partition (A1, A2, A3) of the vertices such that the union of the three
 sets V - N[Ai] is independent. The construction works by recursive
 reduction and records every step in a trace. Each vertex's color is
-written once, into one of three class masks held per call; a component
-whose forced vertex came out in the wrong color has two classes swapped
-on its vertices, a few word operations, since its sub-solve colored
-exactly those. Steps are kept as (kind, vertices, mask of the vertices
-colored) and become trace steps, colors in ascending vertex order, only
-once every color is final. The returned partition is the one the trace
-replays to, it must equal the class masks, and it is re-verified before
-being returned.
+written once, into one of three class masks held per call. One painter
+writes every walk the engine colors, a separating path, a cycle, or a
+two-vertex or five-cycle component, straight into those masks: a head of
+fixed colors, then 1, 2, 3 repeating. A component whose forced vertex
+came out in the wrong color has two classes swapped on its vertices, a
+few word operations, since its sub-solve colored exactly those. Steps are
+kept as (kind, vertices, mask of the vertices colored) and become trace
+steps, colors in ascending vertex order, only once every color is final.
+The returned partition is the one the trace replays to, it must equal the
+class masks, and it is re-verified before being returned.
 
 Reductions, in the order tried: star base case, cycle base case,
 cut-vertex, degree-2 vertex, cycle of length divisible by 3. Each
@@ -45,7 +47,7 @@ raises EngineGap naming the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from isolab._pykernels import _edge_vertex
 from isolab.graphs import (
@@ -165,35 +167,25 @@ def _bfs_shortest_path(
 # the reduction engine
 
 
-def separating_path_reduce(
-    path: list[int], x: int, y: int
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Periodic coloring of a separating path plus the forced endpoint colors.
-
-    The path is colored 1,2,3 repeating; the neighbor x of the first vertex
-    is forced to color 3 and the neighbor y of the last vertex to the color
-    missing at the path's end, which keeps every path vertex out of the
-    leftover set. A path of fewer than two vertices raises ValueError.
-    """
-    if len(path) < 2:
-        raise ValueError("separating path needs at least two vertices")
-    colors = {v: (i % 3) + 1 for i, v in enumerate(path)}
-    missing_end = 6 - colors[path[-1]] - colors[path[-2]]
-    return colors, {x: 3, y: missing_end}
-
-
 # A step as the engine builds it: (kind, vertices, mask of the vertices it
 # colored). partition3 turns each into a TraceStep once every color is set.
 Step = tuple[str, tuple[int, ...], int]
 
 
-def _paint(cls: list[int], colors: dict[int, int]) -> int:
-    """Write ``colors`` into the class masks ``cls``; returns the mask of
-    the vertices painted."""
+# The heads of the base cycle coloring by length mod 3. A head colors a
+# walk's first vertices, and 1, 2, 3 repeating colors the rest.
+_HEADS = ((), (1, 2, 1, 3), (1, 3, 2, 1, 3))
+
+
+def _paint(cls: list[int], order: Sequence[int], head: tuple[int, ...] = ()) -> int:
+    """Give ``order[i]`` the color ``head[i]`` while the head lasts, then
+    1, 2, 3 repeating from 1, writing into the class masks ``cls``; returns
+    the mask of the vertices painted."""
     painted = 0
-    for v, c in colors.items():
+    k = len(head)
+    for i, v in enumerate(order):
         b = 1 << v
-        cls[c] |= b
+        cls[head[i] if i < k else (i - k) % 3 + 1] |= b
         painted |= b
     return painted
 
@@ -268,14 +260,10 @@ def _color_components(
                 raise RuntimeError("forced color clashes with the anchor's color")
             second = 6 - f - vcol
             if size == 2:
-                cls[f] |= 1 << w
-                cls[second] |= comp ^ (1 << w)
+                walk = (w, (comp ^ 1 << w).bit_length() - 1)
             else:
-                x1, x2, x3, x4, x5 = cycle_walk(g, comp, w)
-                cls[vcol] |= 1 << x3
-                cls[second] |= 1 << x2 | 1 << x5
-                cls[f] |= 1 << x1 | 1 << x4
-            own |= comp
+                walk = cycle_walk(g, comp, w)
+            own |= _paint(cls, walk, (f, second, vcol, f, second))
         else:
             _solve(g, comp, cls, steps)
             if hit:
@@ -300,33 +288,18 @@ def _path_reduce(
     cls: list[int],
     steps: list[Step],
 ) -> None:
-    """Color ``path`` periodically, then the components ``comps`` of the
-    reduced mask without it."""
-    path_colors, forced = separating_path_reduce(path, x, y)
-    step = ("separating-path", tuple(path), _paint(cls, path_colors))
-    anchors = {x: (path[0], forced[x]), y: (path[-1], forced[y])}
+    """Color the separating ``path`` of n >= 2 vertices 1, 2, 3 repeating,
+    then the components ``comps`` of the reduced mask without it.
+
+    The neighbor x of the path's first vertex is forced to color 3 and the
+    neighbor y of its last vertex to the color missing at the path's end,
+    6 - c(path[-1]) - c(path[-2]) = 4 - (n - 1) % 3 - (n - 2) % 3, which
+    keeps every path vertex out of the leftover set.
+    """
+    n = len(path)
+    step = ("separating-path", tuple(path), _paint(cls, path))
+    anchors = {x: (path[0], 3), y: (path[-1], 4 - (n - 1) % 3 - (n - 2) % 3)}
     _color_components(g, comps, anchors, step, cls, steps)
-
-
-def _cycle_reduce(
-    g: Graph, mask: int, cyc: tuple[int, ...], cls: list[int], steps: list[Step]
-) -> None:
-    # A cycle of length divisible by 3 gets the periodic base coloring.
-    step = ("cycle-mod-3", cyc, _paint(cls, _cycle_base_coloring(cyc)))
-    comps = masked_components(g, mask & ~step[2])
-    _color_components(g, comps, {}, step, cls, steps)
-
-
-def _cycle_base_coloring(order: list[int]) -> dict[int, int]:
-    n = len(order)
-    r = n % 3
-    if r == 0:
-        pat = [(i % 3) + 1 for i in range(n)]
-    elif r == 1:
-        pat = [1, 2, 1, 3] + [(i % 3) + 1 for i in range(n - 4)]
-    else:
-        pat = [1, 3, 2, 1, 3] + [(i % 3) + 1 for i in range(n - 5)]
-    return {v: pat[i] for i, v in enumerate(order)}
 
 
 def _least_cut_vertex(g: Graph, mask: int, ones: int) -> int:
@@ -478,7 +451,7 @@ def _solve(g: Graph, mask: int, cls: list[int], steps: list[Step]) -> None:
     if deg2 == mask:
         # Connected with every degree 2: one cycle.
         cyc = cycle_walk(g, mask, (mask & -mask).bit_length() - 1)
-        steps.append(("base-cycle", tuple(cyc), _paint(cls, _cycle_base_coloring(cyc))))
+        steps.append(("base-cycle", tuple(cyc), _paint(cls, cyc, _HEADS[len(cyc) % 3])))
         return
 
     cv = _least_cut_vertex(g, mask, ones)
@@ -493,7 +466,9 @@ def _solve(g: Graph, mask: int, cls: list[int], steps: list[Step]) -> None:
             f"reduction dead-end on {sub.order}-vertex graph {write_graph6(sub)}: "
             "no cycle of length divisible by 3"
         )
-    _cycle_reduce(g, mask, cyc, cls, steps)
+    # A cycle of length divisible by 3 is colored 1, 2, 3 repeating.
+    step = ("cycle-mod-3", cyc, _paint(cls, cyc))
+    _color_components(g, masked_components(g, mask & ~step[2]), {}, step, cls, steps)
 
 
 # ---------------------------------------------------------------------------

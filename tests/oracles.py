@@ -3,20 +3,19 @@
 Everything here deliberately avoids the library's bitmask machinery:
 graphs are dicts of sets, subsets are frozensets, and graph6 decoding goes
 through a textual bit string. Slow and obvious beats fast and clever for
-an oracle. The exceptions are ``parse_graph6_ref``, the previous graph6
-decoder, whose graphs and errors the current one must reproduce exactly,
-and the last three sections: small helpers on isolab's ``Graph`` that
-only the tests use, the previous pure-Python ``canon_form`` and the
-previous partition engine, whose output the current ones must reproduce
-exactly.
+an oracle. ``parse_graph6_ref`` keeps the previous graph6 decoder's
+checks, messages and offsets, which the current one must reproduce
+exactly, and builds its rows bit by bit from the body's bit string,
+sharing no table or transpose with the decoder. The exceptions are the
+last three sections: small helpers on isolab's ``Graph`` that only the
+tests use, the previous pure-Python ``canon_form`` and the previous
+partition engine, whose output the current ones must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-import sys
-from array import array
 from collections import deque
 from itertools import combinations, permutations, product
 
@@ -47,22 +46,16 @@ def decode_graph6_reference(line: str) -> tuple[int, set[frozenset[int]]]:
     return n, edges
 
 
-# The tables of ``parse_graph6_ref``: each graph6 character as the six body
-# bits it carries, high bit first, and per packing width, for each column j
-# of the upper triangle, where its j bits start in the reversed body, their
-# mask, and the bit of row j in the packed matrix.
+# Each graph6 character as the six body bits it carries, high bit first.
 _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 _G6_BAD = re.compile("[^?-~]")
-_G6_COLUMNS = {
-    w: tuple((j * (j - 1) // 2, (1 << j) - 1, w * j) for j in range(w)) for w in G._WIDTHS
-}
 
 
 def parse_graph6_ref(text: str) -> G.Graph:
-    """The previous ``graphs.parse_graph6``, kept as the reference: the same
-    checks, messages and offsets, then the body through a string of ``0``
-    and ``1``, one ``int(..., 2)`` and one shift per column. The graph goes
-    through the validating ``Graph`` constructor."""
+    """The checks, messages and offsets of the previous
+    ``graphs.parse_graph6``, then the rows built bit by bit from the body's
+    string of ``0`` and ``1``: edge (i, j) sets bit j of row i and bit i of
+    row j. The graph goes through the validating ``Graph`` constructor."""
     line = text.rstrip("\n")
     if not line:
         raise G.Graph6Error("empty graph6 string", 0)
@@ -95,15 +88,15 @@ def parse_graph6_ref(text: str) -> G.Graph:
     pad = bits.find("1", nbits)
     if pad >= 0:
         raise G.Graph6Error("nonzero padding bits", body_off + pad // 6)
-    # Reversed, the body is one numeral with edge (i, j) at bit
-    # j(j - 1)/2 + i; row j of the packed lower triangle is its run of j bits.
-    body = int(bits[:nbits][::-1] or "0", 2)
-    width, code, _, swaps = G._LAYOUTS[n]
-    lower = 0
-    for at, run, row in _G6_COLUMNS[width][:n]:
-        lower |= ((body >> at) & run) << row
-    m = lower | G._transpose(lower, swaps)
-    rows = array(code, m.to_bytes(width * n // 8, sys.byteorder))
+    # Column-major upper triangle: edge (i, j), i < j, at j(j - 1)/2 + i.
+    rows = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx] == "1":
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            idx += 1
     return G.Graph(n, tuple(rows))
 
 
@@ -819,10 +812,13 @@ def _color_components_ref(g, comps, anchors, step, steps):
 
 
 def _path_reduce_ref(g, comps, path, x, y, pre_steps):
-    path_colors, forced = P.separating_path_reduce(path, x, y)
+    # The path is colored 1, 2, 3 repeating, x is forced to 3 and y to the
+    # color missing at the path's end.
+    path_colors = {v: (i % 3) + 1 for i, v in enumerate(path)}
+    missing_end = 6 - path_colors[path[-1]] - path_colors[path[-2]]
     step = P.TraceStep("separating-path", tuple(path), path_colors)
     steps = pre_steps + [step]
-    anchors = {x: (path[0], forced[x]), y: (path[-1], forced[y])}
+    anchors = {x: (path[0], 3), y: (path[-1], missing_end)}
     _color_components_ref(g, comps, anchors, step, steps)
     return steps
 

@@ -31,7 +31,6 @@ from isolab.partition import (
     is_c5,
     partition3,
     replay_trace,
-    separating_path_reduce,
     verify_partition,
 )
 
@@ -151,21 +150,54 @@ class TestBaseCases:
             assert tp.residual == s.full_mask & ~1
 
 
+def _painted(rng, order, head=()):
+    """The colors ``P._paint`` gives the walk ``order`` on 64 vertices, into
+    class masks that already hold random bits off the walk; the returned
+    mask must be the walk's vertices, and no other bit may change."""
+    walk = G.bits_of(order)
+    cls = [rng.getrandbits(64) & ~walk for _ in range(4)]
+    before = list(cls)
+    assert P._paint(cls, order, head) == walk
+    assert [c & ~walk for c in cls] == before
+    colors = {}
+    for v in order:
+        held = [c for c in P.COLORS if cls[c] >> v & 1]
+        assert len(held) == 1 and not cls[0] >> v & 1, (order, head, v)
+        colors[v] = held[0]
+    return colors
+
+
+class TestPainter:
+    def test_cycle_heads(self):
+        rng = random.Random(73)
+        for n in range(3, 65):
+            order = rng.sample(range(64), n)
+            got = _painted(rng, order, P._HEADS[n % 3])
+            assert got == oracles._cycle_base_coloring_ref(order), n
+
+    def test_paths(self):
+        rng = random.Random(79)
+        for n in range(2, 65):
+            order = rng.sample(range(64), n)
+            assert _painted(rng, order) == {v: (i % 3) + 1 for i, v in enumerate(order)}, n
+
+    def test_k2_and_c5_heads(self):
+        # The forced color f, then the color neither f nor the anchor's.
+        rng = random.Random(83)
+        for vcol, f in product(P.COLORS, repeat=2):
+            if f == vcol:
+                continue
+            second = 6 - f - vcol
+            head = (f, second, vcol, f, second)
+            w, u = rng.sample(range(64), 2)
+            assert _painted(rng, (w, u), head) == {w: f, u: second}
+            x1, x2, x3, x4, x5 = rng.sample(range(64), 5)
+            assert _painted(rng, (x1, x2, x3, x4, x5), head) == {
+                x1: f, x2: second, x3: vcol, x4: f, x5: second
+            }
+
+
 class TestSeparatingPath:
-    def test_rejects_single_vertex_path(self):
-        with pytest.raises(ValueError):
-            separating_path_reduce([1], 0, 2)
-
-    def test_single_edge_forces_both_to_three(self):
-        colors, forced = separating_path_reduce([1, 2], 0, 3)
-        assert colors == {1: 1, 2: 2}
-        assert forced == {0: 3, 3: 3}
-
-    def test_three_vertex_path_forces_missing_color(self):
-        colors, forced = separating_path_reduce([1, 2, 3], 0, 4)
-        assert colors == {1: 1, 2: 2, 3: 3}
-        assert forced == {0: 3, 4: 1}
-
     def test_no_path_vertex_in_residual(self, small_connected):
         # wherever a separating-path step fires, its vertices stay covered
         for g in small_connected[6] + small_connected[7]:
@@ -300,8 +332,13 @@ class TestReductionInputs:
         assert 1 not in limits
 
     def test_engine_steps_on_random_graphs(self, monkeypatch):
-        masks, seen = [], {"degree-2": 0, "path": 0}
+        # Each separating path holds 1, 2, 3 repeating, x holds 3 and y the
+        # color missing at the path's end, once its components are colored;
+        # every colored step leaves the components of its mask without the
+        # vertices it colored.
+        masks, seen = [], {"degree-2": 0, "separating-path": 0, "cycle-mod-3": 0}
         solve, cycle, path_reduce = P._solve, P._degree_two_cycle, P._path_reduce
+        color_components = P._color_components
 
         def solving(g, mask, *rest):
             masks.append(mask)
@@ -316,14 +353,27 @@ class TestReductionInputs:
             assert got == oracles.degree_two_cycle_ref(g, mask, deg2)
             return got
 
-        def reducing(g, comps, path, *args, **kwargs):
-            seen["path"] += 1
-            assert comps == G.masked_components(g, masks[-1] & ~G.bits_of(path))
-            return path_reduce(g, comps, path, *args, **kwargs)
+        def color_of(cls, v):
+            held = [c for c in P.COLORS if cls[c] >> v & 1]
+            assert len(held) == 1, v
+            return held[0]
+
+        def reducing(g, comps, path, x, y, cls, steps):
+            path_reduce(g, comps, path, x, y, cls, steps)
+            colors = [color_of(cls, v) for v in path]
+            assert colors == [(i % 3) + 1 for i in range(len(path))]
+            assert color_of(cls, x) == 3
+            assert color_of(cls, y) == 6 - colors[-1] - colors[-2]
+
+        def coloring(g, comps, anchors, step, *rest):
+            seen[step[0]] += 1
+            assert comps == G.masked_components(g, masks[-1] & ~step[2])
+            return color_components(g, comps, anchors, step, *rest)
 
         monkeypatch.setattr(P, "_solve", solving)
         monkeypatch.setattr(P, "_degree_two_cycle", cycling)
         monkeypatch.setattr(P, "_path_reduce", reducing)
+        monkeypatch.setattr(P, "_color_components", coloring)
         rng = random.Random(61)
         for _ in range(60):
             n = rng.randrange(9, G.MAX_ORDER + 1)
@@ -336,7 +386,8 @@ class TestReductionInputs:
             ):
                 tp, _ = partition3(g)
                 assert verify_partition(g, tp)[0]
-        assert seen["degree-2"] > 100 and seen["path"] > 1000
+        assert seen["degree-2"] > 100 and seen["separating-path"] > 1000
+        assert seen["cycle-mod-3"] > 100, seen
 
 
 def _leaves(g, mask):
