@@ -55,7 +55,9 @@ def parse_graph6_ref(text: str) -> G.Graph:
     """The checks, messages and offsets of the previous
     ``graphs.parse_graph6``, then the rows built bit by bit from the body's
     string of ``0`` and ``1``: edge (i, j) sets bit j of row i and bit i of
-    row j. The graph goes through the validating ``Graph`` constructor."""
+    row j. The graph goes through the validating ``Graph`` constructor.
+    Both paths of the current decoder, table lookup and word operations,
+    must match it."""
     line = text.rstrip("\n")
     if not line:
         raise G.Graph6Error("empty graph6 string", 0)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, combinations, islice
 
 import pytest
@@ -263,7 +266,8 @@ def long_header(n):
 
 
 class TestDecoderReference:
-    """The word-operation decoder against the previous one, kept in
+    """Both decoder paths, table lookup up to order 16 and word operations
+    above it and on padding faults, against the previous decoder, kept in
     ``oracles``: graphs at every order under both header forms, and every
     kind of rejection."""
 
@@ -312,6 +316,70 @@ class TestDecoderReference:
                 at = rng.randrange(len(line) + 1)
                 assert_decoders_agree(line[:at] + chr(c) + line[at:])
                 assert_decoders_agree(line[:at] + chr(c) + line[at + 1 :])
+
+    def test_every_character_at_every_table_position(self):
+        # Each body character of a line at orders 0 to 16 replaced by each
+        # graph6 character and by one outside the range: every entry of the
+        # width 8 and 16 tables, and every padding fault that falls through.
+        rng = random.Random(2031)
+        cases = 0
+        for n in range(17):
+            line = G.write_graph6(random_graph(rng, n, 0.5))
+            for at in range(1, len(line)):
+                for c in [*range(63, 127), 62 if at % 2 else 127]:
+                    assert_decoders_agree(line[:at] + chr(c) + line[at + 1 :])
+                    cases += 1
+        # 119 body characters across orders 0 to 16, 65 characters each
+        assert cases == 119 * 65
+
+
+class TestDecoderPaths:
+    """Which orders the table lookup decodes and which the word operations
+    do, read off the two caches each path fills on first use."""
+
+    @pytest.fixture
+    def fresh_caches(self, monkeypatch):
+        monkeypatch.setattr(G, "_G6_MOVES", [None] * (G.MAX_ORDER + 1))
+        monkeypatch.setattr(G, "_G6_TABLES", {})
+
+    def test_import_builds_no_table(self):
+        # In a fresh interpreter, importing the whole command line as well.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(G.__file__)))
+        code = (
+            "import isolab.cli\n"
+            "from isolab import graphs\n"
+            "print(graphs._G6_TABLES, any(graphs._G6_MOVES))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["{}", "False"]
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_orders_up_to_16_use_the_tables(self):
+        rng = random.Random(2032)
+        for n in range(17):
+            for p in (0.0, 0.5, 1.0):
+                g = random_graph(rng, n, p)
+                assert G.parse_graph6(G.write_graph6(g)) == g
+        assert G._G6_MOVES == [None] * (G.MAX_ORDER + 1)
+        assert sorted(G._G6_TABLES) == [8, 16]
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_order_17_uses_word_operations(self):
+        g = random_graph(random.Random(2033), 17, 0.5)
+        assert G.parse_graph6(G.write_graph6(g)) == g
+        assert [n for n, moves in enumerate(G._G6_MOVES) if moves] == [17]
+        assert G._G6_TABLES == {}
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_padding_fault_falls_through_to_word_operations(self):
+        with pytest.raises(G.Graph6Error) as exc:
+            G.parse_graph6("A" + chr(63 + 0b100001))
+        assert exc.value.offset == 1
+        assert [n for n, moves in enumerate(G._G6_MOVES) if moves] == [2]
 
 
 class TestNeighborhoods:
