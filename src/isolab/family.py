@@ -153,7 +153,7 @@ def hook_isolating_set(spec: FamilySpec) -> int:
                 mask |= 1 << (off + w)
                 break
         else:
-            raise AssertionError("non-cover attachment must admit such a vertex")
+            raise RuntimeError("non-cover attachment must admit such a vertex")
     return mask
 
 

@@ -6,11 +6,11 @@ the currency of every operation in the package. Adjacency is one machine
 word per vertex, which caps the order at 64 and keeps all set algebra
 branch-free.
 
-graph6 lines of orders 0 to 16 decode by table lookup, one sum of an
-entry per body character, which never raises; orders 17 to 64, and any line
-with a padding bit set, by a logarithmic number of word operations, which
-report the padding fault. ``parse_graph6`` says why the wider packings keep
-word operations.
+graph6 input is checked in full before it is decoded, its padding once on
+the last body byte, so neither decode path raises. Orders 0 to 16 decode by
+table lookup, one sum of an entry per body character; orders 17 to 64 by one
+base64 decode and a logarithmic number of word operations.
+``parse_graph6`` says why the wider packings keep word operations.
 
 Vertex sets grow by ``bfs_levels``, the one breadth-first search: callers
 sum its levels for components, connectivity and partition's cut-vertex
@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from binascii import a2b_base64
 from dataclasses import dataclass
 from math import isqrt
 from operator import getitem
@@ -88,14 +89,16 @@ _TYPECODES = {w: next(c for c in "BHILQ" if array(c).itemsize * 8 == w) for w in
 def _layout(n: int) -> tuple:
     """How a graph of order n is packed into one integer, row v at bit
     w * v, where the width w is the least of 8, 16, 32 and 64 that holds n:
-    ``(w, array typecode of w-bit items, outside, transpose swaps)``, with
-    ``outside`` the bits of the w x w matrix that no simple graph of order
-    n sets: the diagonal, every column from n on and every row from n on."""
+    ``(w, array typecode of w-bit items, outside, transpose swaps, pad)``,
+    with ``outside`` the bits of the n rows that no simple graph sets, the
+    diagonal and every column from n on, and ``pad`` the padding bits of the
+    last character of an order-n graph6 body."""
     w = next(w for w in _WIDTHS if n <= w)
     every_row = ((1 << w * n) - 1) // ((1 << w) - 1)  # bit w * v for each v < n
     diagonal = ((1 << (w + 1) * n) - 1) // ((1 << w + 1) - 1)
-    outside = ((1 << w) - (1 << n)) * every_row | diagonal | (1 << w * w) - (1 << w * n)
-    return w, _TYPECODES[w], outside, _SWAPS[w]
+    outside = ((1 << w) - (1 << n)) * every_row | diagonal
+    pad = (1 << -(n * (n - 1) // 2) % 6) - 1
+    return w, _TYPECODES[w], outside, _SWAPS[w], pad
 
 
 _LAYOUTS = tuple(_layout(n) for n in range(MAX_ORDER + 1))
@@ -141,7 +144,7 @@ class Graph:
         object.__setattr__(self, "adj", adj)
         if len(adj) != n:
             raise ValueError("adjacency length does not match order")
-        width, code, outside, swaps = _LAYOUTS[n]
+        width, code, outside, swaps, _ = _LAYOUTS[n]
         # The whole matrix in one integer, so that the range, loop and
         # symmetry checks are a few word operations. Packing refuses a row
         # that is negative or wider than the width.
@@ -233,13 +236,16 @@ def _g6_header(n: int) -> bytes:
     return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
 
 
-# Each graph6 character as a byte holding its six body bits in reverse, so
-# that the body read little-endian has bit 6b + s of the body stream at bit
-# 8b + s: groups of six bits, eight apart.
-_G6_REVERSED = bytes(int(f"{c - 63:06b}"[::-1], 2) if 63 <= c < 127 else 0 for c in range(256))
+# Each graph6 character as the base64 character (RFC 4648) whose six bits
+# are its own reversed, so that the body, read backwards and base64
+# decoded, is one numeral with bit 6b + s of the body stream at bit 6b + s.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_B64 = bytes.maketrans(
+    bytes(range(63, 127)), bytes(_B64[int(f"{v:06b}"[::-1], 2)] for v in range(64))
+)
 _G6_BAD = re.compile("[^?-~]")
-# Per order, the masked shifts of ``_g6_moves``, built on first use.
-_G6_MOVES: list = [None] * (MAX_ORDER + 1)
+# Per order 17 to 64, the masked shifts of ``_g6_spread``, built on first use.
+_G6_SPREAD: list = [None] * (MAX_ORDER + 1)
 # Per packing width 8 and 16, the lookup tables of ``_g6_tables``, built on
 # first use.
 _G6_TABLES: dict = {}
@@ -250,13 +256,9 @@ def _g6_tables(width: int) -> tuple[tuple[int, ...], ...]:
     symmetric matrix of each character there: entry c of table b holds bits
     (i, j) and (j, i) for every edge (i, j) that character c sets at
     position b. The body is the upper triangle column by column whatever the
-    order, so the tables serve every order of the width.
-
-    A line's matrix is the sum of its characters' entries: no two entries
-    share a bit, so the sum is their union. A set padding bit, an edge
-    (i, j) with j at or above the order, lands in the layout's ``outside``
-    mask: at bit (i, j), or on the diagonal at (i, i) for the two padding
-    bits of width 8's fifth character, whose column 8 lies past the width.
+    order, so the tables serve every order of the width. A line's matrix is
+    the sum of its characters' entries: no two entries share a bit, so the
+    sum is their union. A bit past the width's last edge sets nothing.
     """
     tables = []
     for b in range((width * (width - 1) // 2 + 5) // 6):
@@ -267,7 +269,7 @@ def _g6_tables(width: int) -> tuple[tuple[int, ...], ...]:
             # bit k of the body is edge (i, j), k = j(j - 1)/2 + i, i < j
             j = (1 + isqrt(8 * k + 1)) // 2
             i = k - j * (j - 1) // 2
-            bit = 1 << width * i + j | 1 << width * j + i if j < width else 1 << (width + 1) * i
+            bit = 1 << width * i + j | 1 << width * j + i if j < width else 0
             entries += [e + bit for e in entries]
         # indexed by the character itself, 63 + v
         tables.append((0,) * 63 + tuple(entries))
@@ -275,31 +277,21 @@ def _g6_tables(width: int) -> tuple[tuple[int, ...], ...]:
     return tables
 
 
-def _g6_moves(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The two lists of masked shifts that decode a graph6 body of order n,
-    each as (mask, shift) pairs: compress and expand in a logarithmic number
-    of word operations (Warren, Hacker's Delight, 2nd ed., ch. 7).
+def _g6_spread(n: int) -> tuple[tuple[int, int], ...]:
+    """The masked shifts, as (mask, shift) pairs, that move each column of
+    an order-n body's numeral to its row of the packed matrix, in a
+    logarithmic number of word operations (Warren, Hacker's Delight, 2nd
+    ed., ch. 7).
 
-    ``squeeze`` closes the two-bit gaps between the six-bit groups read from
-    the body, doubling the group size at each step: the odd-numbered groups
-    of a step move down against the group before them. The result is one
-    numeral with edge (i, j) at bit j(j - 1)/2 + i, so column j of the upper
-    triangle is a run of j bits, and the padding lies above them.
-
-    ``spread`` then moves column j's run to row j of the packed matrix, a
-    left shift of w * j - j(j - 1)/2 for the packing width w, one bit of
-    those shifts per step, the highest first. The shifts grow with j, and
-    so do their values rounded down to a multiple of any power of two, while
-    each run ends where the next begins. So after every step the runs still
-    lie in order without overlap, and no moved run lands on another.
+    In the numeral, edge (i, j) sits at bit j(j - 1)/2 + i, so column j of
+    the upper triangle is a run of j bits. Its row j of the packed matrix
+    lies a left shift of w * j - j(j - 1)/2 away for the packing width w;
+    the spread makes those shifts one bit per step, the highest first. The
+    shifts grow with j, and so do their values rounded down to a multiple of
+    any power of two, while each run ends where the next begins. So after
+    every step the runs still lie in order without overlap, and no moved run
+    lands on another.
     """
-    nbits = n * (n - 1) // 2
-    squeeze = []
-    size, gap, groups = 6, 2, (nbits + 5) // 6
-    while groups > 1:
-        odd = sum(((1 << size) - 1) << (size + gap) * g for g in range(1, groups, 2))
-        squeeze.append((odd, gap))
-        size, gap, groups = 2 * size, 2 * gap, (groups + 1) // 2
     width = _LAYOUTS[n][0]
     shifts = [width * j - j * (j - 1) // 2 for j in range(n)]
     spread = []
@@ -313,8 +305,8 @@ def _g6_moves(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int
         )
         if mask:
             spread.append((mask, 1 << b))
-    moves = _G6_MOVES[n] = (tuple(squeeze), tuple(spread))
-    return moves
+    spread = _G6_SPREAD[n] = tuple(spread)
+    return spread
 
 
 def _decoded_graph(n: int, adj: tuple[int, ...]) -> Graph:
@@ -336,17 +328,17 @@ def parse_graph6(text: str) -> Graph:
     one included), missing or surplus body bytes, and nonzero padding bits,
     each with its byte offset.
 
-    A body of order 16 or less, packed 8 or 16 bits wide, is decoded by
-    the lookup tables of ``_g6_tables``, once every check before the
-    padding has passed: its matrix is the sum of one entry per character.
-    That path never raises. A set padding bit lands in the layout's
-    ``outside`` mask, and the line falls through to the word operations of
-    ``_g6_moves``, which decode orders 17 to 64 and report every padding
-    fault. The wider packings keep word operations because each addition
-    of the sum copies a wider integer: timed per line against them in one
-    process on a Xeon vCPU, tables took 0.71-0.79x their time at orders
-    17-24 but 0.96x at 25-28 and 1.10x at 29-32, so width 32 has no one
-    choice; at width 64, 1.6x at 33-48 and 3.3x at 49-64. Their tables
+    Every check comes before decoding. All padding lies in the low bits of
+    the last body character, so it is checked once there, and neither path
+    below raises. A body of order 16 or less, packed 8 or 16 bits wide, is
+    the sum of one entry of ``_g6_tables`` per character. Orders 17 to 64
+    are read as one numeral by one base64 decode (RFC 4648 packs the same
+    six-bit groups), and the masked shifts of ``_g6_spread`` move it into
+    rows. The wider packings keep word operations because each addition of
+    the sum copies a wider integer: timed per line against them in one
+    process on a Xeon vCPU, tables took 0.73-0.86x their time at orders
+    17-24 but 1.01x at 25-28 and 1.15x at 29-32, so width 32 has no one
+    choice; at width 64, 1.8x at 33-48 and 3.9x at 49-64. Their tables
     would hold 0.7 MB and 8.7 MB.
     """
     line = text.rstrip("\n")
@@ -377,36 +369,28 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("graph6 body truncated", body_off + have)
     if have > need:
         raise Graph6Error("unexpected trailing bytes", body_off + need)
-    width, code, outside, swaps = _LAYOUTS[n]
+    width, code, _, swaps, pad = _LAYOUTS[n]
+    # Every padding bit lies in the last body character.
+    if data[-1] - 63 & pad:
+        raise Graph6Error("nonzero padding bits", len(data) - 1)
     if width <= 16:
         tables = _G6_TABLES.get(width) or _g6_tables(width)
         m = sum(map(getitem, tables, data[body_off:]))
-        if not m & outside:
-            rows = array(code, m.to_bytes(width * n // 8, sys.byteorder))
-            return _decoded_graph(n, tuple(rows))
-        # A padding bit is set: the word operations below report it.
-    # The body is the upper triangle column by column: column j holds the
-    # bits of edges (0, j), ..., (j - 1, j). Squeezed, it is one numeral with
-    # edge (i, j) at bit j(j - 1)/2 + i, its padding above them; spread, each
-    # column's run is row j of the packed matrix, its lower triangle; the
-    # upper one is the transpose.
-    squeeze, spread = _G6_MOVES[n] or _g6_moves(n)
-    body = int.from_bytes(data[body_off:].translate(_G6_REVERSED), "little")
-    for mask, s in squeeze:
-        x = body & mask
-        body = body ^ x | x >> s
-    pad = body >> nbits
-    if pad:
-        at = nbits + (pad & -pad).bit_length() - 1
-        raise Graph6Error("nonzero padding bits", body_off + at // 6)
-    for mask, s in spread:
-        x = body & mask
-        body = body ^ x | x << s
-    m = body | _transpose(body, swaps)
-    rows = array(code, m.to_bytes(width * n // 8, sys.byteorder))
-    # Symmetric by the transpose, loop-free and inside the order because the
-    # runs sit below the diagonal: nothing for __post_init__ to check.
-    return _decoded_graph(n, tuple(rows))
+    else:
+        # The body is the upper triangle column by column: column j holds
+        # the bits of edges (0, j), ..., (j - 1, j). Decoded, it is one
+        # numeral with edge (i, j) at bit j(j - 1)/2 + i; spread, each
+        # column's run is row j of the packed matrix, its lower triangle;
+        # the upper one is the transpose.
+        body = data[: body_off - 1 : -1].translate(_G6_B64)
+        m = int.from_bytes(a2b_base64(b"A" * (-need % 4) + body), "big")
+        for mask, s in _G6_SPREAD[n] or _g6_spread(n):
+            x = m & mask
+            m = m ^ x | x << s
+        m |= _transpose(m, swaps)
+    # Symmetric, loop-free and inside the order by construction: nothing for
+    # __post_init__ to check.
+    return _decoded_graph(n, tuple(array(code, m.to_bytes(width * n // 8, sys.byteorder))))
 
 
 def write_graph6(g: Graph) -> str:

@@ -56,8 +56,10 @@ def parse_graph6_ref(text: str) -> G.Graph:
     ``graphs.parse_graph6``, then the rows built bit by bit from the body's
     string of ``0`` and ``1``: edge (i, j) sets bit j of row i and bit i of
     row j. The graph goes through the validating ``Graph`` constructor.
-    Both paths of the current decoder, table lookup and word operations,
-    must match it."""
+    Here a padding bit is sought through the whole body string; the current
+    decoder checks the padding once, on the last body byte, before either of
+    its paths, which never raise: table lookup up to order 16, one base64
+    decode and word operations above it. Both must match this one."""
     line = text.rstrip("\n")
     if not line:
         raise G.Graph6Error("empty graph6 string", 0)

@@ -266,10 +266,10 @@ def long_header(n):
 
 
 class TestDecoderReference:
-    """Both decoder paths, table lookup up to order 16 and word operations
-    above it and on padding faults, against the previous decoder, kept in
-    ``oracles``: graphs at every order under both header forms, and every
-    kind of rejection."""
+    """Both decoder paths, table lookup up to order 16 and one base64
+    decode and spread above it, and the checks before them, against the
+    previous decoder, kept in ``oracles``: graphs at every order under both
+    header forms, and every kind of rejection."""
 
     def test_random_graphs_under_both_headers(self):
         rng = random.Random(2027)
@@ -320,7 +320,7 @@ class TestDecoderReference:
     def test_every_character_at_every_table_position(self):
         # Each body character of a line at orders 0 to 16 replaced by each
         # graph6 character and by one outside the range: every entry of the
-        # width 8 and 16 tables, and every padding fault that falls through.
+        # width 8 and 16 tables, and every padding fault of those orders.
         rng = random.Random(2031)
         cases = 0
         for n in range(17):
@@ -334,12 +334,13 @@ class TestDecoderReference:
 
 
 class TestDecoderPaths:
-    """Which orders the table lookup decodes and which the word operations
-    do, read off the two caches each path fills on first use."""
+    """Which orders the table lookup decodes and which the spread of
+    ``_g6_spread`` does, read off the two caches each path fills on first
+    use; and that a padding fault is raised before either is built."""
 
     @pytest.fixture
     def fresh_caches(self, monkeypatch):
-        monkeypatch.setattr(G, "_G6_MOVES", [None] * (G.MAX_ORDER + 1))
+        monkeypatch.setattr(G, "_G6_SPREAD", [None] * (G.MAX_ORDER + 1))
         monkeypatch.setattr(G, "_G6_TABLES", {})
 
     def test_import_builds_no_table(self):
@@ -348,7 +349,7 @@ class TestDecoderPaths:
         code = (
             "import isolab.cli\n"
             "from isolab import graphs\n"
-            "print(graphs._G6_TABLES, any(graphs._G6_MOVES))\n"
+            "print(graphs._G6_TABLES, any(graphs._G6_SPREAD))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -364,22 +365,31 @@ class TestDecoderPaths:
             for p in (0.0, 0.5, 1.0):
                 g = random_graph(rng, n, p)
                 assert G.parse_graph6(G.write_graph6(g)) == g
-        assert G._G6_MOVES == [None] * (G.MAX_ORDER + 1)
+        assert G._G6_SPREAD == [None] * (G.MAX_ORDER + 1)
         assert sorted(G._G6_TABLES) == [8, 16]
 
     @pytest.mark.usefixtures("fresh_caches")
     def test_order_17_uses_word_operations(self):
         g = random_graph(random.Random(2033), 17, 0.5)
         assert G.parse_graph6(G.write_graph6(g)) == g
-        assert [n for n, moves in enumerate(G._G6_MOVES) if moves] == [17]
+        assert [n for n, spread in enumerate(G._G6_SPREAD) if spread] == [17]
         assert G._G6_TABLES == {}
 
     @pytest.mark.usefixtures("fresh_caches")
-    def test_padding_fault_falls_through_to_word_operations(self):
-        with pytest.raises(G.Graph6Error) as exc:
-            G.parse_graph6("A" + chr(63 + 0b100001))
-        assert exc.value.offset == 1
-        assert [n for n, moves in enumerate(G._G6_MOVES) if moves] == [2]
+    def test_padding_fault_is_raised_before_decoding(self):
+        # Both widths of each path. Order 16 has no padding: its 120 bits
+        # fill 20 characters, so order 15 stands in for width 16's fault.
+        assert G._LAYOUTS[16][4] == 0
+        rng = random.Random(2034)
+        for n in (2, 8, 15, 17, 32, 63):
+            line = G.write_graph6(random_graph(rng, n, 0.5))
+            line = line[:-1] + chr((ord(line[-1]) - 63 | 1) + 63)
+            assert_decoders_agree(line)
+            with pytest.raises(G.Graph6Error, match="nonzero padding bits") as exc:
+                G.parse_graph6(line)
+            assert exc.value.offset == len(line) - 1
+        assert G._G6_SPREAD == [None] * (G.MAX_ORDER + 1)
+        assert G._G6_TABLES == {}
 
 
 class TestNeighborhoods:
