@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from isolab.graphs import (
@@ -239,6 +240,15 @@ _C5_ATTACH = tuple(
     for at in (tuple(i for i in range(5) if s >> i & 1) for s in range(32))
 )
 
+# The 23 allowed attachments, each one shared instance: the pendants of
+# every recognized spec.
+_ATTACHMENTS = {
+    (kind, at): PendantAttachment(kind, at)
+    for kind, ats in (("K2", K2_ATTACHMENTS), ("C5", valid_c5_attachments()))
+    for at in ats
+}
+_hook = attrgetter("hook")
+
 
 def _candidate_blocks(g: Graph) -> list[_Block]:
     """Every pendant-shaped piece of ``g`` with its hook, sorted by least
@@ -336,42 +346,60 @@ def recognize_family(g: Graph) -> Optional[FamilySpec]:
     leftover vertex to host exactly one block and the leftovers to induce a
     connected base. Returns the first decomposition in search order; specs
     are not unique and no uniqueness is implied.
+
+    The search is the module-level ``_bt``, which builds no closure, so a
+    call leaves no reference cycle for the collector. The spec's pendants
+    are the shared, immutable instances of ``_ATTACHMENTS``, one per
+    allowed (kind, attachment).
+
+    The connectivity test up front is not redundant with the base check:
+    a full decomposition's base is connected exactly when g is, so on a
+    disconnected g the search would try every full decomposition (2^k of
+    them for k disjoint paths on three vertices) before returning None.
     """
     n = g.order
     if n == 0 or n % 3 != 0 or not is_connected(g):
         return None
-    cands = _candidate_blocks(g)
     by_vertex: list[list[_Block]] = [[] for _ in range(n)]
-    for c in cands:
+    for c in _candidate_blocks(g):
         for v in c.verts:
             by_vertex[v].append(c)
         by_vertex[c.hook].append(c)
-    full = g.full_mask
+    return _bt(g, by_vertex, g.full_mask, 0, 0, [])
 
-    def bt(pend_mask: int, hook_mask: int, chosen: list[_Block]):
-        resolved = pend_mask | hook_mask
-        if resolved == full:
-            base, hooks = induced_subgraph(g, hook_mask)
-            if not is_connected(base):
-                return None
-            by_hook = {c.hook: c for c in chosen}
-            pendants = tuple(
-                PendantAttachment(by_hook[h].kind, by_hook[h].attach)
-                for h in hooks
-            )
-            return FamilySpec(base, pendants)
-        unresolved = ~resolved & full
-        v = (unresolved & -unresolved).bit_length() - 1
-        for c in by_vertex[v]:
-            hb = 1 << c.hook
-            if c.mask & resolved or hb & pend_mask or hb & hook_mask:
-                continue
-            r = bt(pend_mask | c.mask, hook_mask | hb, chosen + [c])
-            if r is not None:
-                return r
-        return None
 
-    return bt(0, 0, [])
+def _bt(
+    g: Graph,
+    by_vertex: list[list[_Block]],
+    full: int,
+    pend_mask: int,
+    hook_mask: int,
+    chosen: list[_Block],
+) -> Optional[FamilySpec]:
+    """First full decomposition extending ``chosen`` whose base is
+    connected: the least unresolved vertex tries its blocks in order."""
+    resolved = pend_mask | hook_mask
+    if resolved == full:
+        base, _ = induced_subgraph(g, hook_mask)
+        if not is_connected(base):
+            return None
+        # Each hook hosts one block, so blocks by hook follow the base order.
+        chosen.sort(key=_hook)
+        return FamilySpec(
+            base, tuple(_ATTACHMENTS[c.kind, c.attach] for c in chosen)
+        )
+    unresolved = ~resolved & full
+    v = (unresolved & -unresolved).bit_length() - 1
+    for c in by_vertex[v]:
+        hb = 1 << c.hook
+        if c.mask & resolved or hb & resolved:
+            continue
+        chosen.append(c)
+        r = _bt(g, by_vertex, full, pend_mask | c.mask, hook_mask | hb, chosen)
+        if r is not None:
+            return r
+        chosen.pop()
+    return None
 
 
 # ---------------------------------------------------------------------------

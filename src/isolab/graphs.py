@@ -577,23 +577,24 @@ def cycles_of_length(
     if mask is None:
         mask = g.full_mask
     outside = g.full_mask & ~mask
-    path = []
-
-    def extend(v: int, used: int) -> Iterator[tuple[int, ...]]:
-        if len(path) == length:
-            if (adj[v] >> path[0]) & 1 and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        for w in bit_list(adj[v] & ~used):
-            path.append(w)
-            yield from extend(w, used | (1 << w))
-            path.pop()
-
     for r in bit_list(mask):
-        path.clear()
-        path.append(r)
         # Vertices below the root and outside the mask are never entered.
-        yield from extend(r, outside | ((2 << r) - 1))
+        yield from _extend_cycle(adj, length, [r], r, outside | ((2 << r) - 1))
+
+
+def _extend_cycle(
+    adj: tuple[int, ...], length: int, path: list[int], v: int, used: int
+) -> Iterator[tuple[int, ...]]:
+    """Cycles of ``cycles_of_length`` that extend ``path``, which ends at
+    ``v`` and has visited ``used``."""
+    if len(path) == length:
+        if (adj[v] >> path[0]) & 1 and path[1] < path[-1]:
+            yield tuple(path)
+        return
+    for w in bit_list(adj[v] & ~used):
+        path.append(w)
+        yield from _extend_cycle(adj, length, path, w, used | (1 << w))
+        path.pop()
 
 
 def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -287,6 +289,49 @@ class TestRecognition:
         spec = F.random_family_spec(12, 3)
         g = F.build_family_graph(spec)
         assert F.recognize_family(g) == F.recognize_family(g)
+
+    def test_union_of_two_members_rejected(self, monkeypatch):
+        unions = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            a, b = (
+                F.build_family_graph(F.random_family_spec(3 * rng.randrange(1, 6), s))
+                for s in (2 * seed, 2 * seed + 1)
+            )
+            unions.append(G.disjoint_union(a, b))
+            assert F.recognize_family(unions[-1]) is None
+        # Only connectivity rejects them: each union has a full
+        # decomposition, with the two members' hooks as its base.
+        monkeypatch.setattr(F, "is_connected", lambda g: True)
+        for u in unions:
+            spec = F.recognize_family(u)
+            assert spec is not None and spec.order == u.order
+
+    def test_many_disjoint_paths_rejected_quickly(self):
+        # 2^21 full decompositions, each with a disconnected base: the
+        # connectivity test up front answers before the search starts.
+        g = G.empty_graph(0)
+        for _ in range(21):
+            g = G.disjoint_union(g, G.path_graph(3))
+        assert g.order == 63
+        started = time.perf_counter()
+        assert F.recognize_family(g) is None
+        assert time.perf_counter() - started < 1.0
+
+    def test_pendants_are_the_shared_attachments(self):
+        kinds = set()
+        for seed in range(60):
+            spec = F.recognize_family(
+                F.build_family_graph(F.random_family_spec(3 * (seed % 8 + 1), seed))
+            )
+            for p in spec.pendants:
+                assert p is F._ATTACHMENTS[p.kind, p.attach]
+                assert p == F.PendantAttachment(p.kind, p.attach)
+                kinds.add(p.kind)
+        assert kinds == {"K2", "C5"}
+        assert len(F._ATTACHMENTS) == 23
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.attach = (0,)
 
 
 class TestSampler:
