@@ -15,7 +15,9 @@ base64 decode and a logarithmic number of word operations.
 Vertex sets grow by ``bfs_levels``, the one breadth-first search: callers
 sum its levels for components, connectivity and partition's cut-vertex
 probes, and read shortest paths and spanning trees off them;
-``cut_vertices`` is the one depth-first search.
+``cut_vertices`` is the one lowpoint depth-first search, and
+``cycles_of_length`` the one cycle search. Both are loops over an explicit
+stack, with no recursion.
 """
 
 from __future__ import annotations
@@ -505,10 +507,12 @@ def cut_vertices(g: Graph, mask: Optional[int] = None) -> int:
     discovery number: the DFS path is one mask, and each subtree passes up
     the path vertices its edges reach. A non-root vertex is a cut vertex
     when the subtree of some DFS child reaches no path vertex but it, the
-    root when it has two or more DFS children. Vertices outside the mask
-    count as already seen, so the search never enters them. Masks of at
-    most 2 vertices have none. On disconnected input every vertex counts,
-    except an isolated vertex whose removal leaves exactly one component.
+    root when it has two or more DFS children. The current vertex is a
+    local and the stack holds only its ancestors; the search enters only
+    vertices of ``unseen``, the mask less those visited, so it never leaves
+    the mask. Masks of at most 2 vertices have none. On disconnected input,
+    where ``unseen`` is left nonempty, every vertex counts, except an
+    isolated vertex whose removal leaves exactly one component.
     """
     if mask is None:
         mask = g.full_mask
@@ -519,29 +523,29 @@ def cut_vertices(g: Graph, mask: Optional[int] = None) -> int:
     # edges); after the subtree finishes, every path vertex it reaches.
     up = [0] * g.order
     root = (mask & -mask).bit_length() - 1
-    stack = [root]
-    seen = (g.full_mask & ~mask) | (1 << root)
+    v = root
+    unseen = mask ^ 1 << root
     path = 1 << root
+    stack = []
     root_children = 0
     out = 0
-    while stack:
-        v = stack[-1]
-        fresh = adj[v] & ~seen
+    while True:
+        fresh = adj[v] & unseen
         if fresh:
             b = fresh & -fresh
             w = b.bit_length() - 1
             # Neighbors seen earlier are all on the path: a finished one
             # would have entered w itself.
             up[w] = adj[w] & path
-            seen |= b
+            unseen ^= b
             path |= b
-            stack.append(w)
+            stack.append(v)
+            v = w
             continue
-        stack.pop()
-        path ^= 1 << v
         if not stack:
             break
-        p = stack[-1]
+        path ^= 1 << v
+        p = stack.pop()
         if p == root:
             root_children += 1
         else:
@@ -551,7 +555,8 @@ def cut_vertices(g: Graph, mask: Optional[int] = None) -> int:
             if reach == 1 << p:
                 out |= 1 << p
             up[p] |= reach
-    if seen != g.full_mask:
+        v = p
+    if unseen:
         comps = masked_components(g, mask)
         if len(comps) == 2:
             for comp in comps:
@@ -572,29 +577,54 @@ def cycles_of_length(
 ) -> Iterator[tuple[int, ...]]:
     """Simple cycles of exactly this length inside ``mask`` (default: all
     vertices), rooted at their least vertex, one orientation each (second
-    vertex below last), in lexicographic order."""
+    vertex below last), in lexicographic order.
+
+    One iterative depth-first search per root, over the vertices of the
+    mask above it. ``todo[d]`` holds the vertices still to try after
+    ``path[d]``; a path one vertex short of the length is closed by one word
+    operation, its last vertex's neighbors that neighbor the root, lie above
+    ``path[1]`` and are off the path, taken in ascending order.
+    """
+    if length < 3:
+        return
     adj = g.adj
     if mask is None:
         mask = g.full_mask
-    outside = g.full_mask & ~mask
-    for r in bit_list(mask):
-        # Vertices below the root and outside the mask are never entered.
-        yield from _extend_cycle(adj, length, [r], r, outside | ((2 << r) - 1))
-
-
-def _extend_cycle(
-    adj: tuple[int, ...], length: int, path: list[int], v: int, used: int
-) -> Iterator[tuple[int, ...]]:
-    """Cycles of ``cycles_of_length`` that extend ``path``, which ends at
-    ``v`` and has visited ``used``."""
-    if len(path) == length:
-        if (adj[v] >> path[0]) & 1 and path[1] < path[-1]:
-            yield tuple(path)
-        return
-    for w in bit_list(adj[v] & ~used):
-        path.append(w)
-        yield from _extend_cycle(adj, length, path, w, used | (1 << w))
-        path.pop()
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        r = b.bit_length() - 1
+        # A cycle rooted here leaves and returns by two of these.
+        ends = adj[r] & rest
+        if not ends & (ends - 1):
+            continue
+        # The vertices of the mask above the root that are off the path.
+        free = rest
+        path = [r]
+        # The second vertex lies below the last, so it is never the root's
+        # greatest neighbor.
+        todo = [ends ^ 1 << ends.bit_length() - 1]
+        while todo:
+            c = todo[-1]
+            if not c:
+                todo.pop()
+                free |= 1 << path.pop()
+                continue
+            b = c & -c
+            todo[-1] = c ^ b
+            v = b.bit_length() - 1
+            path.append(v)
+            if len(path) + 1 < length:
+                free ^= b
+                todo.append(adj[v] & free)
+                continue
+            close = adj[v] & ends & free & -(2 << path[1])
+            while close:
+                b = close & -close
+                yield (*path, b.bit_length() - 1)
+                close ^= b
+            path.pop()
 
 
 def cycle_walk(g: Graph, mask: int, start: int) -> list[int]:

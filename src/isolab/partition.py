@@ -38,9 +38,12 @@ The cycle rung is the last one: a mask that reaches it has no cut vertex
 and no degree-2 vertex, so it is 2-connected with minimum degree at least
 3, and every graph of minimum degree at least 3 has a cycle whose length
 is divisible by 3 (G. Chen and A. Saito, J. Combin. Theory Ser. B 60
-(1994) 277-292). A mask where the search finds none, a trace that does not
-replay or replays to other classes than the engine's, and a result that
-fails verification are gaps between the engine and that theory; each
+(1994) 277-292). The rung takes the first cycle of the least such length
+that ``graphs.cycles_of_length`` gives; on almost every mask that reaches
+it this is a triangle, which that search closes by one word operation per
+edge at the root. A mask where the search finds none, a trace that does
+not replay or replays to other classes than the engine's, and a result
+that fails verification are gaps between the engine and that theory; each
 raises EngineGap naming the graph.
 """
 
@@ -351,15 +354,23 @@ def _reduce_cut_vertex(
     adj = g.adj
     v = cv.bit_length() - 1
     rest = mask ^ cv
-    z = next((u for u in bit_list(adj[v] & rest) if adj[u] & rest), -1)
-    if z < 0:
+    for z in bit_list(adj[v] & rest):
+        if adj[z] & rest:
+            break
+    else:
         raise RuntimeError("cut-vertex reduction on a star, which is a base case")
     comps = masked_components(g, rest ^ (1 << z))
-    if all(c & adj[z] for c in comps):
+    for c in comps:
+        if not c & adj[z]:
+            break
+    else:
         raise RuntimeError("cut-vertex reduction needs a cut vertex")
     yb = adj[z] & rest
     y = (yb & -yb).bit_length() - 1
-    comp_y = next(c for c in comps if (c >> y) & 1)
+    # y lies in rest without z, so in one of the components.
+    for comp_y in comps:
+        if comp_y >> y & 1:
+            break
     xb = adj[v] & mask & ~(1 << z) & ~comp_y
     x = (xb & -xb).bit_length() - 1
     steps.append(("cut-vertex", (v, z), 0))

@@ -24,6 +24,12 @@ def small_connected():
 
 
 @pytest.fixture(scope="session")
+def triangle_free():
+    """``triangle_free_graphs()``, built once."""
+    return triangle_free_graphs()
+
+
+@pytest.fixture(scope="session")
 def core(tmp_path_factory):
     """The compiled kernels: the installed ``isolab._core`` if there is one,
     else ``_core.c`` built with the local C compiler, where any warning fails
@@ -161,4 +167,59 @@ def leafy_and_dense_graphs():
         rng.shuffle(labels)
         graphs.append(oracles.relabel(g, labels))
     graphs += [random_min_degree3(rng, rng.randrange(9, 31)) for _ in range(200)]
+    return graphs
+
+
+def _has_path_of_five(adj, u, v):
+    """Whether some simple u-v path has exactly five edges in the rows adj."""
+    stack = [(u, 1 << u, 1)]
+    while stack:
+        w, used, depth = stack.pop()
+        if depth == 5:
+            if adj[w] >> v & 1:
+                return True
+            continue
+        for x in G.bit_list(adj[w] & ~used & ~(1 << v)):
+            stack.append((x, used | 1 << x, depth + 1))
+    return False
+
+
+def random_triangle_free_min_degree3(rng: random.Random, n: int, no_six: bool = False) -> G.Graph:
+    """A random tree plus random edges at each vertex of degree below 3,
+    none of which closes a triangle or, with ``no_six``, a 6-cycle; drawn
+    again when some vertex is left without a partner."""
+    while True:
+        adj = [0] * n
+        for v in range(1, n):
+            u = rng.randrange(v)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        for v in range(n):
+            while adj[v].bit_count() < 3:
+                partners = [
+                    u for u in range(n)
+                    if u != v and not adj[v] >> u & 1 and not adj[u] & adj[v]
+                    and not (no_six and _has_path_of_five(adj, v, u))
+                ]
+                if not partners:
+                    break
+                u = rng.choice(partners)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            else:
+                continue
+            break
+        else:
+            edges = [(u, v) for u in range(n) for v in G.bit_list(adj[u]) if u < v]
+            return _shuffled(rng, n, edges)
+
+
+def triangle_free_graphs():
+    """150 triangle-free graphs of minimum degree 3 and order 10 to 40, then
+    50 of order 20 to 40 with no 6-cycle either, so that the least cycle of
+    length divisible by 3 has length 6 in the first and at least 9 in the
+    second."""
+    rng = random.Random(4057)
+    graphs = [random_triangle_free_min_degree3(rng, rng.randrange(10, 41)) for _ in range(150)]
+    graphs += [random_triangle_free_min_degree3(rng, rng.randrange(20, 41), True) for _ in range(50)]
     return graphs

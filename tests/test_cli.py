@@ -490,3 +490,17 @@ def test_family_query_bytes_pinned(capsys, family_corpus, command):
     code, out, _ = run_cli(capsys, [command, family_corpus])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_QUERY_SHA256[command]
+
+
+# sha256 of partition3 --trace's stdout over triangle_free_graphs(), whose
+# cycle rung closes 150 cycles of length 6 and 50 of length 9.
+TRIANGLE_FREE_TRACE_SHA256 = "d160f57992419908defa1e6355a5794bc95ab6e7105ded43ecbed690495c433f"
+
+
+def test_triangle_free_trace_bytes_pinned(capsys, triangle_free, tmp_path):
+    path = tmp_path / "corpus.g6"
+    path.write_text("".join(G.write_graph6(g) + "\n" for g in triangle_free))
+    code, out, _ = run_cli(capsys, ["partition3", "--trace", str(path)])
+    assert code == 0
+    assert out.count("\n") == 200
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLE_FREE_TRACE_SHA256

@@ -501,6 +501,22 @@ class TestConnectivity:
             g = random_connected_graph(rng, rng.randrange(3, G.MAX_ORDER + 1))
             assert G.cut_vertices(g) == oracles.closure_cut_vertices(g)
 
+    def test_cut_vertices_match_closures_on_random_masks(self):
+        # The masked search against the closure search on the induced
+        # subgraph, mapped back; disconnected masks leave the search with
+        # unseen vertices of the mask.
+        rng = random.Random(35)
+        disconnected = 0
+        for _ in range(2000):
+            n = rng.randrange(1, G.MAX_ORDER + 1)
+            g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.4]))
+            mask = rng.randrange(1 << n)
+            sub, keep = G.induced_subgraph(g, mask)
+            want = G.bits_of(keep[v] for v in G.bit_list(oracles.closure_cut_vertices(sub)))
+            assert G.cut_vertices(g, mask) == want, (G.write_graph6(g), mask)
+            disconnected += sub.order > 2 and not G.is_connected(sub)
+        assert disconnected > 500
+
     def test_shortest_path_least_parent(self):
         # Vertex 3 is reached from 2 and from 4 on the same level; 2 wins,
         # and each step back goes to the least neighbor one level up.
@@ -571,6 +587,14 @@ class TestConnectivity:
             assert G.bfs_levels(g.adj, root, mask, until, limit) == want
 
 
+PETERSEN = G.from_edges(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6),
+     (6, 8), (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
+)
+CUBE = G.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+
+
 class TestCycles:
     def test_cycle_walk(self):
         assert G.cycle_walk(G.cycle_graph(6), 0b111111, 3) == [3, 2, 1, 0, 5, 4]
@@ -578,15 +602,42 @@ class TestCycles:
         assert G.cycle_walk(two_triangles, 0b111000, 4) == [4, 3, 5]
 
     def test_cycles_match_previous_enumerator(self, small_connected):
+        # Every connected graph of order 3 to 7, then random graphs of order
+        # 8 to 12, at every length up to 9; lengths 1 and 2 give none.
+        rng = random.Random(36)
+        graphs = [g for n in range(3, 8) for g in small_connected[n]]
+        graphs += [
+            random_graph(rng, n, rng.choice([0.2, 0.3, 0.4]))
+            for n in (rng.randrange(8, 13) for _ in range(150))
+        ]
         rng = random.Random(9)
-        for n in range(3, 8):
-            for g in small_connected[n]:
-                mask = rng.randrange(1 << n)
-                for length in range(3, n + 1):
-                    cycles = list(rooted_cycles_of_length(g, length))
-                    assert list(G.cycles_of_length(g, length)) == cycles
-                    inside = [c for c in cycles if G.bits_of(c) & ~mask == 0]
-                    assert list(G.cycles_of_length(g, length, mask)) == inside
+        for g in graphs:
+            mask = rng.randrange(1 << g.order)
+            for length in range(1, min(g.order, 9) + 1):
+                cycles = list(rooted_cycles_of_length(g, length))
+                assert list(G.cycles_of_length(g, length)) == cycles
+                inside = [c for c in cycles if G.bits_of(c) & ~mask == 0]
+                assert list(G.cycles_of_length(g, length, mask)) == inside
+
+    def test_cycle_mod3_is_the_first_of_the_previous_enumerator(self, triangle_free):
+        # Graphs whose least cycle of length divisible by 3 is longer than a
+        # triangle: the Petersen graph, the cube, the Heawood graph, and
+        # triangle-free graphs of minimum degree 3, some without 6-cycles.
+        heawood = G.from_edges(
+            14, [(v, (v + 1) % 14) for v in range(14)] + [(v, (v + 5) % 14) for v in range(0, 14, 2)]
+        )
+        graphs = [PETERSEN, CUBE, heawood] + triangle_free
+        lengths = set()
+        for g in graphs:
+            want = next(
+                chain.from_iterable(
+                    rooted_cycles_of_length(g, length) for length in range(3, g.order + 1, 3)
+                ),
+                None,
+            )
+            assert G.find_cycle_len_mod3(g) == want, G.write_graph6(g)
+            lengths.add(len(want))
+        assert lengths == {6, 9}
 
     def test_c6_found(self):
         assert G.find_cycle_len_mod3(G.cycle_graph(6)) == (0, 1, 2, 3, 4, 5)
@@ -595,15 +646,10 @@ class TestCycles:
         assert G.find_cycle_len_mod3(G.cycle_graph(5)) is None
 
     def test_petersen_six_cycle(self):
-        pet = G.from_edges(
-            10,
-            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6),
-             (6, 8), (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
-        )
-        vs = G.find_cycle_len_mod3(pet)
+        vs = G.find_cycle_len_mod3(PETERSEN)
         assert vs is not None and len(vs) == 6
         for i in range(6):
-            assert pet.has_edge(vs[i], vs[(i + 1) % 6])
+            assert PETERSEN.has_edge(vs[i], vs[(i + 1) % 6])
         assert len(set(vs)) == 6
 
     def test_shortest_preferred(self):

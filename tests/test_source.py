@@ -25,3 +25,28 @@ def test_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert len(list(SRC.glob("*.py"))) > 5
+
+
+def called_name(call):
+    """The name a call expression calls, plain or as an attribute."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_no_recursive_generators():
+    # A generator that yields from a call to itself pays a frame and a
+    # generator object per level, and every item passes up through each
+    # level; a search is one loop with an explicit stack instead.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.YieldFrom)
+                    and isinstance(node.value, ast.Call)
+                    and called_name(node.value) == fn.name
+                ):
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert found == []
